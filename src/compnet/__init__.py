@@ -10,9 +10,8 @@ deterministic training loop with bit-exact checkpoints
 """
 
 from .autodiff import (GradCheckReport, Tape, Tensor, add, backward,
-                       elementwise_binary, from_array, grad_check, matmul,
-                       mul, reduce_sum, reshape, sub, tensor_new, zeros,
-                       zeros_like)
+                       from_array, grad_check, matmul, mul, reduce_sum,
+                       reshape, sub, tensor_new, zeros, zeros_like)
 from .data import (Dataset, Normalizer, Sample, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
@@ -33,9 +32,9 @@ from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GradCheckReport", "Tape", "Tensor", "add", "backward",
-    "elementwise_binary", "from_array", "grad_check", "matmul", "mul",
-    "reduce_sum", "reshape", "sub", "tensor_new", "zeros", "zeros_like",
+    "GradCheckReport", "Tape", "Tensor", "add", "backward", "from_array",
+    "grad_check", "matmul", "mul", "reduce_sum", "reshape", "sub",
+    "tensor_new", "zeros", "zeros_like",
     "Dataset", "Normalizer", "Sample", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",

@@ -23,17 +23,6 @@ from .exceptions import ConfigError, NumericError, ShapeError, TapeError
 
 Shape = tuple[int, ...]
 
-# When enabled, every operation asserts its output is finite.  Meant for
-# debug runs and tests; off by default to keep the hot path lean.
-_DEBUG_FINITE = False
-
-
-def set_debug_finite(enabled: bool) -> None:
-    """Toggle post-operation finiteness assertions."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
-
-
 class Tensor:
     """Immutable dense float64 array, optionally tracked on a tape.
 
@@ -149,8 +138,6 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
     input, in order.  Layer primitives outside this module use the same
     hook to join the tape.
     """
-    if _DEBUG_FINITE and not np.all(np.isfinite(data)):
-        raise NumericError("operation produced a non-finite value")
     tape = _tape_of(*inputs)
     if tape is None:
         return Tensor(data, _own=True)
@@ -222,15 +209,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return g * b.data, g * a.data
 
     return wrap_result(out, (a, b), backward)
-
-
-def elementwise_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch ``add``/``sub``/``mul`` by name."""
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul}[op]
-    except KeyError:
-        raise ConfigError(f"unknown elementwise op {op!r}") from None
-    return fn(a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .config import DictConfig
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
-                   load_dataset, save_dataset, split, zscore_apply, zscore_fit)
+                   load_dataset, save_dataset, split, write_atomic, zscore_apply,
+                   zscore_fit)
 from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
                          NumericError, ShapeError, TapeError, VariantError)
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
@@ -34,13 +35,6 @@ _USAGE_ERRORS = (ConfigError, DataError, ShapeError, TapeError, VariantError)
 
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
 
 def _fmt(v: float) -> str:
     return repr(float(v))
@@ -62,7 +56,7 @@ def _load_config_json(path) -> dict:
 
 
 @dataclass
-class SplitSettings:
+class SplitSettings(DictConfig):
     train_fraction: float = 0.75
     seed: int = 0
     stratified: bool = True
@@ -71,18 +65,6 @@ class SplitSettings:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
-
-    def to_dict(self) -> dict:
-        return {"train_fraction": self.train_fraction, "seed": self.seed,
-                "stratified": self.stratified}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SplitSettings":
-        known = {"train_fraction", "seed", "stratified"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown split config keys: {sorted(extra)}")
-        return cls(**dict(d))
 
 
 def _resolve_model_config(model_section: Mapping, ds: Dataset,
@@ -297,9 +279,9 @@ def cmd_train(args) -> int:
     result = run_training(ds, model_cfg, train_cfg, split_settings)
 
     out = Path(args.out)
-    _write_text_atomic(out / "history.csv", history_csv(result.history))
-    _write_text_atomic(out / "normalizer.json",
-                       json.dumps(result.normalizer.to_dict(), sort_keys=True) + "\n")
+    write_atomic(out / "history.csv", history_csv(result.history).encode("utf-8"))
+    write_atomic(out / "normalizer.json",
+                 (json.dumps(result.normalizer.to_dict(), sort_keys=True) + "\n").encode("utf-8"))
     checkpoint_save(result.model, result.opt_state, out / "checkpoint.cmpn",
                     train_config=train_cfg,
                     extra={"split": result.split_settings.to_dict(),
@@ -350,7 +332,7 @@ def cmd_eval(args) -> int:
     out_path = Path(args.checkpoint).parent / "metrics.json"
     payload = {"split": args.split, "loss": metrics.loss,
                "accuracy": metrics.accuracy, "n": metrics.n}
-    _write_text_atomic(out_path, json.dumps(payload, sort_keys=True) + "\n")
+    write_atomic(out_path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
     print(f"split {args.split}: loss {_fmt(metrics.loss)} "
           f"accuracy {_fmt(metrics.accuracy)} n {metrics.n}")
     return 0
@@ -367,12 +349,6 @@ def cmd_compare(args) -> int:
         raise ConfigError("--models needs at least two model kinds")
     if not seeds:
         raise ConfigError("--seeds needs at least one seed")
-    for kind in kinds:
-        if kind not in FUSION_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}; "
-                              f"choose from {list(FUSION_KINDS)}")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError("model kinds must be distinct")
     config = _load_config_json(args.config) if args.config else {}
     ds = load_dataset(args.data)
     out_csv = Path(args.out) / "compare.csv"
@@ -380,12 +356,12 @@ def cmd_compare(args) -> int:
     flushed: list[dict] = []
     try:
         result = run_comparison(ds, config, kinds, seeds, on_row=flushed.append)
-    except (CompnetError, OSError) as exc:
-        # A failed run aborts the comparison but keeps the completed rows.
-        _write_text_atomic(out_csv, comparison_csv(flushed, {}))
-        print(f"error: comparison aborted: {exc}", file=sys.stderr)
-        return 4
-    _write_text_atomic(out_csv, comparison_csv(result.rows, result.means))
+    except (CompnetError, OSError):
+        # A failed run aborts the comparison but keeps the completed rows;
+        # main maps the error to its exit code.
+        write_atomic(out_csv, comparison_csv(flushed, {}).encode("utf-8"))
+        raise
+    write_atomic(out_csv, comparison_csv(result.rows, result.means).encode("utf-8"))
     for kind, m in result.means.items():
         print(f"{kind}: mean train {m['train_acc']:.4f} test {m['test_acc']:.4f} "
               f"gap {m['gap']:.4f}")
@@ -404,7 +380,7 @@ def cmd_importance(args) -> int:
     for k in range(report.n_classes):
         for j in range(report.n_features):
             lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{rank_of[k, j]}")
-    _write_text_atomic(Path(args.out), "\n".join(lines) + "\n")
+    write_atomic(Path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
     tops = {k: int(report.ranking[k, 0]) for k in range(report.n_classes)}
     print("top feature per class: "
           + ", ".join(f"class {k} -> f{j}" for k, j in tops.items()))

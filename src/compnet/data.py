@@ -2,6 +2,12 @@
 and the seeded synthetic image+tabular benchmark generator.
 
 A sample couples an image with a designed-feature vector and a label.
+A ``Dataset`` stores its samples column-wise: one read-only array each
+for images, features and labels, plus the sample ids, validated once
+when the dataset is built.  Subsetting, normalizing, generating, loading
+and saving index those arrays; ``Sample`` objects are only made when a
+caller asks for ``Dataset.samples``.
+
 The synthetic generator plants class evidence in both modalities
 independently: each modality's evidence agrees with the true label only
 with a configurable reliability, so neither alone suffices and a model
@@ -29,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor
+from .config import DictConfig
 from .exceptions import ConfigError, DataError, FormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -55,72 +62,86 @@ class Sample:
 
 
 class Dataset:
-    """Immutable ordered collection of samples with shared shape metadata.
+    """Immutable ordered dataset, stored as one read-only array per column.
 
-    Stacked views (``images()``, ``features()``, ``labels()``) are built
-    lazily and cached; they are what models and the trainer consume.
+    ``images()`` ``[n, C, H, W]``, ``features()`` ``[n, N]`` and
+    ``labels()`` ``[n]`` are validated once, when the dataset is built,
+    and are what models and the trainer consume.  ``samples`` gives
+    per-row ``Sample`` views for code that wants one record at a time.
     """
 
     def __init__(self, samples: Sequence[Sample], image_shape: Sequence[int],
                  n_features: int, n_classes: int, provenance: Mapping | None = None):
-        self.samples = list(samples)
-        self.image_shape = tuple(int(d) for d in image_shape)
-        self.n_features = int(n_features)
+        samples = list(samples)
+        shape, n_features = tuple(int(d) for d in image_shape), int(n_features)
+        for s in samples:
+            if s.image.shape != shape or s.features.shape != (n_features,):
+                raise ShapeError(
+                    f"sample {s.id}: image {list(s.image.shape)} and features "
+                    f"{list(s.features.shape)} != dataset {list(shape)} and [{n_features}]")
+        n = len(samples)
+        self._set_columns([s.id for s in samples],
+                          np.array([s.image.data for s in samples]).reshape((n, *shape)),
+                          np.array([s.features.data for s in samples]).reshape((n, n_features)),
+                          np.array([s.label for s in samples], dtype=np.int64),
+                          n_classes, provenance)
+
+    @classmethod
+    def _from_columns(cls, ids, images, features, labels, n_classes, provenance) -> "Dataset":
+        """Wrap column arrays, which the dataset takes over without copying."""
+        ds = cls.__new__(cls)
+        ds._set_columns(list(ids), images, features, labels, n_classes, provenance)
+        return ds
+
+    def _set_columns(self, ids, images, features, labels, n_classes, provenance) -> None:
+        if images.ndim != 4:
+            raise ShapeError(f"image_shape must be [C,H,W], got {list(images.shape[1:])}")
+        if int(n_classes) < 2:
+            raise DataError(f"need at least 2 classes, got {n_classes}")
+        finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise DataError(f"sample {ids[int(np.argmin(finite))]}: non-finite values")
+        bad = (labels < 0) | (labels >= n_classes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"sample {ids[i]}: label {labels[i]} outside [0, {n_classes})")
+        for column in (images, features, labels):
+            column.flags.writeable = False
+        self._ids = ids
+        self._images, self._features, self._labels = images, features, labels
+        self.image_shape = images.shape[1:]
+        self.n_features = features.shape[1]
         self.n_classes = int(n_classes)
         self.provenance = dict(provenance or {})
-        if len(self.image_shape) != 3:
-            raise ShapeError(f"image_shape must be [C,H,W], got {list(image_shape)}")
-        if self.n_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.n_classes}")
-        for s in self.samples:
-            if s.image.shape != self.image_shape:
-                raise ShapeError(
-                    f"sample {s.id}: image shape {list(s.image.shape)} != "
-                    f"dataset {list(self.image_shape)}")
-            if s.features.shape != (self.n_features,):
-                raise ShapeError(
-                    f"sample {s.id}: {s.features.shape[0]} features != "
-                    f"dataset {self.n_features}")
-            if s.label >= self.n_classes:
-                raise DataError(
-                    f"sample {s.id}: label {s.label} >= n_classes {self.n_classes}")
-        self._images: np.ndarray | None = None
-        self._features: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._ids)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """Per-row ``Sample`` views over the columns, built on each access."""
+        return [Sample(id=sid, image=Tensor(image, _own=True),
+                       features=Tensor(feats, _own=True), label=int(label))
+                for sid, image, feats, label
+                in zip(self._ids, self._images, self._features, self._labels)]
 
     def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+        return list(self._ids)
 
     def images(self) -> np.ndarray:
-        if self._images is None:
-            if self.samples:
-                self._images = np.stack([s.image.data for s in self.samples])
-            else:
-                self._images = np.zeros((0, *self.image_shape))
         return self._images
 
     def features(self) -> np.ndarray:
-        if self._features is None:
-            if self.samples:
-                self._features = np.stack([s.features.data for s in self.samples])
-            else:
-                self._features = np.zeros((0, self.n_features))
         return self._features
 
     def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = np.array([s.label for s in self.samples], dtype=np.int64)
         return self._labels
 
     def subset(self, indices: Iterable[int], provenance_note: Mapping | None = None) -> "Dataset":
-        prov = dict(self.provenance)
-        if provenance_note:
-            prov.update(provenance_note)
-        return Dataset([self.samples[i] for i in indices], self.image_shape,
-                       self.n_features, self.n_classes, prov)
+        idx = np.fromiter(indices, dtype=np.intp)
+        return Dataset._from_columns([self._ids[i] for i in idx], self._images[idx],
+                                    self._features[idx], self._labels[idx],
+                                    self.n_classes, {**self.provenance, **(provenance_note or {})})
 
 
 @dataclass
@@ -166,8 +187,8 @@ class Normalizer:
             return cls(mean=np.asarray(d["mean"], dtype=np.float64),
                        std=np.asarray(d["std"], dtype=np.float64),
                        constant_mask=np.asarray(d["constant_mask"], dtype=bool))
-        except KeyError as exc:
-            raise FormatError(f"normalizer json missing key {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"normalizer json is malformed: {exc!r}") from None
 
 
 def zscore_fit(train: Dataset) -> Normalizer:
@@ -182,19 +203,13 @@ def zscore_fit(train: Dataset) -> Normalizer:
 
 def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
     """New dataset whose features are ``(x - mean) / std`` under ``norm``."""
-    transformed = norm.transform(ds.features())
-    samples = [
-        Sample(id=s.id, image=s.image, features=Tensor(transformed[i], _own=True),
-               label=s.label)
-        for i, s in enumerate(ds.samples)
-    ]
-    prov = dict(ds.provenance)
-    prov["normalized"] = True
-    return Dataset(samples, ds.image_shape, ds.n_features, ds.n_classes, prov)
+    return Dataset._from_columns(ds.ids(), ds.images(), norm.transform(ds.features()),
+                                 ds.labels(), ds.n_classes,
+                                 {**ds.provenance, "normalized": True})
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(DictConfig):
     """Parameters of the synthetic two-modality benchmark generator.
 
     ``image_reliability`` / ``feature_reliability`` are the probabilities
@@ -240,32 +255,6 @@ class SynthSpec:
                     f"got {len(self.class_balance)}")
             if min(self.class_balance) <= 0 or abs(sum(self.class_balance) - 1.0) > 1e-9:
                 raise ConfigError("class_balance must be positive and sum to 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "image_shape": list(self.image_shape),
-            "n_features": self.n_features,
-            "n_informative": self.n_informative,
-            "n_classes": self.n_classes,
-            "image_reliability": self.image_reliability,
-            "feature_reliability": self.feature_reliability,
-            "pixel_noise": self.pixel_noise,
-            "class_balance": list(self.class_balance) if self.class_balance else None,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown generator spec keys: {sorted(extra)}")
-        kwargs = {k: (tuple(v) if isinstance(v, list) else v) for k, v in d.items()}
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad generator spec: {exc}") from None
 
 
 def render_template(class_index: int, image_shape: Sequence[int]) -> np.ndarray:
@@ -326,17 +315,14 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     features[:, :spec.n_informative] += signs[:, None]
 
     width = max(6, len(str(n - 1)))
-    samples = [
-        Sample(id=f"s{i:0{width}d}", image=Tensor(images[i], _own=True),
-               features=Tensor(features[i], _own=True), label=int(labels[i]))
-        for i in range(n)
-    ]
-    provenance = {"kind": "synthetic", "spec": spec.to_dict()}
-    return Dataset(samples, spec.image_shape, spec.n_features, spec.n_classes,
-                   provenance)
+    return Dataset._from_columns([f"s{i:0{width}d}" for i in range(n)], images, features,
+                                 labels, spec.n_classes,
+                                 {"kind": "synthetic", "spec": spec.to_dict()})
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temporary file, creating parent dirs."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -352,17 +338,15 @@ def _float_repr(v: float) -> str:
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    _write_atomic(out / "images.bin", ds.images().astype("<f8").tobytes())
+    write_atomic(out / "images.bin", ds.images().astype("<f8").tobytes())
 
     feat_lines = ["id," + ",".join(f"f{j}" for j in range(ds.n_features))]
-    for s in ds.samples:
-        feat_lines.append(s.id + "," + ",".join(_float_repr(v) for v in s.features.data))
-    _write_atomic(out / "features.csv", ("\n".join(feat_lines) + "\n").encode("utf-8"))
+    for sid, row in zip(ds.ids(), ds.features()):
+        feat_lines.append(sid + "," + ",".join(_float_repr(v) for v in row))
+    write_atomic(out / "features.csv", ("\n".join(feat_lines) + "\n").encode("utf-8"))
 
-    label_lines = ["id,label"] + [f"{s.id},{s.label}" for s in ds.samples]
-    _write_atomic(out / "labels.csv", ("\n".join(label_lines) + "\n").encode("utf-8"))
+    label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids(), ds.labels().tolist())]
+    write_atomic(out / "labels.csv", ("\n".join(label_lines) + "\n").encode("utf-8"))
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -377,7 +361,7 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     }
     payload = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
     manifest_path = out / "manifest.json"
-    _write_atomic(manifest_path, payload)
+    write_atomic(manifest_path, payload)
     return manifest_path
 
 
@@ -402,13 +386,16 @@ def load_dataset(manifest_path) -> Dataset:
     if manifest["format_version"] != FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported format_version {manifest['format_version']!r}")
+    files = manifest["files"]
+    if not isinstance(files, dict) or not {"images", "features", "labels"} <= set(files):
+        raise FormatError(f"{path}: manifest files must name images, features and labels")
     n = int(manifest["n_samples"])
     image_shape = tuple(int(d) for d in manifest["image_shape"])
     n_features = int(manifest["n_features"])
     n_classes = int(manifest["n_classes"])
     base = path.parent
 
-    with open(base / manifest["files"]["images"], "rb") as fh:
+    with open(base / files["images"], "rb") as fh:
         blob = fh.read()
     expected = n * int(np.prod(image_shape))
     pixels = np.frombuffer(blob, dtype="<f8")
@@ -417,7 +404,7 @@ def load_dataset(manifest_path) -> Dataset:
             f"images payload holds {pixels.size} values, manifest implies {expected}")
     images = pixels.astype(np.float64).reshape((n, *image_shape))
 
-    ids, rows = _read_csv_rows(base / manifest["files"]["features"],
+    ids, rows = _read_csv_rows(base / files["features"],
                                ["id"] + [f"f{j}" for j in range(n_features)], n)
     try:
         features = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
@@ -425,25 +412,16 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError(f"features.csv: non-numeric value: {exc}") from None
     features = features.reshape((n, n_features))
 
-    label_ids, label_rows = _read_csv_rows(base / manifest["files"]["labels"],
+    label_ids, label_rows = _read_csv_rows(base / files["labels"],
                                            ["id", "label"], n)
     if label_ids != ids:
         raise FormatError("labels.csv sample ids do not match features.csv")
     try:
-        labels = [int(row[0]) for row in label_rows]
+        labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"labels.csv: non-integer label: {exc}") from None
-    for sid, y in zip(ids, labels):
-        if not 0 <= y < n_classes:
-            raise DataError(f"sample {sid}: label {y} outside [0, {n_classes})")
-
-    samples = [
-        Sample(id=ids[i], image=Tensor(images[i], _own=True),
-               features=Tensor(features[i], _own=True), label=labels[i])
-        for i in range(n)
-    ]
-    return Dataset(samples, image_shape, n_features, n_classes,
-                   manifest.get("provenance", {}))
+    return Dataset._from_columns(ids, images, features, labels, n_classes,
+                                 manifest.get("provenance", {}))
 
 
 def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:
@@ -484,8 +462,7 @@ def split(ds: Dataset, train_fraction: float, seed: int,
     if not stratified:
         target = min(max(int(np.floor(train_fraction * n + 0.5)), 1), n - 1)
         perm = rng.permutation(n)
-        train_idx = sorted(int(i) for i in perm[:target])
-        test_idx = sorted(int(i) for i in perm[target:])
+        train_idx, test_idx = np.sort(perm[:target]), np.sort(perm[target:])
     else:
         labels = ds.labels()
         classes = sorted(int(c) for c in np.unique(labels))
@@ -513,15 +490,9 @@ def split(ds: Dataset, train_fraction: float, seed: int,
                 remainder -= 1
         for c in classes:
             take[c] = min(max(take[c], 1), counts[c] - 1)
-        train_idx = []
-        test_idx = []
-        for c in classes:
-            members = np.flatnonzero(labels == c)
-            perm = members[rng.permutation(len(members))]
-            train_idx += [int(i) for i in perm[:take[c]]]
-            test_idx += [int(i) for i in perm[take[c]:]]
-        train_idx.sort()
-        test_idx.sort()
+        perms = [np.flatnonzero(labels == c)[rng.permutation(counts[c])] for c in classes]
+        train_idx = np.sort(np.concatenate([p[:take[c]] for c, p in zip(classes, perms)]))
+        test_idx = np.sort(np.concatenate([p[take[c]:] for c, p in zip(classes, perms)]))
     note = {"split_seed": int(seed), "train_fraction": float(train_fraction),
             "stratified": bool(stratified)}
     train = ds.subset(train_idx, {**note, "split": "train"})

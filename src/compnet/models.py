@@ -10,6 +10,11 @@ pool per stage, then flatten and a dense stack):
   activations and classifies with further dense layers.
 * ``image_only`` ignores the designed features entirely.
 
+One layer plan (``_layer_plan``) lists a variant's steps in forward
+order; parameter initialization, ``Model.layer_names`` and the forward
+pass are all read off it, so the variants differ only in the steps the
+plan holds.
+
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
 loop can pull gradients for every parameter.
@@ -18,12 +23,13 @@ loop can pull gradients for every parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .config import DictConfig
 from .exceptions import ConfigError, DataError, ShapeError, VariantError
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, dense, fusion_weight_matrix, leaky_relu,
@@ -55,7 +61,7 @@ def conv_stack_geometry(image_shape: Sequence[int], conv_filters: Sequence[int],
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictConfig):
     """Everything needed to build one of the three variants deterministically.
 
     ``learned_width`` is the width of the vector entering the fusion
@@ -117,31 +123,6 @@ class ModelConfig:
             self.image_shape, self.conv_filters, self.kernel_size)[-1]
         return c * h * w
 
-    def to_dict(self) -> dict:
-        return {
-            "image_shape": list(self.image_shape),
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "conv_filters": list(self.conv_filters),
-            "kernel_size": self.kernel_size,
-            "dense_hidden": list(self.dense_hidden),
-            "fusion_kind": self.fusion_kind,
-            "leaky_slope": self.leaky_slope,
-            "seed": self.seed,
-            "learned_width": self.learned_width,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown model config keys: {sorted(extra)}")
-        try:
-            return cls(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in d.items()})
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from None
-
 
 @dataclass
 class Model:
@@ -170,64 +151,74 @@ class Model:
             self.params[name] = new
 
 
-def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                    fan_in: int, fan_out: int) -> np.ndarray:
-    s = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-s, s, size=shape)
+class _Layer(NamedTuple):
+    """One forward step: ``label`` is its ``Model.layer_names`` entry; conv and
+    dense steps own the weight and bias named in ``params``, the weight of
+    shape ``shape``; flatten's ``shape`` is the flat width."""
+    op: str
+    label: str
+    params: tuple[str, ...] = ()
+    shape: tuple[int, ...] = ()
+
+
+def _dense(name: str, p: int, q: int) -> _Layer:
+    return _Layer("dense", f"dense({p}->{q})", (f"{name}.weights", f"{name}.bias"), (p, q))
+
+
+def _layer_plan(cfg: ModelConfig) -> list[_Layer]:
+    """The variant's layers in forward order.
+
+    All variants run the same conv trunk and dense stack and differ only
+    in where the designed features enter: ``concat`` splices them in
+    after the first hidden layer, ``compnet`` reshapes the output vector
+    into the class x feature matrix and dots it with them, and
+    ``image_only`` never uses them.
+    """
+    relu = _Layer("relu", "leaky_relu")
+    plan: list[_Layer] = []
+    c_in, k = cfg.image_shape[0], cfg.kernel_size
+    for i, f in enumerate(cfg.conv_filters):
+        plan += [_Layer("conv", f"conv2d({c_in}->{f}, {k}x{k})",
+                       (f"conv{i}.kernels", f"conv{i}.bias"), (f, c_in, k, k)),
+                 relu, _Layer("pool", "maxpool2d(2x2)")]
+        c_in = f
+    width = cfg.flat_width
+    plan.append(_Layer("flatten", f"flatten({width})", shape=(width,)))
+    for i, h in enumerate(cfg.dense_hidden):
+        plan += [_dense(f"dense{i}", width, h), relu]
+        width = h
+        if i == 0 and cfg.fusion_kind == "concat":
+            plan.append(_Layer("concat", f"concat_features(+{cfg.n_features})"))
+            width += cfg.n_features
+    out_width = cfg.learned_width if cfg.fusion_kind == "compnet" else cfg.n_classes
+    plan.append(_dense("out", width, out_width))
+    if cfg.fusion_kind == "compnet":
+        plan += [_Layer("reshape", f"reshape({cfg.n_classes}x{cfg.n_features})"),
+                 _Layer("fusion", "fusion_dot(designed_features)")]
+    return plan
 
 
 def build_model(cfg: ModelConfig) -> Model:
     """Initialize a model from the seeded scheme: uniform Glorot weights, zero biases.
 
-    Parameter tensors are created and seeded in a fixed order (conv
-    stages, then dense stack, then the output layer), so a given
-    ``(config, seed)`` always yields bit-identical parameters.
+    Parameters are drawn in plan order (conv stages, then the dense
+    stack, then the output layer), so a given ``(config, seed)`` always
+    yields bit-identical parameters.
     """
     rng = np.random.default_rng(cfg.seed)
+    plan = _layer_plan(cfg)
     params: dict[str, np.ndarray] = {}
-    names: list[str] = []
-
-    def add_param(name: str, arr: np.ndarray) -> None:
-        params[name] = arr
-        names.append(name)
-
-    layer_names: list[str] = []
-    c_in = cfg.image_shape[0]
-    k = cfg.kernel_size
-    for i, f in enumerate(cfg.conv_filters):
-        shape = (f, c_in, k, k)
-        add_param(f"conv{i}.kernels",
-                  _glorot_uniform(rng, shape, c_in * k * k, f * k * k))
-        add_param(f"conv{i}.bias", np.zeros(f))
-        layer_names += [f"conv2d({c_in}->{f}, {k}x{k})", "leaky_relu", "maxpool2d(2x2)"]
-        c_in = f
-    width = cfg.flat_width
-    layer_names.append(f"flatten({width})")
-
-    dense_plan: list[tuple[str, int, bool]] = []  # (name, out_width, activated)
-    for i, h in enumerate(cfg.dense_hidden):
-        dense_plan.append((f"dense{i}", h, True))
-    if cfg.fusion_kind == "compnet":
-        dense_plan.append(("out", cfg.learned_width, False))
-    else:
-        dense_plan.append(("out", cfg.n_classes, False))
-
-    concat_after = "dense0" if cfg.fusion_kind == "concat" else None
-    for name, out_w, activated in dense_plan:
-        add_param(f"{name}.weights", _glorot_uniform(rng, (width, out_w), width, out_w))
-        add_param(f"{name}.bias", np.zeros(out_w))
-        layer_names.append(f"dense({width}->{out_w})")
-        if activated:
-            layer_names.append("leaky_relu")
-        width = out_w
-        if name == concat_after:
-            layer_names.append(f"concat_features(+{cfg.n_features})")
-            width += cfg.n_features
-    if cfg.fusion_kind == "compnet":
-        layer_names.append(f"reshape({cfg.n_classes}x{cfg.n_features})")
-        layer_names.append("fusion_dot(designed_features)")
-
-    return Model(config=cfg, layer_names=layer_names, params=params, param_order=names)
+    for layer in plan:
+        if not layer.params:
+            continue
+        # fan_in + fan_out is size/shape[0] + size/shape[1] both for conv
+        # kernels [F, C, kh, kw] and for dense weights [p, q].
+        size = int(np.prod(layer.shape))
+        s = float(np.sqrt(6.0 / (size // layer.shape[0] + size // layer.shape[1])))
+        weight, bias = layer.params
+        params[weight] = rng.uniform(-s, s, size=layer.shape)
+        params[bias] = np.zeros(layer.shape[0 if layer.op == "conv" else 1])
+    return Model(config=cfg, layer_names=[layer.label for layer in plan], params=params)
 
 
 def _check_images(model: Model, images: Tensor) -> None:
@@ -255,50 +246,32 @@ def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None
         raise DataError("features contain non-finite values")
 
 
-def _trunk(model: Model, p: Mapping[str, Tensor], images: Tensor) -> Tensor:
+def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
+              features: Tensor | None, stop: str | None = None) -> Tensor:
+    """Apply the layer plan to a batch, returning early at the first ``stop`` step."""
     cfg = model.config
     x = images
-    for i in range(len(cfg.conv_filters)):
-        x = conv2d(x, ConvParams(p[f"conv{i}.kernels"], p[f"conv{i}.bias"]))
-        x = leaky_relu(x, cfg.leaky_slope)
-        x = maxpool2d(x)
-    return ad.reshape(x, (x.shape[0], cfg.flat_width))
-
-
-def _learned_vector(model: Model, p: Mapping[str, Tensor], images: Tensor) -> Tensor:
-    """Part (a): image through the trunk and dense stack to the learned vector."""
-    cfg = model.config
-    x = _trunk(model, p, images)
-    for i in range(len(cfg.dense_hidden)):
-        x = dense(x, DenseParams(p[f"dense{i}.weights"], p[f"dense{i}.bias"]))
-        x = leaky_relu(x, cfg.leaky_slope)
-    return dense(x, DenseParams(p["out.weights"], p["out.bias"]))
-
-
-def _graph_logits(model: Model, p: Mapping[str, Tensor], images: Tensor,
-                  features: Tensor | None) -> Tensor:
-    cfg = model.config
-    if cfg.fusion_kind == "compnet":
-        learned = _learned_vector(model, p, images)
-        shape = FusionShape.of(cfg.n_classes, cfg.n_features)
-        assert features is not None
-        return fusion_weight_matrix(learned, shape, features)
-    if cfg.fusion_kind == "concat":
-        x = _trunk(model, p, images)
-        x = dense(x, DenseParams(p["dense0.weights"], p["dense0.bias"]))
-        x = leaky_relu(x, cfg.leaky_slope)
-        assert features is not None
-        x = concat_columns(x, features)
-        for i in range(1, len(cfg.dense_hidden)):
-            x = dense(x, DenseParams(p[f"dense{i}.weights"], p[f"dense{i}.bias"]))
+    for layer in _layer_plan(cfg):
+        if layer.op == stop:
+            break
+        if layer.op == "conv":
+            x = conv2d(x, ConvParams(*(p[name] for name in layer.params)))
+        elif layer.op == "dense":
+            x = dense(x, DenseParams(*(p[name] for name in layer.params)))
+        elif layer.op == "relu":
             x = leaky_relu(x, cfg.leaky_slope)
-        return dense(x, DenseParams(p["out.weights"], p["out.bias"]))
-    # image_only
-    x = _trunk(model, p, images)
-    for i in range(len(cfg.dense_hidden)):
-        x = dense(x, DenseParams(p[f"dense{i}.weights"], p[f"dense{i}.bias"]))
-        x = leaky_relu(x, cfg.leaky_slope)
-    return dense(x, DenseParams(p["out.weights"], p["out.bias"]))
+        elif layer.op == "pool":
+            x = maxpool2d(x)
+        elif layer.op == "flatten":
+            x = ad.reshape(x, (x.shape[0], *layer.shape))
+        elif layer.op == "concat":
+            x = concat_columns(x, features)
+        # The reshape step needs no work here: the fusion layer reads the
+        # vector row-major as the class x feature matrix itself.
+        elif layer.op == "fusion":
+            x = fusion_weight_matrix(
+                x, FusionShape.of(cfg.n_classes, cfg.n_features), features)
+    return x
 
 
 def tracked_forward(model: Model, tape: Tape, images: Tensor,
@@ -311,14 +284,17 @@ def tracked_forward(model: Model, tape: Tape, images: Tensor,
     _check_inputs(model, images, features)
     watched = {name: tape.watch(Tensor(model.params[name], _own=True))
                for name in model.param_order}
-    return _graph_logits(model, watched, images, features), watched
+    return _run_plan(model, watched, images, features), watched
+
+
+def _plain_params(model: Model) -> dict[str, Tensor]:
+    return {name: Tensor(model.params[name], _own=True) for name in model.param_order}
 
 
 def forward(model: Model, images: Tensor, features: Tensor | None) -> Tensor:
     """Logits ``[B, n_classes]`` for a batch; no gradient recording."""
     _check_inputs(model, images, features)
-    plain = {name: Tensor(model.params[name], _own=True) for name in model.param_order}
-    return _graph_logits(model, plain, images, features)
+    return _run_plan(model, _plain_params(model), images, features)
 
 
 def predict(model: Model, images: Tensor, features: Tensor | None) -> list[int]:
@@ -331,15 +307,15 @@ def extract_weight_matrices(model: Model, images: Tensor) -> Tensor:
     """Per-sample learned weight matrices ``[B, n_classes, n_features]``.
 
     Only meaningful for the ``compnet`` variant, whose logits are exactly
-    these matrices applied to the designed features.
+    these matrices applied to the designed features: the plan runs up to
+    its reshape step, which is applied here instead of inside the fusion.
     """
     if model.config.fusion_kind != "compnet":
         raise VariantError(
             f"weight matrices exist only for the compnet variant, "
             f"not {model.config.fusion_kind!r}")
     _check_images(model, images)
-    plain = {name: Tensor(model.params[name], _own=True) for name in model.param_order}
-    learned = _learned_vector(model, plain, images)
+    learned = _run_plan(model, _plain_params(model), images, None, stop="reshape")
     cfg = model.config
     return ad.reshape(learned, (learned.shape[0], cfg.n_classes, cfg.n_features))
 

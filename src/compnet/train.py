@@ -19,7 +19,6 @@ Checkpoint layout (little-endian):
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,8 @@ import numpy as np
 
 from . import models as models_mod
 from .autodiff import Tape, Tensor, backward
-from .data import Dataset
+from .config import DictConfig
+from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
 from .models import Model, ModelConfig
@@ -40,7 +40,7 @@ _EVAL_BATCH = 256
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
     """Hyperparameters of one training run."""
     epochs: int = 2000
     batch_size: int = 64
@@ -65,29 +65,6 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 when set, got {self.patience}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-            "eval_every": self.eval_every,
-            "patience": self.patience,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        try:
-            return cls(**dict(d))
-        except TypeError as exc:
-            raise ConfigError(f"bad train config: {exc}") from None
 
 
 @dataclass
@@ -309,11 +286,7 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     for name in model.param_order:
         chunks.append(opt_state.velocities[name].astype("<f8").tobytes())
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(chunks))
-    os.replace(tmp, out)
+    write_atomic(out, b"".join(chunks))
     return out
 
 

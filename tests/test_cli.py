@@ -6,6 +6,7 @@ import json
 import pytest
 
 import compnet as cn
+from compnet import cli
 from compnet.cli import main
 from conftest import TINY_CLI_CONFIG
 
@@ -114,6 +115,13 @@ def test_train_rejects_unknown_config_section(small_dataset_dir, tmp_path):
     assert train_small(small_dataset_dir, path, tmp_path / "run") == 2
 
 
+def test_train_rejects_non_numeric_split_fraction(small_dataset_dir, tmp_path):
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["split"]["train_fraction"] = "0.5"
+    path = write_json(tmp_path / "bad.json", config)
+    assert train_small(small_dataset_dir, path, tmp_path / "run") == 2
+
+
 def test_missing_dataset_is_an_io_error(tiny_config, tmp_path):
     assert train_small(tmp_path / "nowhere", tiny_config, tmp_path / "run") == 3
 
@@ -209,6 +217,38 @@ def test_compare_argument_validation(small_dataset_dir, tmp_path):
     assert main(base + ["--models", "compnet", "--seeds", "1"]) == 2
     assert main(base + ["--models", "compnet,bogus", "--seeds", "1"]) == 2
     assert main(base + ["--models", "compnet,concat", "--seeds", "1,x"]) == 2
+
+
+def test_compare_config_errors_are_usage_errors(small_dataset_dir, tmp_path):
+    for section, key, value in (("model", "bogus_key", 1),
+                                ("split", "train_fraction", 2.0)):
+        config = copy.deepcopy(TINY_CLI_CONFIG)
+        config[section][key] = value
+        path = write_json(tmp_path / "bad.json", config)
+        assert main(["compare", "--config", path, "--data", str(small_dataset_dir),
+                     "--models", "compnet,concat", "--seeds", "1",
+                     "--out", str(tmp_path / "cmp")]) == 2
+
+
+def test_compare_numeric_failure_keeps_completed_rows(
+        small_dataset_dir, tmp_path, monkeypatch):
+    real_run = cli.run_training
+    calls = []
+
+    def fail_second_run(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise cn.NumericError("loss diverged")
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "run_training", fail_second_run)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", compare_config(tmp_path),
+                 "--data", str(small_dataset_dir), "--models", "compnet,concat",
+                 "--seeds", "1", "--out", str(out)]) == 4
+    lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "model,seed,train_acc,test_acc,gap"
+    assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,15 @@ def test_load_rejects_out_of_range_label(tmp_path):
         load_dataset(root)
 
 
+def test_load_rejects_manifest_files_without_images(tmp_path):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    manifest = json.loads((root / "manifest.json").read_text())
+    del manifest["files"]["images"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError):
+        load_dataset(root)
+
+
 def test_load_missing_manifest_raises_os_error(tmp_path):
     with pytest.raises(OSError):
         load_dataset(tmp_path / "nope")
@@ -300,6 +309,11 @@ def test_normalizer_round_trips_through_dict():
     assert np.array_equal(norm.mean, back.mean)
     assert np.array_equal(norm.std, back.std)
     assert np.array_equal(norm.constant_mask, back.constant_mask)
+
+
+def test_normalizer_from_a_json_list_is_a_format_error():
+    with pytest.raises(FormatError):
+        Normalizer.from_dict([0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

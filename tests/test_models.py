@@ -86,6 +86,24 @@ def test_large_configuration_parameter_count():
     assert model.param_count == conv0 + conv1 + dense0 + out == 1_571_972
 
 
+def test_layer_names_and_param_order_per_variant():
+    trunk = ["conv2d(1->2, 3x3)", "leaky_relu", "maxpool2d(2x2)", "flatten(18)",
+             "dense(18->3)", "leaky_relu"]
+    expected = {
+        "compnet": trunk + ["dense(3->2)", "leaky_relu", "dense(2->12)",
+                            "reshape(3x4)", "fusion_dot(designed_features)"],
+        "concat": trunk + ["concat_features(+4)", "dense(7->2)", "leaky_relu",
+                           "dense(2->3)"],
+        "image_only": trunk + ["dense(3->2)", "leaky_relu", "dense(2->3)"],
+    }
+    for kind, layer_names in expected.items():
+        model = build_model(tiny_cfg(n_classes=3, dense_hidden=(3, 2), fusion_kind=kind))
+        assert model.layer_names == layer_names
+        assert model.param_order == [
+            "conv0.kernels", "conv0.bias", "dense0.weights", "dense0.bias",
+            "dense1.weights", "dense1.bias", "out.weights", "out.bias"]
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
