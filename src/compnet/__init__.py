@@ -12,7 +12,7 @@ deterministic training loop with bit-exact checkpoints
 from .autodiff import (GradCheckReport, Tape, Tensor, add, backward,
                        from_array, grad_check, matmul, mul, reduce_sum,
                        reshape, sub, tensor_new, zeros, zeros_like)
-from .data import (Dataset, Normalizer, Sample, SynthSpec, generate_synthetic,
+from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
 from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
@@ -35,7 +35,7 @@ __all__ = [
     "GradCheckReport", "Tape", "Tensor", "add", "backward", "from_array",
     "grad_check", "matmul", "mul", "reduce_sum", "reshape", "sub",
     "tensor_new", "zeros", "zeros_like",
-    "Dataset", "Normalizer", "Sample", "SynthSpec", "generate_synthetic",
+    "Dataset", "Normalizer", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",
     "CompnetError", "ConfigError", "DataError", "FormatError", "NumericError",

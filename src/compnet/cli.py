@@ -171,19 +171,18 @@ class ComparisonResult:
     ``means`` maps model kind to mean train_acc/test_acc/gap.
     ``improvements`` maps each non-compnet kind to compnet's mean test
     accuracy advantage in percentage points (present when compnet ran).
-    ``results`` retains each run's trained model and history when the
-    comparison was asked to keep them.
+    ``results`` maps each (model kind, seed) to its run's trained model
+    and history.
     """
     rows: list[dict]
     means: dict[str, dict[str, float]]
     improvements: dict[str, float]
-    results: dict[tuple[str, int], RunResult] | None = None
+    results: dict[tuple[str, int], RunResult]
 
 
 def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                    seeds: Sequence[int],
-                   on_row: Callable[[dict], None] | None = None,
-                   keep_results: bool = False) -> ComparisonResult:
+                   on_row: Callable[[dict], None] | None = None) -> ComparisonResult:
     """Train every (model kind, seed) pair on identical splits.
 
     For each seed, the split, parameter initialization, and shuffle
@@ -199,7 +198,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     if len(set(kinds)) != len(kinds):
         raise ConfigError("model kinds must be distinct")
     rows: list[dict] = []
-    kept: dict[tuple[str, int], RunResult] = {}
+    results: dict[tuple[str, int], RunResult] = {}
     for seed in seeds:
         split_settings = SplitSettings.from_dict(
             {**split_section, "seed": int(seed)})
@@ -215,8 +214,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                 "gap": result.gap,
             }
             rows.append(row)
-            if keep_results:
-                kept[(kind, int(seed))] = result
+            results[(kind, int(seed))] = result
             if on_row is not None:
                 on_row(row)
     means = {}
@@ -233,7 +231,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                 improvements[kind] = 100.0 * (means["compnet"]["test_acc"]
                                               - means[kind]["test_acc"])
     return ComparisonResult(rows=rows, means=means, improvements=improvements,
-                            results=kept if keep_results else None)
+                            results=results)
 
 
 def comparison_csv(rows: list[dict], means: dict[str, dict[str, float]]) -> str:
@@ -298,7 +296,7 @@ def cmd_train(args) -> int:
 def _select_split(ds: Dataset, which: str, header: Mapping) -> Dataset:
     if which == "all":
         return ds
-    settings = (header.get("extra") or {}).get("split")
+    settings = header["extra"].get("split")
     if not settings:
         raise ConfigError(
             f"checkpoint does not record split settings; cannot select "
@@ -317,8 +315,10 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     chosen = _select_split(ds, args.split, header)
 
-    norm_path = Path(args.checkpoint).parent / (header.get("extra") or {}).get(
-        "normalizer_file", "normalizer.json")
+    norm_file = header["extra"].get("normalizer_file", "normalizer.json")
+    if not isinstance(norm_file, str):
+        raise FormatError(f"checkpoint normalizer_file must be a file name, got {norm_file!r}")
+    norm_path = Path(args.checkpoint).parent / norm_file
     if not norm_path.exists():
         raise ConfigError(
             f"normalizer not found at {norm_path}; refusing to evaluate "

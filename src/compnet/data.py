@@ -1,12 +1,11 @@
 """Datasets: in-memory model, on-disk format, normalization, splitting,
 and the seeded synthetic image+tabular benchmark generator.
 
-A sample couples an image with a designed-feature vector and a label.
-A ``Dataset`` stores its samples column-wise: one read-only array each
+Each sample couples an image with a designed-feature vector and a
+label.  A ``Dataset`` holds them column-wise: one read-only array each
 for images, features and labels, plus the sample ids, validated once
-when the dataset is built.  Subsetting, normalizing, generating, loading
-and saving index those arrays; ``Sample`` objects are only made when a
-caller asks for ``Dataset.samples``.
+when the dataset is built.  Subsetting, normalizing, batching,
+generating, loading and saving all work on whole columns.
 
 The synthetic generator plants class evidence in both modalities
 independently: each modality's evidence agrees with the true label only
@@ -30,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,60 +41,26 @@ FORMAT_VERSION = 1
 _CONST_STD = 1e-12
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: image ``[C,H,W]``, designed features ``[N]``, label."""
-    id: str
-    image: Tensor
-    features: Tensor
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.image.data.ndim != 3:
-            raise ShapeError(f"sample image must be [C,H,W], got {list(self.image.shape)}")
-        if self.features.data.ndim != 1:
-            raise ShapeError(f"sample features must be a vector, got {list(self.features.shape)}")
-        if not np.isfinite(self.image.data).all() or not np.isfinite(self.features.data).all():
-            raise DataError(f"sample {self.id}: non-finite values")
-        if self.label < 0:
-            raise DataError(f"sample {self.id}: negative label {self.label}")
-
-
 class Dataset:
     """Immutable ordered dataset, stored as one read-only array per column.
 
-    ``images()`` ``[n, C, H, W]``, ``features()`` ``[n, N]`` and
-    ``labels()`` ``[n]`` are validated once, when the dataset is built,
-    and are what models and the trainer consume.  ``samples`` gives
-    per-row ``Sample`` views for code that wants one record at a time.
+    ``images`` ``[n, C, H, W]``, ``features`` ``[n, N]`` and ``labels``
+    ``[n]`` line up row for row with ``ids``.  The dataset takes the
+    arrays over without copying, marks them read-only and validates them
+    once, here; models and the trainer consume them through
+    :meth:`batches`.
     """
 
-    def __init__(self, samples: Sequence[Sample], image_shape: Sequence[int],
-                 n_features: int, n_classes: int, provenance: Mapping | None = None):
-        samples = list(samples)
-        shape, n_features = tuple(int(d) for d in image_shape), int(n_features)
-        for s in samples:
-            if s.image.shape != shape or s.features.shape != (n_features,):
-                raise ShapeError(
-                    f"sample {s.id}: image {list(s.image.shape)} and features "
-                    f"{list(s.features.shape)} != dataset {list(shape)} and [{n_features}]")
-        n = len(samples)
-        self._set_columns([s.id for s in samples],
-                          np.array([s.image.data for s in samples]).reshape((n, *shape)),
-                          np.array([s.features.data for s in samples]).reshape((n, n_features)),
-                          np.array([s.label for s in samples], dtype=np.int64),
-                          n_classes, provenance)
-
-    @classmethod
-    def _from_columns(cls, ids, images, features, labels, n_classes, provenance) -> "Dataset":
-        """Wrap column arrays, which the dataset takes over without copying."""
-        ds = cls.__new__(cls)
-        ds._set_columns(list(ids), images, features, labels, n_classes, provenance)
-        return ds
-
-    def _set_columns(self, ids, images, features, labels, n_classes, provenance) -> None:
+    def __init__(self, ids: Sequence[str], images: np.ndarray, features: np.ndarray,
+                 labels: np.ndarray, n_classes: int, provenance: Mapping | None = None):
+        ids = list(ids)
         if images.ndim != 4:
             raise ShapeError(f"image_shape must be [C,H,W], got {list(images.shape[1:])}")
+        if features.ndim != 2 or labels.ndim != 1 \
+                or not len(ids) == len(images) == len(features) == len(labels):
+            raise ShapeError(
+                f"columns disagree: {len(ids)} ids, images {list(images.shape)}, "
+                f"features {list(features.shape)}, labels {list(labels.shape)}")
         if int(n_classes) < 2:
             raise DataError(f"need at least 2 classes, got {n_classes}")
         finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(features).all(axis=1)
@@ -117,14 +82,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._ids)
 
-    @property
-    def samples(self) -> list[Sample]:
-        """Per-row ``Sample`` views over the columns, built on each access."""
-        return [Sample(id=sid, image=Tensor(image, _own=True),
-                       features=Tensor(feats, _own=True), label=int(label))
-                for sid, image, feats, label
-                in zip(self._ids, self._images, self._features, self._labels)]
-
     def ids(self) -> list[str]:
         return list(self._ids)
 
@@ -139,9 +96,21 @@ class Dataset:
 
     def subset(self, indices: Iterable[int], provenance_note: Mapping | None = None) -> "Dataset":
         idx = np.fromiter(indices, dtype=np.intp)
-        return Dataset._from_columns([self._ids[i] for i in idx], self._images[idx],
-                                    self._features[idx], self._labels[idx],
-                                    self.n_classes, {**self.provenance, **(provenance_note or {})})
+        return Dataset([self._ids[i] for i in idx], self._images[idx], self._features[idx],
+                       self._labels[idx], self.n_classes,
+                       {**self.provenance, **(provenance_note or {})})
+
+    def batches(self, size: int, order: np.ndarray | None = None
+                ) -> Iterator[tuple[Tensor, Tensor, np.ndarray]]:
+        """``(images, features, labels)`` for consecutive runs of ``size`` rows.
+
+        Rows come in ``order`` when given, else in dataset order; the short
+        last batch is kept.
+        """
+        for start in range(0, len(self), size):
+            rows = slice(start, start + size) if order is None else order[start:start + size]
+            yield (Tensor(self._images[rows], _own=True),
+                   Tensor(self._features[rows], _own=True), self._labels[rows])
 
 
 @dataclass
@@ -203,9 +172,8 @@ def zscore_fit(train: Dataset) -> Normalizer:
 
 def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
     """New dataset whose features are ``(x - mean) / std`` under ``norm``."""
-    return Dataset._from_columns(ds.ids(), ds.images(), norm.transform(ds.features()),
-                                 ds.labels(), ds.n_classes,
-                                 {**ds.provenance, "normalized": True})
+    return Dataset(ds.ids(), ds.images(), norm.transform(ds.features()), ds.labels(),
+                   ds.n_classes, {**ds.provenance, "normalized": True})
 
 
 @dataclass
@@ -307,17 +275,14 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     images = templates[img_evidence]
     if spec.pixel_noise > 0:
         images = images + rng.normal(0.0, spec.pixel_noise, size=images.shape)
-    else:
-        images = images.copy()
 
     features = rng.normal(0.0, 1.0, size=(n, spec.n_features))
     signs = 2.0 * feat_evidence - 1.0
     features[:, :spec.n_informative] += signs[:, None]
 
     width = max(6, len(str(n - 1)))
-    return Dataset._from_columns([f"s{i:0{width}d}" for i in range(n)], images, features,
-                                 labels, spec.n_classes,
-                                 {"kind": "synthetic", "spec": spec.to_dict()})
+    return Dataset([f"s{i:0{width}d}" for i in range(n)], images, features, labels,
+                   spec.n_classes, {"kind": "synthetic", "spec": spec.to_dict()})
 
 
 def write_atomic(path: Path, payload: bytes) -> None:
@@ -329,20 +294,16 @@ def write_atomic(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _float_repr(v: float) -> str:
-    # repr of a Python float is the shortest string that parses back to
-    # the same 64-bit value, which is exactly the round-trip we need.
-    return repr(float(v))
-
-
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
-    write_atomic(out / "images.bin", ds.images().astype("<f8").tobytes())
+    write_atomic(out / "images.bin", ds.images().astype("<f8", copy=False).tobytes())
 
     feat_lines = ["id," + ",".join(f"f{j}" for j in range(ds.n_features))]
+    # repr of a Python float is the shortest string that parses back to
+    # the same 64-bit value, which is exactly the round trip we need.
     for sid, row in zip(ds.ids(), ds.features()):
-        feat_lines.append(sid + "," + ",".join(_float_repr(v) for v in row))
+        feat_lines.append(sid + "," + ",".join(map(repr, row.tolist())))
     write_atomic(out / "features.csv", ("\n".join(feat_lines) + "\n").encode("utf-8"))
 
     label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids(), ds.labels().tolist())]
@@ -373,12 +334,12 @@ def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        manifest = json.loads(raw.decode("utf-8"))
+        manifest = json.loads(path.read_bytes())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not valid manifest JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
     for key in ("format_version", "n_samples", "image_shape", "n_features",
                 "n_classes", "files"):
         if key not in manifest:
@@ -387,30 +348,38 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError(
             f"{path}: unsupported format_version {manifest['format_version']!r}")
     files = manifest["files"]
-    if not isinstance(files, dict) or not {"images", "features", "labels"} <= set(files):
+    if not isinstance(files, dict) or not all(
+            isinstance(files.get(k), str) for k in ("images", "features", "labels")):
         raise FormatError(f"{path}: manifest files must name images, features and labels")
-    n = int(manifest["n_samples"])
-    image_shape = tuple(int(d) for d in manifest["image_shape"])
-    n_features = int(manifest["n_features"])
-    n_classes = int(manifest["n_classes"])
+    provenance = manifest.get("provenance", {})
+    try:
+        n = int(manifest["n_samples"])
+        image_shape = tuple(int(d) for d in manifest["image_shape"])
+        n_features = int(manifest["n_features"])
+        n_classes = int(manifest["n_classes"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: manifest counts and shapes must be integers: {exc}") from None
+    if len(image_shape) != 3 or min(image_shape) < 1:
+        raise FormatError(f"{path}: manifest image_shape must be [C,H,W] >= 1, "
+                          f"got {list(image_shape)}")
+    if not isinstance(provenance, dict):
+        raise FormatError(f"{path}: manifest provenance must be an object")
     base = path.parent
 
-    with open(base / files["images"], "rb") as fh:
-        blob = fh.read()
+    images_path = base / files["images"]
     expected = n * int(np.prod(image_shape))
-    pixels = np.frombuffer(blob, dtype="<f8")
-    if pixels.size != expected:
+    size = images_path.stat().st_size
+    if size != 8 * expected:
         raise FormatError(
-            f"images payload holds {pixels.size} values, manifest implies {expected}")
-    images = pixels.astype(np.float64).reshape((n, *image_shape))
+            f"images payload holds {size} bytes, manifest implies {8 * expected}")
+    images = np.fromfile(images_path, dtype="<f8").reshape((n, *image_shape))
 
     ids, rows = _read_csv_rows(base / files["features"],
                                ["id"] + [f"f{j}" for j in range(n_features)], n)
     try:
-        features = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+        features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
         raise FormatError(f"features.csv: non-numeric value: {exc}") from None
-    features = features.reshape((n, n_features))
 
     label_ids, label_rows = _read_csv_rows(base / files["labels"],
                                            ["id", "label"], n)
@@ -420,28 +389,22 @@ def load_dataset(manifest_path) -> Dataset:
         labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"labels.csv: non-integer label: {exc}") from None
-    return Dataset._from_columns(ids, images, features, labels, n_classes,
-                                 manifest.get("provenance", {}))
+    return Dataset(ids, images, features, labels, n_classes, provenance)
 
 
 def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows or rows[0] != header:
         raise FormatError(f"{path.name}: expected header {','.join(header)}")
     body = rows[1:]
     if len(body) != n:
         raise FormatError(f"{path.name}: {len(body)} rows, manifest says {n}")
-    ids = []
-    values = []
     for row in body:
         if len(row) != len(header):
             raise FormatError(f"{path.name}: row with {len(row)} fields, "
                               f"expected {len(header)}")
-        ids.append(row[0])
-        values.append(row[1:])
-    return ids, values
+    return [row[0] for row in body], [row[1:] for row in body]
 
 
 def split(ds: Dataset, train_fraction: float, seed: int,

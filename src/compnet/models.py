@@ -36,6 +36,8 @@ from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      maxpool2d)
 
 FUSION_KINDS = ("compnet", "concat", "image_only")
+# Rows per forward-only pass when scoring or explaining a whole dataset.
+EVAL_BATCH = 256
 
 
 def conv_stack_geometry(image_shape: Sequence[int], conv_filters: Sequence[int],
@@ -364,10 +366,8 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
         raise DataError("feature importance needs a non-empty dataset")
     cfg = model.config
     total = np.zeros((cfg.n_classes, cfg.n_features))
-    images = dataset.images()
-    for start in range(0, n, 256):
-        chunk = Tensor(images[start:start + 256], _own=True)
-        total += np.abs(extract_weight_matrices(model, chunk).data).sum(axis=0)
+    for images, _, _ in dataset.batches(EVAL_BATCH):
+        total += np.abs(extract_weight_matrices(model, images).data).sum(axis=0)
     importance = total / n
     ranking = np.argsort(-importance, axis=1, kind="stable")
     return ImportanceReport(importance=importance, ranking=ranking)

@@ -27,16 +27,15 @@ from typing import Mapping
 import numpy as np
 
 from . import models as models_mod
-from .autodiff import Tape, Tensor, backward
+from .autodiff import Tape, backward
 from .config import DictConfig
 from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
-from .models import Model, ModelConfig
+from .models import EVAL_BATCH, Model, ModelConfig
 
 CHECKPOINT_MAGIC = b"CMPN"
 CHECKPOINT_VERSION = 1
-_EVAL_BATCH = 256
 
 
 @dataclass
@@ -160,10 +159,6 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndar
     return params, state
 
 
-def _batch_slices(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
 def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
                 state: OptimState) -> Metrics:
     """One pass over seeded-shuffled minibatches; the short tail batch is kept.
@@ -174,23 +169,14 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
     n = len(train)
     if n == 0:
         raise DataError("cannot train on an empty dataset")
-    images = train.images()
-    features = train.features()
-    labels = train.labels()
-    if cfg.shuffle:
-        order = np.random.default_rng((cfg.seed, state.epoch)).permutation(n)
-    else:
-        order = np.arange(n)
-
+    order = (np.random.default_rng((cfg.seed, state.epoch)).permutation(n)
+             if cfg.shuffle else None)
     loss_sum = 0.0
     correct = 0
-    for b, idx in enumerate(_batch_slices(n, cfg.batch_size, order)):
+    for b, (images, features, labels) in enumerate(train.batches(cfg.batch_size, order)):
         tape = Tape()
-        logits, watched = models_mod.tracked_forward(
-            model, tape,
-            Tensor(np.ascontiguousarray(images[idx]), _own=True),
-            Tensor(np.ascontiguousarray(features[idx]), _own=True))
-        loss = cross_entropy(logits, labels[idx])
+        logits, watched = models_mod.tracked_forward(model, tape, images, features)
+        loss = cross_entropy(logits, labels)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise NumericError(
@@ -199,8 +185,8 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
         grads = {name: grads_by_node[t.node_id].data for name, t in watched.items()}
         sgd_momentum_step(model.params, grads, state,
                           cfg.learning_rate, cfg.momentum)
-        loss_sum += loss_value * len(idx)
-        correct += int((np.argmax(logits.data, axis=1) == labels[idx]).sum())
+        loss_sum += loss_value * len(labels)
+        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     state.epoch += 1
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)
 
@@ -210,21 +196,13 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
     n = len(ds)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    images = ds.images()
-    features = ds.features()
-    labels = ds.labels()
     loss_sum = 0.0
     correct = 0
-    for start in range(0, n, _EVAL_BATCH):
-        stop = min(start + _EVAL_BATCH, n)
-        logits = models_mod.forward(
-            model,
-            Tensor(np.ascontiguousarray(images[start:stop]), _own=True),
-            Tensor(np.ascontiguousarray(features[start:stop]), _own=True))
-        batch_labels = labels[start:stop]
-        loss = cross_entropy(logits, batch_labels)
-        loss_sum += loss.item() * (stop - start)
-        correct += int((np.argmax(logits.data, axis=1) == batch_labels).sum())
+    for images, features, labels in ds.batches(EVAL_BATCH):
+        logits = models_mod.forward(model, images, features)
+        loss = cross_entropy(logits, labels)
+        loss_sum += loss.item() * len(labels)
+        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)
 
 
@@ -291,8 +269,7 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
 
 
 def _parse_checkpoint(path) -> tuple[dict, bytes]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
     version = struct.unpack("<I", blob[4:8])[0]
@@ -305,9 +282,21 @@ def _parse_checkpoint(path) -> tuple[dict, bytes]:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header must be a JSON object")
     for key in ("model_config", "params", "epoch"):
         if key not in header:
             raise FormatError(f"{path}: checkpoint header missing {key!r}")
+    if not isinstance(header["model_config"], dict):
+        raise FormatError(f"{path}: checkpoint model_config must be an object")
+    params = header["params"]
+    if not isinstance(params, list) or not all(
+            isinstance(p, dict) and isinstance(p.get("name"), str)
+            and isinstance(p.get("shape"), list) for p in params):
+        raise FormatError(f"{path}: checkpoint params must be a list of name/shape objects")
+    header["extra"] = header.get("extra") or {}
+    if not isinstance(header["epoch"], int) or not isinstance(header["extra"], dict):
+        raise FormatError(f"{path}: checkpoint epoch must be an integer and extra an object")
     return header, blob[16 + header_len:]
 
 
@@ -333,10 +322,10 @@ def checkpoint_load(path) -> tuple[Model, OptimState]:
                 f"{path}: parameter {name} has shape {list(shapes[name])}, "
                 f"model expects {list(model.params[name].shape)}")
     total = sum(int(np.prod(shapes[n])) for n in names)
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != 2 * total:
+    if len(payload) != 16 * total:
         raise FormatError(
-            f"{path}: payload holds {values.size} floats, header implies {2 * total}")
+            f"{path}: payload holds {len(payload)} bytes, header implies {16 * total}")
+    values = np.frombuffer(payload, dtype="<f8")
     params: dict[str, np.ndarray] = {}
     velocities: dict[str, np.ndarray] = {}
     offset = 0
@@ -347,4 +336,4 @@ def checkpoint_load(path) -> tuple[Model, OptimState]:
                 np.float64).reshape(shapes[name])
             offset += count
     model.set_params(params)
-    return model, OptimState(velocities=velocities, epoch=int(header["epoch"]))
+    return model, OptimState(velocities=velocities, epoch=header["epoch"])

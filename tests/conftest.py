@@ -35,7 +35,7 @@ def bench(bench_dataset):
     """All 15 benchmark runs (3 kinds x 5 seeds) with models retained."""
     start = time.perf_counter()
     result = run_comparison(bench_dataset, BENCH_CONFIG, list(BENCH_KINDS),
-                            list(BENCH_SEEDS), keep_results=True)
+                            list(BENCH_SEEDS))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(result=result, elapsed=elapsed,
                            dataset=bench_dataset)

@@ -1,7 +1,10 @@
 """End-to-end command-line runs: artifact contents, determinism, exit codes."""
 
 import copy
+import hashlib
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -53,6 +56,21 @@ def test_generate_same_seed_same_bytes(tmp_path):
                  "--n-samples", "30", "--seed", "10"]) == 0
     assert (tmp_path / "a" / "images.bin").read_bytes() != \
            (tmp_path / "c" / "images.bin").read_bytes()
+
+
+def test_generate_writes_the_recorded_dataset_bytes(tmp_path):
+    # Pins the on-disk format and the generator: any change to either
+    # changes at least one of these digests.
+    assert main(["generate", "--out", str(tmp_path), "--seed", "4",
+                 "--n-samples", "400"]) == 0
+    expected = {
+        "manifest.json": "d6e5b9d896dd65d59457ea8a13d28a570f5fd8ffcee1683c92cf5e3fc347ef79",
+        "images.bin": "5a9554770f0df981c11a689b44e86a8e9d885dd42087308a92117681cc2879b9",
+        "features.csv": "2fa7e4bcb8a54c5d26b919256a20830e912d9cd239cd29d96d0b6b8d53915571",
+        "labels.csv": "8134f38d1341525a305b1cd3fb333b08554f74a99ac305e728e3b6eeafa51ea3",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_generate_rejects_bad_spec_file(tmp_path):
@@ -171,6 +189,52 @@ def test_eval_rejects_a_corrupt_checkpoint(
     raw = bytearray(ckpt.read_bytes())
     raw[:4] = b"JUNK"
     ckpt.write_bytes(bytes(raw))
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(small_dataset_dir)]) == 3
+
+
+@pytest.fixture(scope="module")
+def trained_run(small_dataset_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    config = write_json(out.parent / "config.json", TINY_CLI_CONFIG)
+    assert train_small(small_dataset_dir, config, out) == 0
+    return out
+
+
+def copy_with_header(run_dir, dst, edit):
+    """Copy a training run, rewriting its checkpoint header through ``edit``."""
+    shutil.copytree(run_dir, dst)
+    blob = (dst / "checkpoint.cmpn").read_bytes()
+    n = struct.unpack("<Q", blob[8:16])[0]
+    header = json.dumps(edit(json.loads(blob[16:16 + n]))).encode("utf-8")
+    (dst / "checkpoint.cmpn").write_bytes(
+        blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n:])
+    return dst / "checkpoint.cmpn"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: 5,
+    lambda h: {**h, "params": 5},
+    lambda h: {**h, "params": [{"name": p["name"]} for p in h["params"]]},
+    lambda h: {**h, "epoch": "x"},
+    lambda h: {**h, "extra": [1]},
+    lambda h: {**h, "model_config": 5},
+], ids=["number", "params-number", "params-without-shape", "epoch-text",
+        "extra-list", "model_config-number"])
+def test_malformed_checkpoint_header_is_a_format_error(
+        trained_run, small_dataset_dir, tmp_path, edit):
+    ckpt = copy_with_header(trained_run, tmp_path / "run", edit)
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(small_dataset_dir)]) == 3
+    assert main(["importance", "--checkpoint", str(ckpt), "--data",
+                 str(small_dataset_dir), "--out", str(tmp_path / "imp.csv")]) == 3
+
+
+def test_eval_rejects_a_normalizer_file_that_is_not_a_name(
+        trained_run, small_dataset_dir, tmp_path):
+    ckpt = copy_with_header(
+        trained_run, tmp_path / "run",
+        lambda h: {**h, "extra": {**h["extra"], "normalizer_file": 5}})
     assert main(["eval", "--checkpoint", str(ckpt),
                  "--data", str(small_dataset_dir)]) == 3
 

@@ -9,21 +9,21 @@ import pytest
 
 import compnet as cn
 from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
-                     Sample, ShapeError, SynthSpec, from_array,
-                     generate_synthetic, load_dataset, render_template,
-                     save_dataset, split, zscore_apply, zscore_fit)
+                     ShapeError, SynthSpec, generate_synthetic, load_dataset,
+                     render_template, save_dataset, split, zscore_apply,
+                     zscore_fit)
 
 
-def make_sample(i=0, label=0, shape=(1, 4, 4), n_features=3, seed=0):
-    rng = np.random.default_rng((seed, i))
-    return Sample(id=f"s{i}", image=from_array(rng.normal(size=shape)),
-                  features=from_array(rng.normal(size=n_features)), label=label)
+def make_dataset(n=4, shape=(1, 4, 4), n_features=3, n_classes=2, labels=None):
+    """Row ``i`` is ``s{i}``: an image, then features, drawn from ``default_rng((0, i))``.
 
-
-def make_dataset(n=4, shape=(1, 4, 4), n_features=3, n_classes=2):
-    samples = [make_sample(i, label=i % n_classes, shape=shape,
-                           n_features=n_features) for i in range(n)]
-    return Dataset(samples, shape, n_features, n_classes)
+    Labels cycle through the classes unless given.
+    """
+    rngs = [np.random.default_rng((0, i)) for i in range(n)]
+    images = np.array([rng.normal(size=shape) for rng in rngs])
+    features = np.array([rng.normal(size=n_features) for rng in rngs])
+    labels = np.arange(n) % n_classes if labels is None else np.array(labels)
+    return Dataset([f"s{i}" for i in range(n)], images, features, labels, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +38,45 @@ def test_dataset_stacks_and_caches():
 
 
 def test_dataset_rejects_shape_and_label_mismatches():
-    good = make_sample(0)
+    ds = make_dataset(3)
+    ids, images, features, labels = ds.ids(), ds.images(), ds.features(), ds.labels()
     with pytest.raises(ShapeError):
-        Dataset([good], (1, 5, 5), 3, 2)
+        Dataset(ids, images[0], features, labels, 2)  # image column not [n, C, H, W]
     with pytest.raises(ShapeError):
-        Dataset([good], (1, 4, 4), 7, 2)
-    with pytest.raises(DataError):
-        Dataset([make_sample(0, label=2)], (1, 4, 4), 3, 2)
+        Dataset(ids, images, features[:, 0], labels, 2)  # features not [n, N]
+    with pytest.raises(DataError, match="sample s1: label 2"):
+        Dataset(ids, images, features, np.array([0, 2, 1]), 2)
+
+
+@pytest.mark.parametrize("column", ["ids", "images", "features", "labels"])
+def test_dataset_rejects_columns_of_different_lengths(column):
+    ds = make_dataset(3)
+    columns = {"ids": ds.ids(), "images": ds.images(), "features": ds.features(),
+               "labels": ds.labels()}
+    columns[column] = columns[column][:2]
+    with pytest.raises(ShapeError, match="columns disagree"):
+        Dataset(n_classes=2, **columns)
 
 
 def test_sample_rejects_non_finite():
-    with pytest.raises(DataError):
-        Sample(id="bad", image=from_array(np.full((1, 2, 2), np.nan)),
-               features=from_array(np.zeros(2)), label=0)
+    images = np.zeros((2, 1, 2, 2))
+    images[1, 0, 1, 0] = np.nan
+    with pytest.raises(DataError, match="sample bad: non-finite"):
+        Dataset(["ok", "bad"], images, np.zeros((2, 2)), np.array([0, 1]), 2)
+
+
+def test_batches_follow_order_and_keep_the_short_last_batch():
+    ds = make_dataset(5)
+    order = np.array([3, 0, 4, 1, 2])
+    got = list(ds.batches(2, order))
+    assert [len(labels) for _, _, labels in got] == [2, 2, 1]
+    for (images, features, labels), rows in zip(got, ([3, 0], [4, 1], [2])):
+        assert np.array_equal(images.data, ds.images()[rows])
+        assert np.array_equal(features.data, ds.features()[rows])
+        assert np.array_equal(labels, ds.labels()[rows])
+    in_order = list(ds.batches(3))
+    assert [labels.tolist() for _, _, labels in in_order] == [[0, 1, 0], [1, 0]]
+    assert np.array_equal(in_order[1][0].data, ds.images()[3:])
 
 
 def test_subset_preserves_order_and_metadata():
@@ -263,14 +289,70 @@ def test_load_missing_manifest_raises_os_error(tmp_path):
         load_dataset(tmp_path / "nope")
 
 
+@pytest.mark.parametrize("edit", [
+    {"n_features": "x"},
+    {"image_shape": 5},
+    {"image_shape": [4, 4]},
+    {"files": {"images": 5, "features": "features.csv", "labels": "labels.csv"}},
+    {"provenance": 5},
+], ids=["n_features-text", "image_shape-number", "image_shape-2d", "files-number",
+        "provenance-number"])
+def test_load_rejects_malformed_manifest_fields(tmp_path, edit):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    manifest = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps({**manifest, **edit}))
+    with pytest.raises(FormatError):
+        load_dataset(root)
+
+
+def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    (root / "manifest.json").write_text("5\n")
+    with pytest.raises(FormatError):
+        load_dataset(root)
+
+
+def test_load_rejects_a_partial_trailing_pixel(tmp_path):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    with open(root / "images.bin", "ab") as fh:
+        fh.write(b"\0\0\0")
+    with pytest.raises(FormatError):
+        load_dataset(root)
+
+
+def _edit_csv_cell(path, row, col, value):
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    if value is None:
+        del cells[col]
+    else:
+        cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("file, col, value", [
+    ("features.csv", 2, "abc"),    # non-numeric feature cell
+    ("features.csv", 2, ""),       # empty feature cell
+    ("features.csv", 3, None),     # features row with too few fields
+    ("labels.csv", 1, "1.5"),      # non-integer label
+    ("labels.csv", 1, None),       # labels row without a label
+], ids=["feature-text", "feature-empty", "feature-short-row", "label-float",
+        "label-missing"])
+def test_load_rejects_malformed_csv_cells(tmp_path, file, col, value):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    _edit_csv_cell(root / file, 2, col, value)
+    with pytest.raises(FormatError):
+        load_dataset(root)
+
+
 # ---------------------------------------------------------------------------
 # z-scoring
 
 def test_zscore_hand_example():
-    samples = [Sample(id=f"z{i}", image=from_array(np.zeros((1, 2, 2))),
-                      features=from_array(np.array([v, 5.0])), label=0)
-               for i, v in enumerate([1.0, 2.0, 3.0])]
-    ds = Dataset(samples, (1, 2, 2), 2, 2)
+    features = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+    ds = Dataset(["z0", "z1", "z2"], np.zeros((3, 1, 2, 2)), features,
+                 np.zeros(3, dtype=np.int64), 2)
     norm = zscore_fit(ds)
     assert norm.mean[0] == 2.0
     assert abs(norm.std[0] - math.sqrt(2.0 / 3.0)) <= 1e-15
@@ -290,13 +372,13 @@ def test_zscore_self_normalization():
 
 def test_zscore_uses_only_fit_statistics():
     train = make_dataset(20)
-    shifted = Dataset([Sample(id=s.id, image=s.image,
-                              features=from_array(s.features.data + 10.0),
-                              label=s.label) for s in train.samples],
-                      train.image_shape, train.n_features, train.n_classes)
+    shifted = Dataset(train.ids(), train.images(), train.features() + 10.0,
+                      train.labels(), train.n_classes)
     norm_train = zscore_fit(train)
-    both = Dataset(train.samples + shifted.samples, train.image_shape,
-                   train.n_features, train.n_classes)
+    both = Dataset(train.ids() + shifted.ids(),
+                   np.concatenate([train.images(), shifted.images()]),
+                   np.concatenate([train.features(), shifted.features()]),
+                   np.concatenate([train.labels(), shifted.labels()]), train.n_classes)
     norm_both = zscore_fit(both)
     assert not np.array_equal(norm_train.mean, norm_both.mean)
     out = zscore_apply(norm_train, shifted).features()
@@ -319,13 +401,8 @@ def test_normalizer_from_a_json_list_is_a_format_error():
 # ---------------------------------------------------------------------------
 # splitting
 
-def _balanced_dataset(n):
-    return Dataset([make_sample(i, label=i % 2) for i in range(n)],
-                   (1, 4, 4), 3, 2)
-
-
 def test_split_stratified_counts():
-    ds = _balanced_dataset(100)
+    ds = make_dataset(100)
     train, test = split(ds, 0.75, seed=0, stratified=True)
     assert len(train) == 75 and len(test) == 25
     for side, total in ((train, 75), (test, 25)):
@@ -336,7 +413,7 @@ def test_split_stratified_counts():
 
 
 def test_split_is_seed_deterministic_and_disjoint():
-    ds = _balanced_dataset(40)
+    ds = make_dataset(40)
     a_train, a_test = split(ds, 0.6, seed=5, stratified=True)
     b_train, b_test = split(ds, 0.6, seed=5, stratified=True)
     assert a_train.ids() == b_train.ids()
@@ -348,8 +425,7 @@ def test_split_is_seed_deterministic_and_disjoint():
 
 
 def test_split_proportions_within_one_count():
-    ds = Dataset([make_sample(i, label=0 if i < 94 else 1) for i in range(200)],
-                 (1, 4, 4), 3, 2)
+    ds = make_dataset(200, labels=[0 if i < 94 else 1 for i in range(200)])
     train, test = split(ds, 0.75, seed=1, stratified=True)
     assert len(train) == 150
     counts = np.bincount(train.labels(), minlength=2)
@@ -359,14 +435,14 @@ def test_split_proportions_within_one_count():
 
 
 def test_split_unstratified_still_partitions():
-    ds = _balanced_dataset(30)
+    ds = make_dataset(30)
     train, test = split(ds, 0.5, seed=2, stratified=False)
     assert len(train) == 15 and len(test) == 15
     assert set(train.ids()) | set(test.ids()) == set(ds.ids())
 
 
 def test_split_rejects_degenerate_fractions():
-    ds = _balanced_dataset(10)
+    ds = make_dataset(10)
     for frac in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises((ConfigError, DataError)):
             split(ds, frac, seed=0, stratified=True)

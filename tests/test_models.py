@@ -281,12 +281,9 @@ def _constant_matrix_model(bias_rows):
 
 def _two_sample_dataset(seed=0):
     rng = np.random.default_rng(seed)
-    samples = [
-        cn.Sample(id=f"t{i}", image=from_array(rng.normal(size=(1, 8, 8))),
-                  features=from_array(rng.normal(size=2)), label=i % 2)
-        for i in range(2)
-    ]
-    return cn.Dataset(samples, (1, 8, 8), 2, 2)
+    rows = [(rng.normal(size=(1, 8, 8)), rng.normal(size=2)) for _ in range(2)]
+    return cn.Dataset(["t0", "t1"], np.array([image for image, _ in rows]),
+                      np.array([feats for _, feats in rows]), np.array([0, 1]), 2)
 
 
 def test_importance_of_constant_matrix():

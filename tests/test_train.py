@@ -9,7 +9,7 @@ import pytest
 
 import compnet as cn
 from compnet import (ConfigError, DataError, Dataset, FormatError, History,
-                     Metrics, ModelConfig, OptimState, Sample, SynthSpec,
+                     Metrics, ModelConfig, OptimState, SynthSpec,
                      TrainConfig, build_model, checkpoint_load,
                      checkpoint_save, evaluate, fit, from_array,
                      generate_synthetic, init_optim_state, sgd_momentum_step,
@@ -24,14 +24,15 @@ def tiny_model(seed=0, **overrides):
     return build_model(ModelConfig(**base))
 
 
-def tiny_dataset(n=16, seed=0, n_features=4):
+def tiny_dataset(n=16, seed=0, n_features=4, labels=None):
+    """``n`` rows whose image and features are drawn in turn, row by row."""
     rng = np.random.default_rng(seed)
-    samples = [
-        Sample(id=f"r{i}", image=from_array(rng.normal(size=(1, 8, 8))),
-               features=from_array(rng.normal(size=n_features)), label=i % 2)
-        for i in range(n)
-    ]
-    return Dataset(samples, (1, 8, 8), n_features, 2)
+    rows = [(rng.normal(size=(1, 8, 8)), rng.normal(size=n_features)) for _ in range(n)]
+    labels = np.arange(n) % 2 if labels is None else np.array(labels)
+    return Dataset([f"r{i}" for i in range(n)],
+                   np.array([image for image, _ in rows]).reshape((n, 1, 8, 8)),
+                   np.array([feats for _, feats in rows]).reshape((n, n_features)),
+                   labels, 2)
 
 
 def snapshot(model):
@@ -166,7 +167,7 @@ def test_early_stopping_with_patience():
 
 def test_training_on_empty_dataset_fails():
     model = tiny_model()
-    empty = Dataset([], (1, 8, 8), 4, 2)
+    empty = tiny_dataset(n=0)
     with pytest.raises(DataError):
         train_epoch(model, empty, TrainConfig(epochs=1),
                     init_optim_state(model))
@@ -178,11 +179,7 @@ def test_training_on_empty_dataset_fails():
 def test_evaluate_counts_correct_predictions():
     model = tiny_model()
     model.set_params({n: np.zeros_like(p) for n, p in model.params.items()})
-    rng = np.random.default_rng(0)
-    samples = [Sample(id=f"e{i}", image=from_array(rng.normal(size=(1, 8, 8))),
-                      features=from_array(rng.normal(size=4)), label=lab)
-               for i, lab in enumerate([0, 0, 1])]
-    ds = Dataset(samples, (1, 8, 8), 4, 2)
+    ds = tiny_dataset(n=3, labels=[0, 0, 1])
     # Zero parameters give zero logits: argmax is class 0 everywhere.
     metrics = evaluate(model, ds)
     assert abs(metrics.accuracy - 2.0 / 3.0) <= 1e-15
@@ -260,6 +257,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
     checkpoint_save(model, init_optim_state(model), path)
     payload = path.read_bytes()
     path.write_bytes(payload[:-16])
+    with pytest.raises(FormatError):
+        checkpoint_load(path)
+
+
+def test_checkpoint_rejects_a_partial_trailing_value(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "model.cmpn"
+    checkpoint_save(model, init_optim_state(model), path)
+    path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError):
         checkpoint_load(path)
 
