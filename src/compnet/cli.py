@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .config import DictConfig
+from .config import DictConfig, require_ints
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset, split, write_atomic, zscore_apply,
                    zscore_fit)
@@ -26,9 +26,9 @@ from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
                          NumericError, ShapeError, TapeError, VariantError)
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
                      feature_importance)
-from .train import (History, OptimState, TrainConfig, checkpoint_load,
-                    checkpoint_save, evaluate, fit, init_optim_state,
-                    read_checkpoint_header)
+from .train import (History, OptimState, TrainConfig, build_from_checkpoint,
+                    checkpoint_load, checkpoint_save, evaluate, fit,
+                    init_optim_state, parse_checkpoint)
 
 _USAGE_ERRORS = (ConfigError, DataError, ShapeError, TapeError, VariantError)
 
@@ -62,6 +62,7 @@ class SplitSettings(DictConfig):
     stratified: bool = True
 
     def __post_init__(self) -> None:
+        require_ints(self, seed=0)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
@@ -304,14 +305,14 @@ def _select_split(ds: Dataset, which: str, header: Mapping) -> Dataset:
     try:
         train_ds, test_ds = split(ds, settings["train_fraction"],
                                   settings["seed"], settings["stratified"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint split settings are malformed: {exc}") from None
     return train_ds if which == "train" else test_ds
 
 
 def cmd_eval(args) -> int:
-    model, _ = checkpoint_load(args.checkpoint)
-    header = read_checkpoint_header(args.checkpoint)
+    header, payload = parse_checkpoint(args.checkpoint)
+    model, _ = build_from_checkpoint(args.checkpoint, header, payload)
     ds = load_dataset(args.data)
     chosen = _select_split(ds, args.split, header)
 

@@ -5,7 +5,23 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Mapping
 
+import numpy as np
+
 from .exceptions import ConfigError
+
+
+def require_ints(cfg, **minimums: int) -> None:
+    """Check that each named field of ``cfg`` is an integer (not a bool) >= its minimum.
+
+    Valid values are stored back as plain ``int``; anything else is a
+    ``ConfigError``.
+    """
+    for name, low in minimums.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        setattr(cfg, name, int(value))
 
 
 class DictConfig:
@@ -30,5 +46,5 @@ class DictConfig:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(extra)}")
         try:
             return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad {cls.__name__}: {exc}") from None

@@ -87,8 +87,14 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Valid cross-correlation, stride 1, plus per-filter bias.
 
     ``x`` is ``[B, C, H, W]``; the result is ``[B, F, H-kh+1, W-kw+1]``.
-    Internally the input windows are flattened to columns so the whole
-    batch reduces to one matrix product per sample.
+    The forward pass is one banded (row-Toeplitz) product: each output
+    row reads the ``kh`` full-width input rows under it, ``[B*OH,
+    C*kh*W]``, against a ``[C*kh*W, F*OW]`` band that holds kernel row
+    ``(c, u)`` at column offset ``j`` for output column ``j``.  The band
+    is ordered ``(c, kh, w)``, so each output sums the same products in
+    the same order as an im2col dot product over ``(c, kh, kw)``, with
+    exact zeros in between.  The im2col columns are built only in the
+    backward rule, for the kernel gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got shape {list(x.shape)}")
@@ -100,23 +106,36 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than input {h}x{w}")
     oh, ow = h - kh + 1, w - kw + 1
+    sliding = np.lib.stride_tricks.sliding_window_view
 
-    # [B, C, OH, OW, kh, kw] view over sliding windows, then columns
-    # [B, OH*OW, C*kh*kw] so each output pixel is a dot product.
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        batch, oh * ow, c_in * kh * kw)
-    kmat = params.kernels.data.reshape(f, c_in * kh * kw)
-    out = (cols @ kmat.T + params.bias.data).transpose(0, 2, 1).reshape(batch, f, oh, ow)
+    # rows[b*OH + i] = x[b, :, i:i+kh, :] flattened (c, kh, w).
+    rows = np.ascontiguousarray(
+        sliding(x.data, kh, axis=2).transpose(0, 2, 1, 4, 3)).reshape(
+        batch * oh, c_in * kh * w)
+    # band[(c, u, w), (f, j)] = kernels[f, c, u, w - j] inside the kernel,
+    # else 0: windows of a kernel row zero-padded to width W + OW - 1,
+    # read back to front.
+    padded = np.zeros((f, c_in, kh, w + ow - 1))
+    padded[..., ow - 1:ow - 1 + kw] = params.kernels.data
+    band = np.ascontiguousarray(
+        sliding(padded, ow, axis=3)[..., ::-1].transpose(1, 2, 3, 0, 4)).reshape(
+        c_in * kh * w, f * ow)
+    prod = (rows @ band).reshape(batch, oh, f, ow)
+    prod += params.bias.data[:, None]
+    out = prod.transpose(0, 2, 1, 3)
 
     need_x = x.grad_tracked
 
     def backward(g):
+        # im2col columns [B*OH*OW, C*kh*kw] for the kernel gradient, stored
+        # transposed (one contiguous row per kernel tap), which is cheaper
+        # to gather; the gemm reads the same values either way.
+        cols_t = np.ascontiguousarray(
+            sliding(x.data, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)).reshape(
+            c_in * kh * kw, batch * oh * ow)
         g_cols_f = np.ascontiguousarray(
             g.reshape(batch, f, oh * ow).transpose(0, 2, 1))  # [B, OH*OW, F]
-        g_k = (g_cols_f.reshape(batch * oh * ow, f).T
-               @ cols.reshape(batch * oh * ow, c_in * kh * kw)
-               ).reshape(f, c_in, kh, kw)
+        g_k = (g_cols_f.reshape(batch * oh * ow, f).T @ cols_t.T).reshape(f, c_in, kh, kw)
         g_b = g.sum(axis=(0, 2, 3))
         if not need_x:
             return None, g_k, g_b
@@ -125,7 +144,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         # over the zero-padded output gradient.
         g_pad = np.zeros((batch, f, h + kh - 1, w + kw - 1))
         g_pad[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
-        g_wins = np.lib.stride_tricks.sliding_window_view(g_pad, (kh, kw), axis=(2, 3))
+        g_wins = sliding(g_pad, (kh, kw), axis=(2, 3))
         g_cols = np.ascontiguousarray(g_wins.transpose(0, 2, 3, 1, 4, 5)).reshape(
             batch, h * w, f * kh * kw)
         k_flip = np.ascontiguousarray(
@@ -140,9 +159,11 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 over ``[B, C, H, W]``.
 
-    Spatial dims must be even.  Ties route the gradient to the first
-    maximal element of the window in row-major order, so backward is
-    deterministic even on constant inputs.
+    The output is the elementwise maximum of the four strided views
+    ``x[:, :, r::2, q::2]``, so nothing is copied but the result.  Spatial
+    dims must be even.  When ``x`` is tracked, each window also records
+    its winner (0-3, row-major), the first maximal element, so ties route
+    the gradient deterministically even on constant inputs.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d input must be rank 4, got shape {list(x.shape)}")
@@ -150,12 +171,16 @@ def maxpool2d(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even spatial dims, got {h}x{w}")
     oh, ow = h // 2, w // 2
-    # [B, C, OH, OW, 4] with the window flattened row-major, so argmax
-    # picks the first maximum in row-major window order.
-    wins = x.data.reshape(batch, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-    wins = np.ascontiguousarray(wins).reshape(batch, c, oh, ow, 4)
-    out = wins.max(axis=-1)
-    winners = wins.argmax(axis=-1)
+    # Window positions in row-major order: (0,0), (0,1), (1,0), (1,1).
+    views = [x.data[:, :, r::2, q::2] for r in (0, 1) for q in (0, 1)]
+    out = np.maximum(views[0], views[1])
+    np.maximum(out, views[2], out=out)
+    np.maximum(out, views[3], out=out)
+    if x.grad_tracked:
+        # Later positions first, so the lowest maximal index is written last.
+        winners = np.full(out.shape, 3, dtype=np.int8)
+        for i in (2, 1, 0):
+            winners[views[i] == out] = i
 
     def backward(g):
         g_wins = np.where(np.arange(4) == winners[..., None], g[..., None], 0.0)
@@ -183,15 +208,17 @@ def dense(x: Tensor, params: DenseParams) -> Tensor:
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """Elementwise ``x if x >= 0 else slope * x``.
 
-    The derivative at exactly 0 is 1 (the non-negative branch).
+    Computed as ``max(x, slope * x)``, which is the same value bit for bit
+    when ``0 < slope < 1``, signed zeros and subnormals included.  The
+    derivative at exactly 0 is 1 (the non-negative branch).
     """
     if not 0.0 < slope < 1.0:
         raise ConfigError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    nonneg = x.data >= 0
-    out = np.where(nonneg, x.data, slope * x.data)
+    out = slope * x.data
+    np.maximum(x.data, out, out=out)
 
     def backward(g):
-        return (np.where(nonneg, g, slope * g),)
+        return (np.where(x.data >= 0, g, slope * g),)
 
     return wrap_result(out, (x,), backward)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .config import DictConfig
+from .config import DictConfig, require_ints
 from .exceptions import ConfigError, DataError, ShapeError, VariantError
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, dense, fusion_weight_matrix, leaky_relu,
@@ -93,8 +93,7 @@ class ModelConfig(DictConfig):
             raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
         if not self.conv_filters or min(self.conv_filters) < 1:
             raise ConfigError(f"conv_filters must be non-empty positive, got {list(self.conv_filters)}")
-        if self.kernel_size < 1:
-            raise ConfigError(f"kernel_size must be >= 1, got {self.kernel_size}")
+        require_ints(self, kernel_size=1, seed=0)
         if any(d < 1 for d in self.dense_hidden):
             raise ConfigError(f"dense_hidden widths must be >= 1, got {list(self.dense_hidden)}")
         if self.fusion_kind not in FUSION_KINDS:

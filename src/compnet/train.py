@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models as models_mod
 from .autodiff import Tape, backward
-from .config import DictConfig
+from .config import DictConfig, require_ints
 from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
@@ -51,17 +51,12 @@ class TrainConfig(DictConfig):
     patience: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_ints(self, epochs=1, batch_size=1, seed=0, eval_every=1)
         # 0 is allowed so a zero step can be asserted to be an exact no-op.
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 when set, got {self.patience}")
 
@@ -268,7 +263,8 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     return out
 
 
-def _parse_checkpoint(path) -> tuple[dict, bytes]:
+def parse_checkpoint(path) -> tuple[dict, bytes]:
+    """Read a checkpoint once: its validated header and its raw payload."""
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -302,14 +298,21 @@ def _parse_checkpoint(path) -> tuple[dict, bytes]:
 
 def read_checkpoint_header(path) -> dict:
     """Checkpoint metadata without loading the parameter payload."""
-    header, _ = _parse_checkpoint(path)
+    header, _ = parse_checkpoint(path)
     return header
 
 
 def checkpoint_load(path) -> tuple[Model, OptimState]:
     """Rebuild a model and optimizer state bit-exactly from a checkpoint."""
-    header, payload = _parse_checkpoint(path)
-    config = ModelConfig.from_dict(header["model_config"])
+    return build_from_checkpoint(path, *parse_checkpoint(path))
+
+
+def build_from_checkpoint(path, header: Mapping, payload: bytes) -> tuple[Model, OptimState]:
+    """The build step of :func:`checkpoint_load`, from :func:`parse_checkpoint` output."""
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+    except ConfigError as exc:
+        raise FormatError(f"{path}: checkpoint model_config is invalid: {exc}") from None
     model = models_mod.build_model(config)
     names = [p["name"] for p in header["params"]]
     shapes = {p["name"]: tuple(p["shape"]) for p in header["params"]}

@@ -60,6 +60,24 @@ def maxpool2d_ref(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxpool2d_grad_ref(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Input gradient of 2x2 pooling: each window's ``g`` goes to its first
+    maximal element in row-major order."""
+    batch, c, h, w = x.shape
+    out = np.zeros_like(x)
+    for b in range(batch):
+        for ci in range(c):
+            for i in range(0, h, 2):
+                for j in range(0, w, 2):
+                    best_u, best_v = 0, 0
+                    for u in range(2):
+                        for v in range(2):
+                            if x[b, ci, i + u, j + v] > x[b, ci, i + best_u, j + best_v]:
+                                best_u, best_v = u, v
+                    out[b, ci, i + best_u, j + best_v] = g[b, ci, i // 2, j // 2]
+    return out
+
+
 def dense_ref(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     batch, p = x.shape
     p2, q = weights.shape

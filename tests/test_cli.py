@@ -120,6 +120,27 @@ def test_train_flag_overrides_epochs(small_dataset_dir, tiny_config, tmp_path):
     assert len(lines) == 3
 
 
+def test_train_writes_the_recorded_artifact_bytes(tmp_path):
+    # Pins the numerics of the whole training path (kernels, optimizer,
+    # history and checkpoint writers) on the dataset pinned above.
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--seed", "4",
+                 "--n-samples", "400"]) == 0
+    config = write_json(tmp_path / "config.json", {
+        "model": {"conv_filters": [2], "kernel_size": 5, "dense_hidden": [3, 2]},
+        "train": {"epochs": 3, "batch_size": 64, "learning_rate": 0.012,
+                  "eval_every": 2},
+        "split": {"train_fraction": 0.75, "stratified": True}})
+    out = tmp_path / "run"
+    assert train_small(data, config, out) == 0
+    expected = {
+        "history.csv": "be4a2b224202ab435cbb385c2bda0e43474a1524d46601d9d672d3806420b446",
+        "checkpoint.cmpn": "2b9c7f264b7b94b5769c3f9a95296da66807f750da030d76fa977edb7c1e7735",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_train_rejects_inconsistent_width(small_dataset_dir, tmp_path):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["model"]["learned_width"] = 7  # dataset needs 2 classes x 16 features
@@ -136,6 +157,22 @@ def test_train_rejects_unknown_config_section(small_dataset_dir, tmp_path):
 def test_train_rejects_non_numeric_split_fraction(small_dataset_dir, tmp_path):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["split"]["train_fraction"] = "0.5"
+    path = write_json(tmp_path / "bad.json", config)
+    assert train_small(small_dataset_dir, path, tmp_path / "run") == 2
+
+
+@pytest.mark.parametrize("section,override", [
+    ("model", {"conv_filters": ["x"]}),
+    ("model", {"kernel_size": True}),
+    ("model", {"seed": "x"}),
+    ("model", {"seed": -1}),
+    ("train", {"seed": -1}),
+    ("split", {"seed": -1}),
+], ids=["filters-text", "kernel-bool", "model-seed-text", "model-seed-negative",
+        "train-seed-negative", "split-seed-negative"])
+def test_train_rejects_bad_config_values(small_dataset_dir, tmp_path, section, override):
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config[section].update(override)
     path = write_json(tmp_path / "bad.json", config)
     assert train_small(small_dataset_dir, path, tmp_path / "run") == 2
 
@@ -228,6 +265,30 @@ def test_malformed_checkpoint_header_is_a_format_error(
                  "--data", str(small_dataset_dir)]) == 3
     assert main(["importance", "--checkpoint", str(ckpt), "--data",
                  str(small_dataset_dir), "--out", str(tmp_path / "imp.csv")]) == 3
+
+
+@pytest.mark.parametrize("override", [
+    {"conv_filters": ["x"]}, {"seed": "x"}, {"kernel_size": True}],
+    ids=["filters-text", "seed-text", "kernel-bool"])
+def test_invalid_checkpoint_model_config_is_a_format_error(
+        trained_run, small_dataset_dir, tmp_path, override):
+    ckpt = copy_with_header(
+        trained_run, tmp_path / "run",
+        lambda h: {**h, "model_config": {**h["model_config"], **override}})
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(small_dataset_dir)]) == 3
+    assert main(["importance", "--checkpoint", str(ckpt), "--data",
+                 str(small_dataset_dir), "--out", str(tmp_path / "imp.csv")]) == 3
+
+
+def test_eval_rejects_a_negative_checkpoint_split_seed(
+        trained_run, small_dataset_dir, tmp_path):
+    ckpt = copy_with_header(
+        trained_run, tmp_path / "run",
+        lambda h: {**h, "extra": {**h["extra"],
+                                  "split": {**h["extra"]["split"], "seed": -1}}})
+    assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                 str(small_dataset_dir), "--split", "test"]) == 3
 
 
 def test_eval_rejects_a_normalizer_file_that_is_not_a_name(

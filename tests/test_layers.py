@@ -10,7 +10,8 @@ import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
                      FusionShape, NumericError, ShapeError, Tape, Tensor,
                      backward, from_array, reduce_sum, tensor_new)
-from naive_ref import conv2d_ref, dense_ref, fusion_ref, maxpool2d_ref
+from naive_ref import (conv2d_ref, dense_ref, fusion_ref, maxpool2d_grad_ref,
+                       maxpool2d_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +39,18 @@ def test_conv2d_matches_naive_loops():
     bias = rng.normal(size=(4,))
     out = cn.conv2d(from_array(x),
                     ConvParams(from_array(kernels), from_array(bias))).data
+    assert np.max(np.abs(out - conv2d_ref(x, kernels, bias))) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_conv2d_one_filter_one_by_one_kernel_over_channels(batch):
+    rng = np.random.default_rng(10 + batch)
+    x = rng.normal(size=(batch, 3, 5, 6))
+    kernels = rng.normal(size=(1, 3, 1, 1))
+    bias = rng.normal(size=(1,))
+    out = cn.conv2d(from_array(x),
+                    ConvParams(from_array(kernels), from_array(bias))).data
+    assert out.shape == (batch, 1, 5, 6)
     assert np.max(np.abs(out - conv2d_ref(x, kernels, bias))) <= 1e-12
 
 
@@ -91,6 +104,34 @@ def test_maxpool_matches_naive_loops():
     assert np.array_equal(out, maxpool2d_ref(x))
 
 
+def test_maxpool_ties_route_gradient_to_the_first_maximum():
+    # Windows (row-major) [1,5,5,5], [2,2,7,7], [0,-1,3,3] and [4,4,4,4]
+    # tie away from the top-left corner, except the last.
+    windows = np.array([[1, 5, 5, 5], [2, 2, 7, 7], [0, -1, 3, 3], [4, 4, 4, 4]],
+                       dtype=float)
+    x = windows.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(1, 1, 4, 4)
+    tape = Tape()
+    xt = tape.watch(from_array(x))
+    out = cn.maxpool2d(xt)
+    assert np.array_equal(out.data, [[[[5, 7], [3, 4]]]])
+    g = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
+    grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+    expected = maxpool2d_grad_ref(x, g)
+    assert expected[0, 0, 0, 1] == 1.0  # [1, 5, 5, 5] routes to (0, 1)
+    assert expected[0, 0, 1, 2] == 2.0  # [2, 2, 7, 7] routes to (1, 0)
+    assert np.array_equal(grads[xt.node_id].data, expected)
+
+
+def test_maxpool_gradient_matches_loop_reference_on_ties():
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, 3, size=(3, 2, 6, 8)).astype(float)  # many ties
+    g = rng.normal(size=(3, 2, 3, 4))
+    tape = Tape()
+    xt = tape.watch(from_array(x))
+    grads = backward(reduce_sum(cn.mul(cn.maxpool2d(xt), from_array(g))))
+    assert np.array_equal(grads[xt.node_id].data, maxpool2d_grad_ref(x, g))
+
+
 def test_maxpool_rejects_odd_spatial_dims():
     with pytest.raises(ShapeError):
         cn.maxpool2d(from_array(np.ones((1, 1, 3, 4))))
@@ -141,6 +182,15 @@ def test_leaky_relu_gradient_including_origin():
     grads = backward(reduce_sum(cn.leaky_relu(x)))
     # The kink at exactly 0 takes the positive side's derivative.
     assert np.array_equal(grads[x.node_id].data, [0.01, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.5, 0.999])
+def test_leaky_relu_is_bit_equal_to_the_branch_form(slope):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    v = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-310, -1e-310,
+                  -2.2250738585072014e-308, 1.5, -1.5, np.inf, -np.inf])
+    out = cn.leaky_relu(from_array(v), slope=slope).data
+    assert out.tobytes() == np.where(v >= 0, v, slope * v).tobytes()
 
 
 def test_leaky_relu_slope_bounds():
@@ -290,3 +340,20 @@ def test_cross_entropy_rejects_non_finite_logits():
     bad = from_array(np.array([[np.inf, 0.0]]))
     with pytest.raises(NumericError):
         cn.cross_entropy(bad, np.array([0]))
+
+
+# ---------------------------------------------------------------------------
+# untracked calls
+
+def test_untracked_trunk_ops_record_no_tape_entry():
+    tape = Tape()
+    watched = tape.watch(tensor_new([1], [1.0]))
+    cn.mul(watched, watched)
+    before = len(tape._entries)
+    rng = np.random.default_rng(8)
+    x = from_array(rng.normal(size=(2, 1, 6, 6)))
+    params = ConvParams(from_array(rng.normal(size=(2, 1, 3, 3))),
+                        from_array(np.zeros(2)))
+    out = cn.maxpool2d(cn.leaky_relu(cn.conv2d(x, params)))
+    assert not out.grad_tracked
+    assert len(tape._entries) == before
