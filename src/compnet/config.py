@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Mapping
 
@@ -22,6 +23,21 @@ def require_ints(cfg, **minimums: int) -> None:
                 or value < low:
             raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         setattr(cfg, name, int(value))
+
+
+def require_floats(cfg, *names: str) -> None:
+    """Check that each named field of ``cfg`` is a finite real number.
+
+    A bool, text or a non-finite value is a ``ConfigError``, so a JSON
+    ``true`` cannot pass a range check as 1.0.  Valid values are kept as
+    given; the range checks stay with each config class.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                             np.floating)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 class DictConfig:

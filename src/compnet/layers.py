@@ -170,7 +170,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     batch, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even spatial dims, got {h}x{w}")
-    oh, ow = h // 2, w // 2
     # Window positions in row-major order: (0,0), (0,1), (1,0), (1,1).
     views = [x.data[:, :, r::2, q::2] for r in (0, 1) for q in (0, 1)]
     out = np.maximum(views[0], views[1])
@@ -183,9 +182,11 @@ def maxpool2d(x: Tensor) -> Tensor:
             winners[views[i] == out] = i
 
     def backward(g):
-        g_wins = np.where(np.arange(4) == winners[..., None], g[..., None], 0.0)
-        return (g_wins.reshape(batch, c, oh, ow, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5).reshape(batch, c, h, w),)
+        g_x = np.zeros((batch, c, h, w), dtype=g.dtype)
+        for i in range(4):
+            r, q = divmod(i, 2)
+            np.copyto(g_x[:, :, r::2, q::2], g, where=winners == i)
+        return (g_x,)
 
     return wrap_result(out, (x,), backward)
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .config import DictConfig, require_ints
+from .config import DictConfig, require_floats, require_ints
 from .exceptions import ConfigError, DataError, ShapeError, VariantError
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, dense, fusion_weight_matrix, leaky_relu,
@@ -99,6 +99,7 @@ class ModelConfig(DictConfig):
         if self.fusion_kind not in FUSION_KINDS:
             raise ConfigError(
                 f"fusion_kind must be one of {list(FUSION_KINDS)}, got {self.fusion_kind!r}")
+        require_floats(self, "leaky_slope")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         if self.fusion_kind == "compnet":

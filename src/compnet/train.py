@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models as models_mod
 from .autodiff import Tape, backward
-from .config import DictConfig, require_ints
+from .config import DictConfig, require_floats, require_ints
 from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
@@ -52,6 +52,7 @@ class TrainConfig(DictConfig):
 
     def __post_init__(self) -> None:
         require_ints(self, epochs=1, batch_size=1, seed=0, eval_every=1)
+        require_floats(self, "learning_rate", "momentum")
         # 0 is allowed so a zero step can be asserted to be an exact no-op.
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")

@@ -1,13 +1,21 @@
 """Shared fixtures: the full benchmark run is expensive, so it executes once
 per session and every test that needs trained models reads from it."""
 
-import time
-from types import SimpleNamespace
+import os
 
-import pytest
+# One BLAS thread, as in perfbench, fixed before NumPy loads: compare's two
+# worker processes are the parallelism, and BLAS threads of their own would
+# only contend with each other for the same CPUs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import compnet as cn
-from compnet.cli import run_comparison
+import time  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+import pytest  # noqa: E402
+
+import compnet as cn  # noqa: E402
+from compnet.cli import run_comparison  # noqa: E402
 
 # The standard benchmark: a fixed 2,000-sample two-modality dataset, three
 # model variants trained per seed on identical splits.  The first

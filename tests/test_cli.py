@@ -3,8 +3,14 @@
 import copy
 import hashlib
 import json
+import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -168,13 +174,27 @@ def test_train_rejects_non_numeric_split_fraction(small_dataset_dir, tmp_path):
     ("model", {"seed": -1}),
     ("train", {"seed": -1}),
     ("split", {"seed": -1}),
+    ("train", {"learning_rate": True}),
+    ("train", {"momentum": False}),
+    ("train", {"learning_rate": float("nan")}),
 ], ids=["filters-text", "kernel-bool", "model-seed-text", "model-seed-negative",
-        "train-seed-negative", "split-seed-negative"])
+        "train-seed-negative", "split-seed-negative", "learning-rate-bool",
+        "momentum-bool", "learning-rate-nan"])
 def test_train_rejects_bad_config_values(small_dataset_dir, tmp_path, section, override):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config[section].update(override)
     path = write_json(tmp_path / "bad.json", config)
     assert train_small(small_dataset_dir, path, tmp_path / "run") == 2
+
+
+def test_train_rejects_a_bool_learning_rate_without_writing_a_checkpoint(
+        small_dataset_dir, tmp_path):
+    # JSON true used to train at rate 1.0 and exit 0.
+    config = {**TINY_CLI_CONFIG, "train": {"learning_rate": True, "epochs": 1}}
+    path = write_json(tmp_path / "bad.json", config)
+    out = tmp_path / "run"
+    assert train_small(small_dataset_dir, path, out) == 2
+    assert not (out / "checkpoint.cmpn").exists()
 
 
 def test_missing_dataset_is_an_io_error(tiny_config, tmp_path):
@@ -358,22 +378,218 @@ def test_compare_config_errors_are_usage_errors(small_dataset_dir, tmp_path):
 def test_compare_numeric_failure_keeps_completed_rows(
         small_dataset_dir, tmp_path, monkeypatch):
     real_run = cli.run_training
-    calls = []
 
-    def fail_second_run(*args):
-        calls.append(1)
-        if len(calls) == 2:
+    def fail_concat(ds, model_cfg, *args):
+        # Decided by the run itself, so it holds in a worker process too.
+        if model_cfg.fusion_kind == "concat":
             raise cn.NumericError("loss diverged")
-        return real_run(*args)
+        return real_run(ds, model_cfg, *args)
 
-    monkeypatch.setattr(cli, "run_training", fail_second_run)
+    monkeypatch.setattr(cli, "run_training", fail_concat)
+    for jobs in (1, 2):
+        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        out = tmp_path / f"cmp-{jobs}"
+        assert main(["compare", "--config", compare_config(tmp_path),
+                     "--data", str(small_dataset_dir), "--models", "compnet,concat",
+                     "--seeds", "1", "--out", str(out)]) == 4
+        lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "model,seed,train_acc,test_acc,gap"
+        assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
+
+
+# ---------------------------------------------------------------------------
+# compare on worker processes
+
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_in_process_and_on_workers_give_the_same_bytes_and_parameters(
+        small_dataset, small_dataset_dir, tmp_path, monkeypatch):
+    cfg = compare_config(tmp_path)
+    for jobs in (1, 2):
+        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        assert main(["compare", "--config", cfg, "--data", str(small_dataset_dir),
+                     "--models", "compnet,image_only,concat", "--seeds", "1,2",
+                     "--out", str(tmp_path / str(jobs))]) == 0
+    assert (tmp_path / "1" / "compare.csv").read_bytes() == \
+           (tmp_path / "2" / "compare.csv").read_bytes()
+
+    config = json.loads(Path(cfg).read_text(encoding="utf-8"))
+    runs = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        runs.append(cli.run_comparison(small_dataset, config, ["compnet", "concat"],
+                                       [3, 4]))
+    serial, pooled = runs
+    assert pooled.rows == serial.rows
+    assert list(pooled.results) == list(serial.results)
+    for key, mine in pooled.results.items():
+        theirs = serial.results[key]
+        assert list(mine.model.params) == list(theirs.model.params)
+        for name, value in mine.model.params.items():
+            assert value.tobytes() == theirs.model.params[name].tobytes()
+            assert mine.opt_state.velocities[name].tobytes() == \
+                   theirs.opt_state.velocities[name].tobytes()
+        assert mine.history == theirs.history
+
+
+def test_compare_first_failing_run_in_serial_order_decides(
+        small_dataset_dir, tmp_path, monkeypatch):
+    real_run = cli.run_training
+    marker = tmp_path / "concat-failed"
+
+    def fail_late_and_early(ds, model_cfg, *args):
+        if model_cfg.fusion_kind == "image_only":
+            # The second run fails only after the third has failed.
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise cn.NumericError("loss diverged")
+        if model_cfg.fusion_kind == "concat":
+            marker.touch()
+            raise cn.ConfigError("bad concat run")
+        return real_run(ds, model_cfg, *args)
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(cli, "run_training", fail_late_and_early)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", compare_config(tmp_path),
-                 "--data", str(small_dataset_dir), "--models", "compnet,concat",
-                 "--seeds", "1", "--out", str(out)]) == 4
+                 "--data", str(small_dataset_dir),
+                 "--models", "compnet,image_only,concat", "--seeds", "1",
+                 "--out", str(out)]) == 4
+    assert marker.exists()
     lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "model,seed,train_acc,test_acc,gap"
     assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
+    assert_no_child_processes()
+
+
+def test_compare_fails_in_bounded_time_when_a_worker_dies(
+        small_dataset_dir, tmp_path, monkeypatch):
+    real_run = cli.run_training
+    test_process = os.getpid()
+
+    def die_on_concat(ds, model_cfg, *args):
+        if model_cfg.fusion_kind == "concat" and os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(ds, model_cfg, *args)
+
+    def hung(signum, frame):
+        pytest.fail("compare still waits for the run of a dead worker")
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(cli, "run_training", die_on_concat)
+    out = tmp_path / "cmp"
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code = main(["compare", "--config", compare_config(tmp_path),
+                     "--data", str(small_dataset_dir),
+                     "--models", "compnet,concat,image_only", "--seeds", "1",
+                     "--out", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
+    assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
+    assert_no_child_processes()
+
+
+def test_compare_leaves_no_child_process_on_return_or_raise(
+        small_dataset, tmp_path, monkeypatch):
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"]["epochs"] = 1
+    kinds, seeds = ["compnet", "concat"], [1, 2]
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    cli.run_comparison(small_dataset, config, kinds, seeds)
+    assert_no_child_processes()
+
+    def reject_row(row):
+        raise RuntimeError("on_row failed")
+
+    with pytest.raises(RuntimeError):
+        cli.run_comparison(small_dataset, config, kinds, seeds, on_row=reject_row)
+    assert_no_child_processes()
+
+    def diverge(*args):
+        raise cn.NumericError("loss diverged")
+
+    monkeypatch.setattr(cli, "run_training", diverge)
+    with pytest.raises(cn.NumericError):
+        cli.run_comparison(small_dataset, config, kinds, seeds)
+    assert_no_child_processes()
+# Runs a command as its child and reaps every process orphaned below it,
+# then prints the command's pid and, once nothing is left, its exit code.
+# Orphans come to it, not to PID 1, which may never reap them.
+_REAPER = """
+import ctypes, os, sys
+prctl = ctypes.CDLL(None).prctl
+prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+prctl(36, 1)  # PR_SET_CHILD_SUBREAPER
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+print(pid, flush=True)
+codes = {}
+while True:
+    try:
+        child, status = os.wait()
+    except ChildProcessError:
+        break
+    codes[child] = os.waitstatus_to_exitcode(status)
+print(codes[pid], flush=True)
+"""
+
+
+def process_group(pgid):
+    """(pid, state) of every process in group ``pgid``, zombies included."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text(encoding="utf-8").rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # it exited while we looked
+        if int(fields[2]) == pgid:
+            members.append((int(stat.parent.name), fields[0]))
+    return members
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not Path("/proc/self/stat").exists(),
+                    reason="needs Linux /proc")
+@pytest.mark.skipif(cli._default_jobs() < 2, reason="compare starts no worker on one CPU")
+def test_killed_compare_leaves_no_worker_running(small_dataset_dir, tmp_path):
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"]["epochs"] = 5000  # far longer than the 5 s below
+    cfg = write_json(tmp_path / "long.json", config)
+    env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _REAPER, sys.executable, "-m", "compnet.cli", "compare",
+         "--config", cfg, "--data", str(small_dataset_dir), "--models", "compnet,concat",
+         "--seeds", "1,2", "--out", str(tmp_path / "cmp")],
+        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        cli_pid = int(proc.stdout.readline())
+        deadline = time.monotonic() + 60
+        # The reaper, the command and its two workers.
+        while len(process_group(proc.pid)) < 4:
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+        os.kill(cli_pid, signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while [p for p, _ in process_group(proc.pid)] not in ([proc.pid], []):
+            assert time.monotonic() < deadline, process_group(proc.pid)
+            time.sleep(0.01)
+        assert proc.wait(timeout=5) == 0
+        assert int(proc.stdout.readline()) == -signal.SIGKILL
+        assert process_group(proc.pid) == []
+    finally:
+        if proc.poll() is None or process_group(proc.pid):
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------
