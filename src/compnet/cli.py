@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .config import DictConfig, require_floats, require_ints
+from .config import DictConfig, require_bools, require_floats, require_ints
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset, split, write_atomic, zscore_apply,
                    zscore_fit)
@@ -65,6 +65,7 @@ class SplitSettings(DictConfig):
     def __post_init__(self) -> None:
         require_ints(self, seed=0)
         require_floats(self, "train_fraction")
+        require_bools(self, "stratified")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
@@ -196,9 +197,9 @@ def _train_job(ds: Dataset, sections: tuple[dict, dict, dict], seed: int,
 def _default_jobs() -> int:
     """Runs ``run_comparison`` trains at once: 2, or 1 on a single CPU.
 
-    Two workers are what was measured (each peaks at about 115 MB on the
-    1,000-sample benchmark); more CPUs do not bring more workers until
-    their memory and speed are measured too.
+    Two child processes at a time are what was measured (each peaks at
+    about 100 MB on the 1,000-sample benchmark); more CPUs do not bring
+    more children until their memory and speed are measured too.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -216,12 +217,14 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     stream all derive from that seed, so every model kind sees exactly
     the same data partition and the comparison is paired.
 
-    The runs are independent, so two of them (one on a single CPU) train
-    at once in forked worker processes.  Either way ``rows``, ``results``
-    and the ``on_row`` calls come in the serial order, seeds outer and
-    kinds inner, and the first run in that order that fails raises its
-    exception after ``on_row`` has seen exactly the rows before it.  No
-    worker outlives the call.
+    The runs are independent, so each trains in its own forked child
+    process, two at a time (on a single CPU, one after another in this
+    process).  Either way ``rows``, ``results`` and the ``on_row`` calls
+    come in the serial order, seeds outer and kinds inner, and the first
+    run in that order that fails raises its exception after ``on_row``
+    has seen exactly the rows before it; no run starts once a failure
+    has come in.  No child outlives the call.  An empty ``seeds`` is a
+    ``ConfigError``, raised before any run starts.
     """
     sections = _split_sections(config)
     kinds = list(model_kinds)
@@ -231,6 +234,8 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                               f"choose from {list(FUSION_KINDS)}")
     if len(set(kinds)) != len(kinds):
         raise ConfigError("model kinds must be distinct")
+    if not seeds:
+        raise ConfigError("run_comparison needs at least one seed")
     plan = [(int(seed), kind) for seed in seeds for kind in kinds]
     from .forkpool import ordered_results  # see its module docstring
     rows: list[dict] = []

@@ -40,6 +40,19 @@ def require_floats(cfg, *names: str) -> None:
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def require_bools(cfg, *names: str) -> None:
+    """Check that each named field of ``cfg`` is a bool, stored back as plain ``bool``.
+
+    Anything else is a ``ConfigError``, so the JSON text ``"false"`` cannot
+    pass as true.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        setattr(cfg, name, bool(value))
+
+
 class DictConfig:
     """Mixin for config dataclasses: ``to_dict`` and a validating ``from_dict``.
 

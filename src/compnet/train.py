@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models as models_mod
 from .autodiff import Tape, backward
-from .config import DictConfig, require_floats, require_ints
+from .config import DictConfig, require_bools, require_floats, require_ints
 from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
@@ -53,13 +53,14 @@ class TrainConfig(DictConfig):
     def __post_init__(self) -> None:
         require_ints(self, epochs=1, batch_size=1, seed=0, eval_every=1)
         require_floats(self, "learning_rate", "momentum")
+        require_bools(self, "shuffle")
         # 0 is allowed so a zero step can be asserted to be an exact no-op.
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1 when set, got {self.patience}")
+        if self.patience is not None:
+            require_ints(self, patience=1)
 
 
 @dataclass
@@ -218,23 +219,27 @@ def fit(model: Model, train: Dataset, test: Dataset | None,
     history = history if history is not None else History()
     best_test_acc = -1.0
     stale_evals = 0
-    while state.epoch < cfg.epochs:
-        running = train_epoch(model, train, cfg, state)
-        epoch = state.epoch  # completed epochs, 1-based row number
-        train_eval = evaluate(model, train)
-        test_eval = None
-        if test is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            test_eval = evaluate(model, test)
-        history.append(EpochRecord(epoch=epoch, train=train_eval,
-                                   running=running, test=test_eval))
-        if cfg.patience is not None and test_eval is not None:
-            if test_eval.accuracy > best_test_acc:
-                best_test_acc = test_eval.accuracy
-                stale_evals = 0
-            else:
-                stale_evals += 1
-                if stale_evals >= cfg.patience:
-                    break
+    # A diverging run ends in the NumericError of the finite checks on
+    # logits, loss and gradients; NumPy's overflow warnings on the way there
+    # would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.epoch < cfg.epochs:
+            running = train_epoch(model, train, cfg, state)
+            epoch = state.epoch  # completed epochs, 1-based row number
+            train_eval = evaluate(model, train)
+            test_eval = None
+            if test is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+                test_eval = evaluate(model, test)
+            history.append(EpochRecord(epoch=epoch, train=train_eval,
+                                       running=running, test=test_eval))
+            if cfg.patience is not None and test_eval is not None:
+                if test_eval.accuracy > best_test_acc:
+                    best_test_acc = test_eval.accuracy
+                    stale_evals = 0
+                else:
+                    stale_evals += 1
+                    if stale_evals >= cfg.patience:
+                        break
     return history
 
 

@@ -4,7 +4,7 @@ per session and every test that needs trained models reads from it."""
 import os
 
 # One BLAS thread, as in perfbench, fixed before NumPy loads: compare's two
-# worker processes are the parallelism, and BLAS threads of their own would
+# child processes are the parallelism, and BLAS threads of their own would
 # only contend with each other for the same CPUs.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"

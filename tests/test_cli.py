@@ -177,9 +177,14 @@ def test_train_rejects_non_numeric_split_fraction(small_dataset_dir, tmp_path):
     ("train", {"learning_rate": True}),
     ("train", {"momentum": False}),
     ("train", {"learning_rate": float("nan")}),
+    ("split", {"stratified": "false"}),
+    ("train", {"shuffle": "false"}),
+    ("train", {"patience": True}),
+    ("train", {"patience": 2.5}),
 ], ids=["filters-text", "kernel-bool", "model-seed-text", "model-seed-negative",
         "train-seed-negative", "split-seed-negative", "learning-rate-bool",
-        "momentum-bool", "learning-rate-nan"])
+        "momentum-bool", "learning-rate-nan", "stratified-text", "shuffle-text",
+        "patience-bool", "patience-float"])
 def test_train_rejects_bad_config_values(small_dataset_dir, tmp_path, section, override):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config[section].update(override)
@@ -194,6 +199,27 @@ def test_train_rejects_a_bool_learning_rate_without_writing_a_checkpoint(
     path = write_json(tmp_path / "bad.json", config)
     out = tmp_path / "run"
     assert train_small(small_dataset_dir, path, out) == 2
+    assert not (out / "checkpoint.cmpn").exists()
+
+
+def test_diverging_train_prints_only_its_error_line(tmp_path):
+    # NumPy's overflow warnings used to reach stderr ahead of the error.
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--seed", "4",
+                 "--n-samples", "400"]) == 0
+    config = write_json(tmp_path / "config.json", {
+        "model": {"conv_filters": [2], "kernel_size": 5, "dense_hidden": [3, 2]},
+        "train": {"epochs": 3, "batch_size": 64, "learning_rate": 1e6},
+        "split": {"train_fraction": 0.75, "stratified": True}})
+    out = tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "compnet.cli", "train", "--config", config,
+         "--data", str(data), "--model", "compnet", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not (out / "checkpoint.cmpn").exists()
 
 
@@ -397,8 +423,30 @@ def test_compare_numeric_failure_keeps_completed_rows(
         assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
 
 
+def test_run_comparison_rejects_empty_seeds_before_any_run(small_dataset, monkeypatch):
+    def no_run(*args):
+        pytest.fail("a run started")
+
+    monkeypatch.setattr(cli, "run_training", no_run)
+    with pytest.raises(cn.ConfigError):
+        cli.run_comparison(small_dataset, TINY_CLI_CONFIG, ["compnet", "concat"], [])
+
+
+def test_importing_the_cli_and_running_other_commands_skips_multiprocessing(tmp_path):
+    # Only compare loads multiprocessing, which costs every command at start.
+    env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
+    code = ("import compnet.cli, sys; "
+            f"assert compnet.cli.main(['generate', '--out', {str(tmp_path / 'ds')!r}, "
+            "'--n-samples', '20']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
-# compare on worker processes
+# compare on child processes
 
 def assert_no_child_processes():
     with pytest.raises(ChildProcessError):
@@ -520,6 +568,40 @@ def test_compare_leaves_no_child_process_on_return_or_raise(
     with pytest.raises(cn.NumericError):
         cli.run_comparison(small_dataset, config, kinds, seeds)
     assert_no_child_processes()
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compare_starts_no_run_after_a_run_has_failed(
+        small_dataset, tmp_path, monkeypatch, jobs):
+    real_run = cli.run_training
+    test_process = os.getpid()
+    failed = tmp_path / "1-concat"
+
+    def mark_then_run(ds, model_cfg, train_cfg, *args):
+        (tmp_path / f"{train_cfg.seed}-{model_cfg.fusion_kind}").touch()
+        if model_cfg.fusion_kind == "concat" and train_cfg.seed == 1:
+            raise cn.NumericError("loss diverged")
+        if os.getpid() != test_process:
+            # On children, (1, compnet) finishes only after (1, concat) failed.
+            deadline = time.monotonic() + 60
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+        return real_run(ds, model_cfg, train_cfg, *args)
+
+    def slow_row(row):
+        time.sleep(1.0)  # time for a wrongly started run to drop its marker
+
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"]["epochs"] = 1
+    monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+    monkeypatch.setattr(cli, "run_training", mark_then_run)
+    with pytest.raises(cn.NumericError):
+        cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2],
+                           on_row=slow_row)
+    assert failed.exists()
+    assert sorted(p.name for p in tmp_path.glob("2-*")) == []
+    assert_no_child_processes()
+
+
 # Runs a command as its child and reaps every process orphaned below it,
 # then prints the command's pid and, once nothing is left, its exit code.
 # Orphans come to it, not to PID 1, which may never reap them.
