@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .config import DictConfig, require_bools, require_floats, require_ints
+from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, save_dataset, split, write_atomic, zscore_apply,
                    zscore_fit)
@@ -63,9 +63,8 @@ class SplitSettings(DictConfig):
     stratified: bool = True
 
     def __post_init__(self) -> None:
-        require_ints(self, seed=0)
-        require_floats(self, "train_fraction")
-        require_bools(self, "stratified")
+        super().__post_init__()
+        require_min(self, seed=0)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
@@ -73,24 +72,23 @@ class SplitSettings(DictConfig):
 
 def _resolve_model_config(model_section: Mapping, ds: Dataset,
                           fusion_kind: str, seed: int | None = None) -> ModelConfig:
-    """Merge the config file's model section with dataset-derived shapes."""
-    section = dict(model_section)
-    for key, value in (("image_shape", list(ds.image_shape)),
-                       ("n_classes", ds.n_classes),
-                       ("n_features", ds.n_features)):
-        if key in section:
-            got = section[key]
-            got = list(got) if isinstance(got, (list, tuple)) else got
-            if got != value:
-                raise ConfigError(
-                    f"config {key} = {got} does not match dataset {value}")
-        section[key] = value
-    section["fusion_kind"] = fusion_kind
+    """Merge the config file's model section with dataset-derived shapes.
+
+    Shapes stated in the section are checked like any field, then must
+    match the dataset's.
+    """
+    section = {"image_shape": ds.image_shape, "n_classes": ds.n_classes,
+               "n_features": ds.n_features, **model_section, "fusion_kind": fusion_kind}
     if fusion_kind != "compnet":
         section.pop("learned_width", None)
     if seed is not None:
         section["seed"] = seed
-    return ModelConfig.from_dict(section)
+    config = ModelConfig.from_dict(section)
+    for key in ("image_shape", "n_classes", "n_features"):
+        got, value = getattr(config, key), getattr(ds, key)
+        if got != value:
+            raise ConfigError(f"config {key} = {got} does not match dataset {value}")
+    return config
 
 
 def _resolve_train_config(train_section: Mapping, epochs: int | None = None,
@@ -339,10 +337,11 @@ def _select_split(ds: Dataset, which: str, header: Mapping) -> Dataset:
             f"checkpoint does not record split settings; cannot select "
             f"--split {which} (use --split all)")
     try:
-        train_ds, test_ds = split(ds, settings["train_fraction"],
-                                  settings["seed"], settings["stratified"])
-    except (KeyError, TypeError, ValueError) as exc:
+        settings = SplitSettings(train_fraction=settings["train_fraction"],
+                                 seed=settings["seed"], stratified=settings["stratified"])
+    except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"checkpoint split settings are malformed: {exc}") from None
+    train_ds, test_ds = split(ds, settings.train_fraction, settings.seed, settings.stratified)
     return train_ds if which == "train" else test_ds
 
 

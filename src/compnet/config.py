@@ -1,8 +1,16 @@
-"""The JSON dict round trip shared by every config dataclass."""
+"""The JSON dict round trip and field type checks shared by every config dataclass.
+
+A field's annotation is the only statement of its type: ``DictConfig``
+checks every field against it before the class's own range checks run,
+so a JSON ``true``, ``2.5`` or ``"2"`` never passes as an integer, a
+number or a flag.
+"""
 
 from __future__ import annotations
 
-import math
+import sys
+import types
+import typing
 from dataclasses import fields
 from typing import Mapping
 
@@ -11,54 +19,63 @@ import numpy as np
 from .exceptions import ConfigError
 
 
-def require_ints(cfg, **minimums: int) -> None:
-    """Check that each named field of ``cfg`` is an integer (not a bool) >= its minimum.
+_SCALARS = {  # annotation -> (accepted types, what the error says is needed)
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a finite number"),
+    bool: ((bool, np.bool_), "true or false"),
+    str: ((str,), "text"),
+}
 
-    Valid values are stored back as plain ``int``; anything else is a
-    ``ConfigError``.
+
+def check_type(name: str, value, hint):
+    """``value`` checked against the annotation ``hint`` and normalised.
+
+    An ``int`` is an integer, never a bool, stored as plain ``int``; a
+    ``float`` is a finite real, never a bool, kept as given so that
+    written bytes do not move; a ``bool`` is stored as plain ``bool``; a
+    tuple is read from a list or a tuple, element by element.  Anything
+    else is a ``ConfigError``.
     """
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            raise ConfigError(f"{name} must be a list of {size or 'any number of'} "
+                              f"values, got {value!r}")
+        return tuple(check_type(f"{name}[{i}]", v, args[0]) for i, v in enumerate(value))
+    accepted, needed = _SCALARS[hint]
+    # Finite: within the double range, so not NaN, inf or a too-large integer.
+    if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)) \
+            and (hint is not float or abs(value) <= sys.float_info.max):
+        return value if hint is float else hint(value)
+    raise ConfigError(f"{name} must be {needed}, got {value!r}")
+
+
+def require_min(cfg, **minimums: int) -> None:
+    """Check that each named field of ``cfg``, or each entry of a tuple field,
+    is >= its minimum; ``None`` passes."""
     for name, low in minimums.items():
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        setattr(cfg, name, int(value))
-
-
-def require_floats(cfg, *names: str) -> None:
-    """Check that each named field of ``cfg`` is a finite real number.
-
-    A bool, text or a non-finite value is a ``ConfigError``, so a JSON
-    ``true`` cannot pass a range check as 1.0.  Valid values are kept as
-    given; the range checks stay with each config class.
-    """
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                             np.floating)) \
-                or not math.isfinite(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
-def require_bools(cfg, *names: str) -> None:
-    """Check that each named field of ``cfg`` is a bool, stored back as plain ``bool``.
-
-    Anything else is a ``ConfigError``, so the JSON text ``"false"`` cannot
-    pass as true.
-    """
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, (bool, np.bool_)):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-        setattr(cfg, name, bool(value))
+        if any(v < low for v in (value if isinstance(value, tuple) else (value,))
+               if v is not None):
+            raise ConfigError(f"{name} must be >= {low}, got {value!r}")
 
 
 class DictConfig:
-    """Mixin for config dataclasses: ``to_dict`` and a validating ``from_dict``.
+    """Mixin for config dataclasses: type checks, ``to_dict`` and ``from_dict``.
 
     Tuples are written as JSON lists and JSON lists are read back as
-    tuples.
+    tuples.  A subclass's ``__post_init__`` calls this one first, then
+    keeps only its range checks.
     """
+
+    def __post_init__(self) -> None:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            setattr(self, name, check_type(name, getattr(self, name), hint))
 
     def to_dict(self) -> dict:
         out = {}
@@ -74,6 +91,6 @@ class DictConfig:
         if extra:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(extra)}")
         try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-        except (TypeError, ValueError) as exc:
+            return cls(**d)
+        except TypeError as exc:  # a required field is missing
             raise ConfigError(f"bad {cls.__name__}: {exc}") from None

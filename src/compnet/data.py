@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .config import DictConfig
+from .config import DictConfig, check_type, require_min
 from .exceptions import ConfigError, DataError, FormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -197,11 +197,8 @@ class SynthSpec(DictConfig):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.image_shape = tuple(int(d) for d in self.image_shape)
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
-            raise ConfigError(f"image_shape must be [C,H,W] >= 1, got {list(self.image_shape)}")
+        super().__post_init__()
+        require_min(self, n_samples=1, image_shape=1, seed=0)
         if not 1 <= self.n_informative <= self.n_features:
             raise ConfigError(
                 f"n_informative must be in [1, {self.n_features}], got {self.n_informative}")
@@ -216,7 +213,6 @@ class SynthSpec(DictConfig):
         if self.pixel_noise < 0:
             raise ConfigError(f"pixel_noise must be >= 0, got {self.pixel_noise}")
         if self.class_balance is not None:
-            self.class_balance = tuple(float(p) for p in self.class_balance)
             if len(self.class_balance) != self.n_classes:
                 raise ConfigError(
                     f"class_balance needs {self.n_classes} entries, "
@@ -344,22 +340,21 @@ def load_dataset(manifest_path) -> Dataset:
                 "n_classes", "files"):
         if key not in manifest:
             raise FormatError(f"{path}: manifest missing key {key!r}")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {manifest['format_version']!r}")
+    try:
+        version, n, n_features, n_classes = (
+            check_type(key, manifest[key], int)
+            for key in ("format_version", "n_samples", "n_features", "n_classes"))
+        image_shape = check_type("image_shape", manifest["image_shape"], tuple[int, int, int])
+    except ConfigError as exc:
+        raise FormatError(f"{path}: manifest {exc}") from None
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported format_version {version!r}")
     files = manifest["files"]
     if not isinstance(files, dict) or not all(
             isinstance(files.get(k), str) for k in ("images", "features", "labels")):
         raise FormatError(f"{path}: manifest files must name images, features and labels")
     provenance = manifest.get("provenance", {})
-    try:
-        n = int(manifest["n_samples"])
-        image_shape = tuple(int(d) for d in manifest["image_shape"])
-        n_features = int(manifest["n_features"])
-        n_classes = int(manifest["n_classes"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: manifest counts and shapes must be integers: {exc}") from None
-    if len(image_shape) != 3 or min(image_shape) < 1:
+    if min(image_shape) < 1:
         raise FormatError(f"{path}: manifest image_shape must be [C,H,W] >= 1, "
                           f"got {list(image_shape)}")
     if not isinstance(provenance, dict):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .config import DictConfig, require_floats, require_ints
+from .config import DictConfig, require_min
 from .exceptions import ConfigError, DataError, ShapeError, VariantError
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, dense, fusion_weight_matrix, leaky_relu,
@@ -82,24 +82,14 @@ class ModelConfig(DictConfig):
     learned_width: int | None = None
 
     def __post_init__(self) -> None:
-        self.image_shape = tuple(int(d) for d in self.image_shape)
-        self.conv_filters = tuple(int(f) for f in self.conv_filters)
-        self.dense_hidden = tuple(int(d) for d in self.dense_hidden)
-        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
-            raise ConfigError(f"image_shape must be [C,H,W] >= 1, got {list(self.image_shape)}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
-        if not self.conv_filters or min(self.conv_filters) < 1:
-            raise ConfigError(f"conv_filters must be non-empty positive, got {list(self.conv_filters)}")
-        require_ints(self, kernel_size=1, seed=0)
-        if any(d < 1 for d in self.dense_hidden):
-            raise ConfigError(f"dense_hidden widths must be >= 1, got {list(self.dense_hidden)}")
+        super().__post_init__()
+        require_min(self, image_shape=1, n_classes=2, n_features=1, conv_filters=1,
+                    kernel_size=1, dense_hidden=1, seed=0)
+        if not self.conv_filters:
+            raise ConfigError("conv_filters must not be empty")
         if self.fusion_kind not in FUSION_KINDS:
             raise ConfigError(
                 f"fusion_kind must be one of {list(FUSION_KINDS)}, got {self.fusion_kind!r}")
-        require_floats(self, "leaky_slope")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         if self.fusion_kind == "compnet":

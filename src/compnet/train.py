@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models as models_mod
 from .autodiff import Tape, backward
-from .config import DictConfig, require_bools, require_floats, require_ints
+from .config import DictConfig, require_min
 from .data import Dataset, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
@@ -51,16 +51,13 @@ class TrainConfig(DictConfig):
     patience: int | None = None
 
     def __post_init__(self) -> None:
-        require_ints(self, epochs=1, batch_size=1, seed=0, eval_every=1)
-        require_floats(self, "learning_rate", "momentum")
-        require_bools(self, "shuffle")
+        super().__post_init__()
+        require_min(self, epochs=1, batch_size=1, seed=0, eval_every=1, patience=1)
         # 0 is allowed so a zero step can be asserted to be an exact no-op.
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience is not None:
-            require_ints(self, patience=1)
 
 
 @dataclass

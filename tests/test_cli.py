@@ -9,14 +9,17 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compnet as cn
 from compnet import cli
-from compnet.cli import main
+from compnet.cli import SplitSettings, main
 from conftest import TINY_CLI_CONFIG
 
 
@@ -87,6 +90,22 @@ def test_generate_rejects_bad_spec_file(tmp_path):
     unknown = write_json(tmp_path / "spec2.json", {"bogus_knob": 1})
     assert main(["generate", "--spec", unknown, "--out",
                  str(tmp_path / "ds")]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    {"n_features": 16.9}, {"n_classes": 2.0}, {"n_informative": 2.5},
+    {"seed": 1.5}, {"seed": -1}, {"n_samples": 50.5},
+    {"image_shape": [1, 8.5, 8]}, {"pixel_noise": True},
+    {"image_reliability": True}, {"class_balance": ["0.5", "0.5"]}],
+    ids=["features-fractional", "classes-float", "informative-fractional",
+         "seed-fractional", "seed-negative", "samples-fractional",
+         "image-shape-fractional", "noise-bool", "reliability-bool",
+         "balance-text"])
+def test_generate_rejects_bad_spec_values(tmp_path, override):
+    spec = write_json(tmp_path / "spec.json",
+                      {"n_samples": 40, "image_shape": [1, 8, 8], **override})
+    assert main(["generate", "--spec", spec, "--out", str(tmp_path / "ds")]) == 2
+    assert not (tmp_path / "ds" / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +200,19 @@ def test_train_rejects_non_numeric_split_fraction(small_dataset_dir, tmp_path):
     ("train", {"shuffle": "false"}),
     ("train", {"patience": True}),
     ("train", {"patience": 2.5}),
+    ("model", {"conv_filters": [2.7]}),
+    ("model", {"conv_filters": ["2"]}),
+    ("model", {"dense_hidden": [True]}),
+    ("model", {"learned_width": 32.0}),
+    ("model", {"n_classes": 2.0}),
+    ("model", {"image_shape": [1, 12.0, 12]}),
+    ("train", {"learning_rate": 10 ** 400}),
 ], ids=["filters-text", "kernel-bool", "model-seed-text", "model-seed-negative",
         "train-seed-negative", "split-seed-negative", "learning-rate-bool",
         "momentum-bool", "learning-rate-nan", "stratified-text", "shuffle-text",
-        "patience-bool", "patience-float"])
+        "patience-bool", "patience-float", "filters-fractional", "filters-digit-text",
+        "hidden-bool", "learned-width-float", "classes-float", "image-shape-float",
+        "learning-rate-huge-int"])
 def test_train_rejects_bad_config_values(small_dataset_dir, tmp_path, section, override):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config[section].update(override)
@@ -314,8 +342,13 @@ def test_malformed_checkpoint_header_is_a_format_error(
 
 
 @pytest.mark.parametrize("override", [
-    {"conv_filters": ["x"]}, {"seed": "x"}, {"kernel_size": True}],
-    ids=["filters-text", "seed-text", "kernel-bool"])
+    {"conv_filters": ["x"]}, {"seed": "x"}, {"kernel_size": True},
+    {"n_classes": 2.0}, {"n_features": 16.0}, {"learned_width": 32.0},
+    {"image_shape": [1.0, 12.0, 12.0]}, {"conv_filters": [2.0]},
+    {"dense_hidden": [2.0]}],
+    ids=["filters-text", "seed-text", "kernel-bool", "classes-float",
+         "features-float", "learned-width-float", "image-shape-floats",
+         "filters-floats", "hidden-floats"])
 def test_invalid_checkpoint_model_config_is_a_format_error(
         trained_run, small_dataset_dir, tmp_path, override):
     ckpt = copy_with_header(
@@ -333,6 +366,20 @@ def test_eval_rejects_a_negative_checkpoint_split_seed(
         trained_run, tmp_path / "run",
         lambda h: {**h, "extra": {**h["extra"],
                                   "split": {**h["extra"]["split"], "seed": -1}}})
+    assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                 str(small_dataset_dir), "--split", "test"]) == 3
+
+
+@pytest.mark.parametrize("override", [
+    {"stratified": "x"}, {"seed": True}, {"train_fraction": True},
+    {"train_fraction": 1.5}],
+    ids=["stratified-text", "seed-bool", "fraction-bool", "fraction-out-of-range"])
+def test_eval_rejects_mistyped_checkpoint_split_settings(
+        trained_run, small_dataset_dir, tmp_path, override):
+    ckpt = copy_with_header(
+        trained_run, tmp_path / "run",
+        lambda h: {**h, "extra": {**h["extra"],
+                                  "split": {**h["extra"]["split"], **override}}})
     assert main(["eval", "--checkpoint", str(ckpt), "--data",
                  str(small_dataset_dir), "--split", "test"]) == 3
 
@@ -513,13 +560,16 @@ def test_compare_first_failing_run_in_serial_order_decides(
     assert_no_child_processes()
 
 
-def test_compare_fails_in_bounded_time_when_a_worker_dies(
-        small_dataset_dir, tmp_path, monkeypatch):
+def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+                                            dying, rows_before):
+    """Compare compnet, concat and image_only on 2 workers and SIGKILL the
+    child that trains ``dying``: exit 3 within the alarm, with exactly the
+    rows before it written and no child left."""
     real_run = cli.run_training
     test_process = os.getpid()
 
-    def die_on_concat(ds, model_cfg, *args):
-        if model_cfg.fusion_kind == "concat" and os.getpid() != test_process:
+    def die_on_kind(ds, model_cfg, *args):
+        if model_cfg.fusion_kind == dying and os.getpid() != test_process:
             os.kill(os.getpid(), signal.SIGKILL)
         return real_run(ds, model_cfg, *args)
 
@@ -527,7 +577,7 @@ def test_compare_fails_in_bounded_time_when_a_worker_dies(
         pytest.fail("compare still waits for the run of a dead worker")
 
     monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
-    monkeypatch.setattr(cli, "run_training", die_on_concat)
+    monkeypatch.setattr(cli, "run_training", die_on_kind)
     out = tmp_path / "cmp"
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
@@ -541,8 +591,22 @@ def test_compare_fails_in_bounded_time_when_a_worker_dies(
         signal.signal(signal.SIGALRM, previous)
     assert code == 3
     lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
-    assert [l.split(",")[:2] for l in lines[1:]] == [["compnet", "1"]]
+    assert [l.split(",")[:2] for l in lines[1:]] == rows_before
     assert_no_child_processes()
+
+
+def test_compare_fails_in_bounded_time_when_a_worker_dies(
+        small_dataset_dir, tmp_path, monkeypatch):
+    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+                                            "concat", [["compnet", "1"]])
+
+
+def test_compare_fails_in_bounded_time_when_the_last_started_worker_dies(
+        small_dataset_dir, tmp_path, monkeypatch):
+    # No later start drops the parent's last copy of this child's write end,
+    # so only closing it at start lets the parent see the child's EOF.
+    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+                                            "image_only", [["compnet", "1"], ["concat", "1"]])
 
 
 def test_compare_leaves_no_child_process_on_return_or_raise(
@@ -703,3 +767,67 @@ def test_importance_needs_a_weight_matrix_model(
     assert main(["importance", "--checkpoint", str(out / "checkpoint.cmpn"),
                  "--data", str(small_dataset_dir),
                  "--out", str(tmp_path / "imp.csv")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# every JSON input at the boundary
+
+CONFIG_FIELDS = [(section, f.name) for section, cls in (
+    ("model", cn.ModelConfig), ("train", cn.TrainConfig), ("split", SplitSettings))
+    for f in fields(cls)]
+# ``...`` drops the field; the rest replace it.
+MUTATED_VALUES = st.one_of(
+    st.just(...), st.booleans(), st.none(), st.text(max_size=4),
+    st.floats(-100, 100).filter(lambda x: not x.is_integer()),
+    st.lists(st.integers(0, 4), max_size=3))
+
+
+def mutate(obj, key, value):
+    if value is ...:
+        obj.pop(key, None)
+    else:
+        obj[key] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), value=MUTATED_VALUES)
+def test_a_mutated_json_input_ends_in_an_exit_code(
+        trained_run, small_dataset_dir, data, value):
+    # One field of a spec, a config, a checkpoint header's model_config or
+    # split settings, or a manifest is dropped or replaced; no input may end
+    # in a traceback.
+    target = data.draw(st.sampled_from(["spec", "config", "model_config", "split",
+                                        "manifest"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if target == "spec":
+            key = data.draw(st.sampled_from([f.name for f in fields(cn.SynthSpec)]))
+            spec = mutate({"n_samples": 40, "image_shape": [1, 8, 8]}, key, value)
+            argv = ["generate", "--spec", write_json(tmp / "spec.json", spec),
+                    "--out", str(tmp / "ds")]
+        elif target == "config":
+            section, key = data.draw(st.sampled_from(CONFIG_FIELDS))
+            config = copy.deepcopy(TINY_CLI_CONFIG)
+            mutate(config[section], key, value)
+            argv = ["train", "--config", write_json(tmp / "config.json", config),
+                    "--data", str(small_dataset_dir), "--model", "compnet",
+                    "--out", str(tmp / "run"), "--epochs", "1"]
+        elif target in ("model_config", "split"):
+            cls = cn.ModelConfig if target == "model_config" else SplitSettings
+            key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+
+            def edit(header):
+                mutate(header["model_config"] if cls is cn.ModelConfig
+                       else header["extra"]["split"], key, value)
+                return header
+            ckpt = copy_with_header(trained_run, tmp / "run", edit)
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(small_dataset_dir)]
+        else:
+            shutil.copytree(small_dataset_dir, tmp / "ds")
+            manifest = json.loads((tmp / "ds" / "manifest.json").read_text(encoding="utf-8"))
+            key = data.draw(st.sampled_from(sorted(manifest)))
+            write_json(tmp / "ds" / "manifest.json", mutate(manifest, key, value))
+            argv = ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                    "--data", str(tmp / "ds"), "--out", str(tmp / "imp.csv")]
+        assert main(argv) in (0, 2, 3, 4)

@@ -295,8 +295,16 @@ def test_load_missing_manifest_raises_os_error(tmp_path):
     {"image_shape": [4, 4]},
     {"files": {"images": 5, "features": "features.csv", "labels": "labels.csv"}},
     {"provenance": 5},
+    {"n_samples": 3.5},
+    {"n_samples": "3"},
+    {"n_classes": 2.9},
+    {"n_classes": True},
+    {"image_shape": [1, 4.5, 4]},
+    {"format_version": 1.0},
 ], ids=["n_features-text", "image_shape-number", "image_shape-2d", "files-number",
-        "provenance-number"])
+        "provenance-number", "n_samples-fractional", "n_samples-text",
+        "n_classes-fractional", "n_classes-bool", "image_shape-fractional",
+        "format_version-float"])
 def test_load_rejects_malformed_manifest_fields(tmp_path, edit):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     manifest = json.loads((root / "manifest.json").read_text())
