@@ -26,8 +26,7 @@ from .models import (ImportanceReport, Model, ModelConfig, build_model,
                      predict)
 from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, evaluate, fit,
-                    init_optim_state, read_checkpoint_header,
-                    sgd_momentum_step, train_epoch)
+                    init_optim_state, sgd_momentum_step, train_epoch)
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "forward", "predict",
     "EpochRecord", "History", "Metrics", "OptimState", "TrainConfig",
     "checkpoint_load", "checkpoint_save", "evaluate", "fit",
-    "init_optim_state", "read_checkpoint_header", "sgd_momentum_step",
-    "train_epoch",
+    "init_optim_state", "sgd_momentum_step", "train_epoch",
     "__version__",
 ]

@@ -5,8 +5,9 @@ functions of the config file plus flags (flags win), and every artifact
 is written atomically, so a rerun with identical inputs produces
 byte-identical files.
 
-Exit codes: 0 success; 2 usage, configuration, or data errors;
-3 I/O and file-format errors; 4 numeric failures during training.
+Exit codes: 0 success; otherwise the ``exit_code`` of the error's class
+(2 usage, configuration, or data errors; 3 file-format errors; 4 numeric
+failures during training), and 3 for I/O errors.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from typing import Callable, Mapping, Sequence
 
 from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
-                   load_dataset, save_dataset, split, write_atomic, zscore_apply,
-                   zscore_fit)
-from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
-                         NumericError, ShapeError, TapeError, VariantError)
+                   load_dataset, read_json_object, save_dataset, split,
+                   write_atomic, zscore_apply, zscore_fit)
+from .exceptions import CompnetError, ConfigError, DataError, FormatError
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
                      feature_importance)
-from .train import (History, OptimState, TrainConfig, build_from_checkpoint,
-                    checkpoint_load, checkpoint_save, evaluate, fit,
-                    init_optim_state, parse_checkpoint)
-
-_USAGE_ERRORS = (ConfigError, DataError, ShapeError, TapeError, VariantError)
+from .train import (History, OptimState, TrainConfig, checkpoint_load,
+                    checkpoint_save, evaluate, fit, init_optim_state)
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +41,10 @@ def _fmt(v: float) -> str:
 def _load_config_json(path) -> dict:
     """Read a user-supplied JSON config; malformed JSON is a config error."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(parsed, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return parsed
+    return read_json_object(raw, path, ConfigError)
 
 
 @dataclass
@@ -328,10 +319,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _select_split(ds: Dataset, which: str, header: Mapping) -> Dataset:
+def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
     if which == "all":
         return ds
-    settings = header["extra"].get("split")
+    settings = extra.get("split")
     if not settings:
         raise ConfigError(
             f"checkpoint does not record split settings; cannot select "
@@ -346,12 +337,11 @@ def _select_split(ds: Dataset, which: str, header: Mapping) -> Dataset:
 
 
 def cmd_eval(args) -> int:
-    header, payload = parse_checkpoint(args.checkpoint)
-    model, _ = build_from_checkpoint(args.checkpoint, header, payload)
+    model, _, extra = checkpoint_load(args.checkpoint)
     ds = load_dataset(args.data)
-    chosen = _select_split(ds, args.split, header)
+    chosen = _select_split(ds, args.split, extra)
 
-    norm_file = header["extra"].get("normalizer_file", "normalizer.json")
+    norm_file = extra.get("normalizer_file", "normalizer.json")
     if not isinstance(norm_file, str):
         raise FormatError(f"checkpoint normalizer_file must be a file name, got {norm_file!r}")
     norm_path = Path(args.checkpoint).parent / norm_file
@@ -359,10 +349,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"normalizer not found at {norm_path}; refusing to evaluate "
             f"unnormalized designed features")
-    try:
-        norm = Normalizer.from_dict(json.loads(norm_path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{norm_path}: invalid JSON: {exc}") from None
+    norm = Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
 
     metrics = evaluate(model, zscore_apply(norm, chosen))
     out_path = Path(args.checkpoint).parent / "metrics.json"
@@ -408,7 +395,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    model, _ = checkpoint_load(args.checkpoint)
+    model, _, _ = checkpoint_load(args.checkpoint)
     ds = load_dataset(args.data)
     report = feature_importance(model, ds)
     rank_of = report.rank_of
@@ -480,18 +467,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (CompnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code if isinstance(exc, CompnetError) else 3
 
 
 if __name__ == "__main__":

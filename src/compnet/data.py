@@ -35,7 +35,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import DictConfig, check_type, require_min
-from .exceptions import ConfigError, DataError, FormatError, ShapeError
+from .exceptions import CompnetError, ConfigError, DataError, FormatError, ShapeError
 
 FORMAT_VERSION = 1
 _CONST_STD = 1e-12
@@ -156,7 +156,7 @@ class Normalizer:
             return cls(mean=np.asarray(d["mean"], dtype=np.float64),
                        std=np.asarray(d["std"], dtype=np.float64),
                        constant_mask=np.asarray(d["constant_mask"], dtype=bool))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ShapeError, DataError) as exc:
             raise FormatError(f"normalizer json is malformed: {exc!r}") from None
 
 
@@ -290,6 +290,21 @@ def write_atomic(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) -> dict:
+    """Parse ``raw`` as a UTF-8 JSON object, raising ``error`` for anything else.
+
+    ``ValueError`` covers invalid UTF-8, invalid JSON and integers past
+    Python's digit limit; ``RecursionError``, nesting too deep to parse.
+    """
+    try:
+        parsed = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: invalid JSON: {exc}") from None
+    if not isinstance(parsed, dict):
+        raise error(f"{what}: top level must be a JSON object")
+    return parsed
+
+
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
@@ -330,12 +345,7 @@ def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        manifest = json.loads(path.read_bytes())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: not valid manifest JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
+    manifest = read_json_object(path.read_bytes(), path)
     for key in ("format_version", "n_samples", "image_shape", "n_features",
                 "n_classes", "files"):
         if key not in manifest:
@@ -388,8 +398,11 @@ def load_dataset(manifest_path) -> Dataset:
 
 
 def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path.name}: not a UTF-8 CSV file: {exc}") from None
     if not rows or rows[0] != header:
         raise FormatError(f"{path.name}: expected header {','.join(header)}")
     body = rows[1:]

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; ``exit_code`` is the CLI's."""
 
 
 class CompnetError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class ShapeError(CompnetError):
@@ -23,10 +24,12 @@ class DataError(CompnetError):
 
 class FormatError(CompnetError):
     """An on-disk artifact does not match its declared format."""
+    exit_code = 3
 
 
 class NumericError(CompnetError):
     """A non-finite value appeared where finite arithmetic is required."""
+    exit_code = 4
 
 
 class VariantError(CompnetError):

@@ -29,7 +29,7 @@ import numpy as np
 from . import models as models_mod
 from .autodiff import Tape, backward
 from .config import DictConfig, require_min
-from .data import Dataset, write_atomic
+from .data import Dataset, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .layers import cross_entropy
 from .models import EVAL_BATCH, Model, ModelConfig
@@ -266,8 +266,12 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     return out
 
 
-def parse_checkpoint(path) -> tuple[dict, bytes]:
-    """Read a checkpoint once: its validated header and its raw payload."""
+def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
+    """Rebuild a model and optimizer state bit-exactly from a checkpoint.
+
+    Also returns the header's free-form ``extra`` object.  Every way the
+    file can disagree with the layout above is a :class:`FormatError`.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -277,48 +281,28 @@ def parse_checkpoint(path) -> tuple[dict, bytes]:
     header_len = struct.unpack("<Q", blob[8:16])[0]
     if len(blob) < 16 + header_len:
         raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header must be a JSON object")
+    header = read_json_object(blob[16:16 + header_len], f"{path}: checkpoint header")
     for key in ("model_config", "params", "epoch"):
         if key not in header:
             raise FormatError(f"{path}: checkpoint header missing {key!r}")
     if not isinstance(header["model_config"], dict):
         raise FormatError(f"{path}: checkpoint model_config must be an object")
-    params = header["params"]
-    if not isinstance(params, list) or not all(
+    entries = header["params"]
+    if not isinstance(entries, list) or not all(
             isinstance(p, dict) and isinstance(p.get("name"), str)
-            and isinstance(p.get("shape"), list) for p in params):
+            and isinstance(p.get("shape"), list)
+            and all(type(d) is int for d in p["shape"]) for p in entries):
         raise FormatError(f"{path}: checkpoint params must be a list of name/shape objects")
-    header["extra"] = header.get("extra") or {}
-    if not isinstance(header["epoch"], int) or not isinstance(header["extra"], dict):
+    extra = header.get("extra") or {}
+    if type(header["epoch"]) is not int or not isinstance(extra, dict):
         raise FormatError(f"{path}: checkpoint epoch must be an integer and extra an object")
-    return header, blob[16 + header_len:]
-
-
-def read_checkpoint_header(path) -> dict:
-    """Checkpoint metadata without loading the parameter payload."""
-    header, _ = parse_checkpoint(path)
-    return header
-
-
-def checkpoint_load(path) -> tuple[Model, OptimState]:
-    """Rebuild a model and optimizer state bit-exactly from a checkpoint."""
-    return build_from_checkpoint(path, *parse_checkpoint(path))
-
-
-def build_from_checkpoint(path, header: Mapping, payload: bytes) -> tuple[Model, OptimState]:
-    """The build step of :func:`checkpoint_load`, from :func:`parse_checkpoint` output."""
     try:
         config = ModelConfig.from_dict(header["model_config"])
     except ConfigError as exc:
         raise FormatError(f"{path}: checkpoint model_config is invalid: {exc}") from None
     model = models_mod.build_model(config)
-    names = [p["name"] for p in header["params"]]
-    shapes = {p["name"]: tuple(p["shape"]) for p in header["params"]}
+    names = [p["name"] for p in entries]
+    shapes = {p["name"]: tuple(p["shape"]) for p in entries}
     if names != model.param_order:
         raise FormatError(f"{path}: checkpoint parameters do not match the "
                           f"model built from its config")
@@ -327,6 +311,7 @@ def build_from_checkpoint(path, header: Mapping, payload: bytes) -> tuple[Model,
             raise FormatError(
                 f"{path}: parameter {name} has shape {list(shapes[name])}, "
                 f"model expects {list(model.params[name].shape)}")
+    payload = blob[16 + header_len:]
     total = sum(int(np.prod(shapes[n])) for n in names)
     if len(payload) != 16 * total:
         raise FormatError(
@@ -342,4 +327,4 @@ def build_from_checkpoint(path, header: Mapping, payload: bytes) -> tuple[Model,
                 np.float64).reshape(shapes[name])
             offset += count
     model.set_params(params)
-    return model, OptimState(velocities=velocities, epoch=header["epoch"])
+    return model, OptimState(velocities=velocities, epoch=header["epoch"]), extra

@@ -352,7 +352,7 @@ def test_checkpoint_round_trip_and_resume_are_bit_exact(tmp_path):
     before = cn.forward(model, images, features).data.tobytes()
     path = tmp_path / "mid.cmpn"
     cn.checkpoint_save(model, state, path, train_config=cfg)
-    loaded, loaded_state = cn.checkpoint_load(path)
+    loaded, loaded_state, _ = cn.checkpoint_load(path)
     after = cn.forward(loaded, images, features).data.tobytes()
     assert before == after, "reloaded model predicts differently"
 

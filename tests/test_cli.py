@@ -123,10 +123,10 @@ def test_train_writes_history_checkpoint_normalizer(
     norm = json.loads((out / "normalizer.json").read_text(encoding="utf-8"))
     assert len(norm["mean"]) == len(norm["std"]) == len(norm["constant_mask"]) == 16
 
-    header = cn.read_checkpoint_header(out / "checkpoint.cmpn")
-    assert header["epoch"] == TINY_CLI_CONFIG["train"]["epochs"]
-    assert header["extra"]["split"]["train_fraction"] == 0.75
-    assert header["model_config"]["fusion_kind"] == "compnet"
+    model, state, extra = cn.checkpoint_load(out / "checkpoint.cmpn")
+    assert state.epoch == TINY_CLI_CONFIG["train"]["epochs"]
+    assert extra["split"]["train_fraction"] == 0.75
+    assert model.config.fusion_kind == "compnet"
 
 
 def test_train_rerun_is_byte_identical(small_dataset_dir, tiny_config, tmp_path):
@@ -312,14 +312,19 @@ def trained_run(small_dataset_dir, tmp_path_factory):
     return out
 
 
+def rewrite_header_bytes(ckpt, edit):
+    """Replace a checkpoint's header bytes with ``edit`` of them."""
+    blob = ckpt.read_bytes()
+    n = struct.unpack("<Q", blob[8:16])[0]
+    header = edit(blob[16:16 + n])
+    ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n:])
+
+
 def copy_with_header(run_dir, dst, edit):
     """Copy a training run, rewriting its checkpoint header through ``edit``."""
     shutil.copytree(run_dir, dst)
-    blob = (dst / "checkpoint.cmpn").read_bytes()
-    n = struct.unpack("<Q", blob[8:16])[0]
-    header = json.dumps(edit(json.loads(blob[16:16 + n]))).encode("utf-8")
-    (dst / "checkpoint.cmpn").write_bytes(
-        blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + n:])
+    rewrite_header_bytes(dst / "checkpoint.cmpn",
+                         lambda raw: json.dumps(edit(json.loads(raw))).encode("utf-8"))
     return dst / "checkpoint.cmpn"
 
 
@@ -327,11 +332,14 @@ def copy_with_header(run_dir, dst, edit):
     lambda h: 5,
     lambda h: {**h, "params": 5},
     lambda h: {**h, "params": [{"name": p["name"]} for p in h["params"]]},
+    lambda h: {**h, "params": [{**p, "shape": [float(d) for d in p["shape"]]}
+                               for p in h["params"]]},
     lambda h: {**h, "epoch": "x"},
+    lambda h: {**h, "epoch": True},
     lambda h: {**h, "extra": [1]},
     lambda h: {**h, "model_config": 5},
-], ids=["number", "params-number", "params-without-shape", "epoch-text",
-        "extra-list", "model_config-number"])
+], ids=["number", "params-number", "params-without-shape", "params-float-shapes",
+        "epoch-text", "epoch-bool", "extra-list", "model_config-number"])
 def test_malformed_checkpoint_header_is_a_format_error(
         trained_run, small_dataset_dir, tmp_path, edit):
     ckpt = copy_with_header(trained_run, tmp_path / "run", edit)
@@ -794,11 +802,11 @@ def mutate(obj, key, value):
 @given(data=st.data(), value=MUTATED_VALUES)
 def test_a_mutated_json_input_ends_in_an_exit_code(
         trained_run, small_dataset_dir, data, value):
-    # One field of a spec, a config, a checkpoint header's model_config or
-    # split settings, or a manifest is dropped or replaced; no input may end
-    # in a traceback.
-    target = data.draw(st.sampled_from(["spec", "config", "model_config", "split",
-                                        "manifest"]))
+    # One field of a spec, a config, a checkpoint header (top level,
+    # model_config or split settings), a manifest or a normalizer is dropped
+    # or replaced; no input may end in a traceback.
+    target = data.draw(st.sampled_from(["spec", "config", "header", "model_config",
+                                        "split", "manifest", "normalizer"]))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if target == "spec":
@@ -813,6 +821,19 @@ def test_a_mutated_json_input_ends_in_an_exit_code(
             argv = ["train", "--config", write_json(tmp / "config.json", config),
                     "--data", str(small_dataset_dir), "--model", "compnet",
                     "--out", str(tmp / "run"), "--epochs", "1"]
+        elif target == "header":
+            key = data.draw(st.sampled_from(["epoch", "params", "extra", "train_config"]))
+            ckpt = copy_with_header(trained_run, tmp / "run",
+                                    lambda header: mutate(header, key, value))
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", str(small_dataset_dir)]
+        elif target == "normalizer":
+            shutil.copytree(trained_run, tmp / "run")
+            norm_path = tmp / "run" / "normalizer.json"
+            norm = json.loads(norm_path.read_text(encoding="utf-8"))
+            key = data.draw(st.sampled_from(sorted(norm)))
+            write_json(norm_path, mutate(norm, key, value))
+            argv = ["eval", "--checkpoint", str(tmp / "run" / "checkpoint.cmpn"),
+                    "--data", str(small_dataset_dir)]
         elif target in ("model_config", "split"):
             cls = cn.ModelConfig if target == "model_config" else SplitSettings
             key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
@@ -831,3 +852,53 @@ def test_a_mutated_json_input_ends_in_an_exit_code(
             argv = ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
                     "--data", str(tmp / "ds"), "--out", str(tmp / "imp.csv")]
         assert main(argv) in (0, 2, 3, 4)
+
+
+def with_ff_byte(raw):
+    return raw[:1] + b"\xff" + raw[1:]
+
+
+def with_huge_integer(raw):
+    # Past Python's 4,300-digit limit for parsing an integer.
+    return b'{"huge": ' + b"1" * 5000 + b", " + raw[1:]
+
+
+def with_oversize_field(raw):
+    # Past the csv module's 131,072-character field limit.
+    return raw + b"s9," + b"1" * 140_000 + b"\n"
+
+
+RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
+    "config": ("config.json", 2), "spec": ("spec.json", 2),
+    "manifest": ("ds/manifest.json", 3), "features": ("ds/features.csv", 3),
+    "labels": ("ds/labels.csv", 3), "header": ("run/checkpoint.cmpn", 3),
+    "normalizer": ("run/normalizer.json", 3),
+}
+
+
+@pytest.mark.parametrize("target,corrupt", [
+    *((t, c) for t in ("config", "spec", "manifest", "header", "normalizer")
+      for c in (with_ff_byte, with_huge_integer)),
+    *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field))])
+def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
+        trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
+    shutil.copytree(trained_run, tmp_path / "run")
+    shutil.copytree(small_dataset_dir, tmp_path / "ds")
+    write_json(tmp_path / "config.json", TINY_CLI_CONFIG)
+    write_json(tmp_path / "spec.json", {"n_samples": 40, "image_shape": [1, 8, 8]})
+    name, code = RAW_INPUTS[target]
+    if target == "header":
+        rewrite_header_bytes(tmp_path / name, corrupt)
+    else:
+        (tmp_path / name).write_bytes(corrupt((tmp_path / name).read_bytes()))
+    argv = {
+        "config": ["train", "--config", str(tmp_path / "config.json"), "--data",
+                   str(tmp_path / "ds"), "--model", "compnet", "--out", str(tmp_path / "out")],
+        "spec": ["generate", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "out")],
+    }.get(target, ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.cmpn"),
+                   "--data", str(tmp_path / "ds")])
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,8 +1,10 @@
 """Dataset model, synthetic generator, on-disk round trips, z-scoring,
 and stratified splitting."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
                      ShapeError, SynthSpec, generate_synthetic, load_dataset,
                      render_template, save_dataset, split, zscore_apply,
                      zscore_fit)
+from compnet.data import read_json_object
 
 
 def make_dataset(n=4, shape=(1, 4, 4), n_features=3, n_classes=2, labels=None):
@@ -402,8 +405,45 @@ def test_normalizer_round_trips_through_dict():
 
 
 def test_normalizer_from_a_json_list_is_a_format_error():
+    # So are fields that fail the normalizer's own checks: each is a
+    # corrupt normalizer.json, like a missing key, not a usage error.
+    for d in ([0.0, 1.0],
+              {"mean": [0.0], "std": [1.0, 2.0], "constant_mask": [False]},
+              {"mean": 0.0, "std": 1.0, "constant_mask": False},
+              {"mean": [0.0], "std": [-1.0], "constant_mask": [False]}):
+        with pytest.raises(FormatError):
+            Normalizer.from_dict(d)
+
+
+@pytest.mark.parametrize("raw", [
+    b"{\xff}", b'{"n": ' + b"1" * 5000 + b"}", b"[" * 100_000, b"{", b"[1]",
+    '{"a": 1}'.encode("utf-16")],
+    ids=["not-utf8", "huge-integer", "deep-nesting", "truncated", "list", "utf16"])
+def test_read_json_object_raises_the_given_error_for_anything_but_an_object(raw):
     with pytest.raises(FormatError):
-        Normalizer.from_dict([0.0, 1.0])
+        read_json_object(raw, "input")
+    with pytest.raises(ConfigError, match="^input: "):
+        read_json_object(raw, "input", ConfigError)
+    assert read_json_object(b'{"a": [1]}', "input") == {"a": [1]}
+
+
+def test_json_is_parsed_only_by_read_json_object():
+    # Every JSON input goes through the one reader that maps every parse
+    # failure to an exit code; a second json.loads would drift from it.
+    calls = []
+    for path in sorted(Path(cn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                    and getattr(node.value, "id", None) == "json" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls.append((path.name, owner.get(node), node.lineno))
+    assert [(f, fn) for f, fn, _ in calls] == [("data.py", "read_json_object")], calls
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,8 @@ def test_checkpoint_round_trip_preserves_everything(tmp_path):
     checkpoint_save(model, state, path, train_config=cfg,
                     extra={"note": "round-trip"})
 
-    loaded, loaded_state = checkpoint_load(path)
+    loaded, loaded_state, extra = checkpoint_load(path)
+    assert extra == {"note": "round-trip"}
     assert params_equal(model.params, loaded.params)
     assert all(np.array_equal(state.velocities[n], loaded_state.velocities[n])
                for n in state.velocities)
@@ -285,7 +286,7 @@ def test_resume_matches_uninterrupted_training(tmp_path):
                   TrainConfig(**{**cfg.to_dict(), "epochs": 3}), state)
     path = tmp_path / "mid.cmpn"
     checkpoint_save(resumed, state, path, train_config=cfg)
-    loaded, loaded_state = checkpoint_load(path)
+    loaded, loaded_state, _ = checkpoint_load(path)
     fit(loaded, train, test, cfg, loaded_state, history)
 
     assert params_equal(straight.params, loaded.params)
