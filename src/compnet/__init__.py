@@ -9,9 +9,8 @@ deterministic training loop with bit-exact checkpoints
 (:mod:`compnet.train`), and a command-line interface (:mod:`compnet.cli`).
 """
 
-from .autodiff import (GradCheckReport, Tape, Tensor, add, backward,
-                       from_array, grad_check, matmul, mul, reduce_sum,
-                       reshape, sub, tensor_new, zeros, zeros_like)
+from .autodiff import (GradCheckReport, Tape, Tensor, backward, from_array,
+                       grad_check, mul, reduce_sum, reshape, tensor_new)
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
@@ -19,11 +18,10 @@ from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
                          NumericError, ShapeError, TapeError, VariantError)
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, cross_entropy, dense, fusion_weight_matrix,
-                     leaky_relu, maxpool2d, softmax)
+                     leaky_relu, maxpool2d)
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
-                     clone_config, conv_stack_geometry,
-                     extract_weight_matrices, feature_importance, forward,
-                     predict)
+                     conv_stack_geometry, extract_weight_matrices,
+                     feature_importance, forward, predict)
 from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
@@ -31,9 +29,8 @@ from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GradCheckReport", "Tape", "Tensor", "add", "backward", "from_array",
-    "grad_check", "matmul", "mul", "reduce_sum", "reshape", "sub",
-    "tensor_new", "zeros", "zeros_like",
+    "GradCheckReport", "Tape", "Tensor", "backward", "from_array",
+    "grad_check", "mul", "reduce_sum", "reshape", "tensor_new",
     "Dataset", "Normalizer", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",
@@ -41,8 +38,8 @@ __all__ = [
     "ShapeError", "TapeError", "VariantError",
     "ConvParams", "DenseParams", "FusionShape", "concat_columns", "conv2d",
     "cross_entropy", "dense", "fusion_weight_matrix", "leaky_relu",
-    "maxpool2d", "softmax",
-    "ImportanceReport", "Model", "ModelConfig", "build_model", "clone_config",
+    "maxpool2d",
+    "ImportanceReport", "Model", "ModelConfig", "build_model",
     "conv_stack_geometry", "extract_weight_matrices", "feature_importance",
     "forward", "predict",
     "EpochRecord", "History", "Metrics", "OptimState", "TrainConfig",

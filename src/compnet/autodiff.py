@@ -60,18 +60,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         tracked = f", node={self.node_id}" if self.grad_tracked else ""
         return f"Tensor(shape={list(self.shape)}{tracked})"
@@ -168,61 +156,14 @@ def from_array(a) -> Tensor:
     return Tensor(a)
 
 
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.zeros(_validated_shape(shape)), _own=True)
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape), _own=True)
-
-
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {list(a.shape)} and {list(b.shape)} differ")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    out = a.data + b.data
-
-    def backward(g):
-        return g, g
-
-    return wrap_result(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return g, -g
-
-    return wrap_result(out, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
+    """Elementwise product of two tensors of the same shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {list(a.shape)} and {list(b.shape)} differ")
     out = a.data * b.data
 
     def backward(g):
         return g * b.data, g * a.data
-
-    return wrap_result(out, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"matmul needs rank-2 operands, got ranks {a.data.ndim} and {b.data.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {list(a.shape)} x {list(b.shape)}")
-    out = a.data @ b.data
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
 
     return wrap_result(out, (a, b), backward)
 

@@ -342,7 +342,7 @@ def cmd_eval(args) -> int:
     chosen = _select_split(ds, args.split, extra)
 
     norm_file = extra.get("normalizer_file", "normalizer.json")
-    if not isinstance(norm_file, str):
+    if not isinstance(norm_file, str) or Path(norm_file).name != norm_file:
         raise FormatError(f"checkpoint normalizer_file must be a file name, got {norm_file!r}")
     norm_path = Path(args.checkpoint).parent / norm_file
     if not norm_path.exists():

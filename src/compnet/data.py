@@ -153,10 +153,11 @@ class Normalizer:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Normalizer":
         try:
-            return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                       std=np.asarray(d["std"], dtype=np.float64),
-                       constant_mask=np.asarray(d["constant_mask"], dtype=bool))
-        except (KeyError, TypeError, ValueError, ShapeError, DataError) as exc:
+            return cls(mean=check_type("mean", d["mean"], tuple[float, ...]),
+                       std=check_type("std", d["std"], tuple[float, ...]),
+                       constant_mask=check_type("constant_mask", d["constant_mask"],
+                                                tuple[bool, ...]))
+        except (KeyError, TypeError, ConfigError, ShapeError, DataError) as exc:
             raise FormatError(f"normalizer json is malformed: {exc!r}") from None
 
 
@@ -385,6 +386,10 @@ def load_dataset(manifest_path) -> Dataset:
         features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
         raise FormatError(f"features.csv: non-numeric value: {exc}") from None
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"features.csv: sample {ids[int(finite.argmin())]}: "
+                          f"a value is not a finite double")
 
     label_ids, label_rows = _read_csv_rows(base / files["labels"],
                                            ["id", "label"], n)

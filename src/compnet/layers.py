@@ -1,6 +1,6 @@
 """Differentiable network layers.
 
-Convolution, pooling, dense, LeakyReLU, softmax and cross-entropy cover
+Convolution, pooling, dense, LeakyReLU and cross-entropy cover
 the image pathway; ``fusion_weight_matrix`` is the composite scoring
 layer that reinterprets a learned vector as a per-class weight matrix and
 dots each row with the designed-feature vector.  All layers register
@@ -140,7 +140,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         if not need_x:
             return None, g_k, g_b
         # grad wrt input is the full correlation of g with the spatially
-        # flipped kernels, channel roles swapped; one matmul via im2col
+        # flipped kernels, channel roles swapped; one gemm via im2col
         # over the zero-padded output gradient.
         g_pad = np.zeros((batch, f, h + kh - 1, w + kw - 1))
         g_pad[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
@@ -275,26 +275,8 @@ def fusion_weight_matrix(learned: Tensor, shape: FusionShape, designed: Tensor) 
     return wrap_result(out, (learned, designed), backward)
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Row-wise softmax of ``[B, k]`` logits, max-subtracted for stability."""
-    if logits.data.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError(
-            f"softmax needs [batch, classes>=2] logits, got {list(logits.shape)}")
-    if not np.isfinite(logits.data).all():
-        raise NumericError("softmax received non-finite logits")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        inner = (g * probs).sum(axis=1, keepdims=True)
-        return (probs * (g - inner),)
-
-    return wrap_result(probs, (logits,), backward)
-
-
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy of ``[B, k]`` logits against int labels.
+    """Mean cross-entropy of ``[B, k]`` logits against int labels.
 
     Computed through the fused log-sum-exp form
     ``logsumexp(row) - row[label]`` so no probability is materialized on

@@ -22,7 +22,7 @@ loop can pull gradients for every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -122,11 +122,11 @@ class Model:
     config: ModelConfig
     layer_names: list[str]
     params: dict[str, np.ndarray]
-    param_order: list[str] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if not self.param_order:
-            self.param_order = list(self.params)
+    @property
+    def param_order(self) -> list[str]:
+        """Parameter names in creation order, the order checkpoints use."""
+        return list(self.params)
 
     @property
     def param_count(self) -> int:
@@ -362,13 +362,3 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
     ranking = np.argsort(-importance, axis=1, kind="stable")
     return ImportanceReport(importance=importance, ranking=ranking)
 
-
-def clone_config(cfg: ModelConfig, **overrides) -> ModelConfig:
-    """New config with selected fields replaced (re-validated).
-
-    ``learned_width`` is re-derived whenever the variant or the fusion
-    dimensions change, unless the caller pins it explicitly.
-    """
-    if {"fusion_kind", "n_classes", "n_features"} & set(overrides):
-        overrides.setdefault("learned_width", None)
-    return replace(cfg, **overrides)

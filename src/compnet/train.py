@@ -109,13 +109,6 @@ class History:
             raise DataError("history is empty")
         return self.records[-1]
 
-    def final_gap(self) -> float:
-        """Train minus test accuracy at the last test-evaluated epoch."""
-        for rec in reversed(self.records):
-            if rec.test is not None:
-                return rec.train.accuracy - rec.test.accuracy
-        raise DataError("history holds no test evaluations")
-
 
 @dataclass
 class OptimState:

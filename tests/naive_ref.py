@@ -8,20 +8,6 @@ not against itself.
 import numpy as np
 
 
-def matmul_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def conv2d_ref(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation, stride 1, one bias per output filter."""
     batch, c_in, h, w = x.shape

@@ -394,11 +394,16 @@ def test_eval_rejects_mistyped_checkpoint_split_settings(
 
 def test_eval_rejects_a_normalizer_file_that_is_not_a_name(
         trained_run, small_dataset_dir, tmp_path):
-    ckpt = copy_with_header(
-        trained_run, tmp_path / "run",
-        lambda h: {**h, "extra": {**h["extra"], "normalizer_file": 5}})
-    assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(small_dataset_dir)]) == 3
+    # Both paths lead to a valid normalizer, so only the name check stops them.
+    other = tmp_path / "other" / "normalizer.json"
+    other.parent.mkdir()
+    shutil.copy(trained_run / "normalizer.json", other)
+    for i, name in enumerate([5, "../other/normalizer.json", str(other)]):
+        ckpt = copy_with_header(
+            trained_run, tmp_path / f"run{i}",
+            lambda h: {**h, "extra": {**h["extra"], "normalizer_file": name}})
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(small_dataset_dir)]) == 3, name
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +857,33 @@ def test_a_mutated_json_input_ends_in_an_exit_code(
             argv = ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
                     "--data", str(tmp / "ds"), "--out", str(tmp / "imp.csv")]
         assert main(argv) in (0, 2, 3, 4)
+
+
+# Plain text, float reprs (``nan`` and ``inf`` among them) and integers
+# past Python's 4,300-digit parsing limit.
+CSV_CELLS = st.one_of(
+    st.text(max_size=6), st.floats().map(repr),
+    st.integers(4301, 5000).map(lambda digits: "7" * digits))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), cell=CSV_CELLS)
+def test_a_mutated_csv_cell_ends_in_an_exit_code(
+        trained_run, small_dataset_dir, data, cell):
+    # A features cell either parses to a finite double or is a format
+    # error; a labels cell may also parse to a label outside the classes.
+    name, allowed = data.draw(st.sampled_from([("features.csv", (0, 3)),
+                                               ("labels.csv", (0, 2, 3))]))
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = shutil.copytree(small_dataset_dir, Path(tmp) / "ds")
+        lines = (ds / name).read_text(encoding="utf-8").split("\n")
+        row = data.draw(st.integers(1, len(lines) - 2))  # a body row
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(1, len(cells) - 1))] = cell
+        lines[row] = ",".join(cells)
+        (ds / name).write_text("\n".join(lines), encoding="utf-8")
+        assert main(["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                     "--data", str(ds), "--out", str(Path(tmp) / "imp.csv")]) in allowed
 
 
 def with_ff_byte(raw):

@@ -346,9 +346,14 @@ def _edit_csv_cell(path, row, col, value):
     ("features.csv", 2, "abc"),    # non-numeric feature cell
     ("features.csv", 2, ""),       # empty feature cell
     ("features.csv", 3, None),     # features row with too few fields
+    ("features.csv", 2, "1e999"),  # feature cells that parse to no finite double
+    ("features.csv", 2, "9" * 5000),
+    ("features.csv", 2, "inf"),
+    ("features.csv", 2, "nan"),
     ("labels.csv", 1, "1.5"),      # non-integer label
     ("labels.csv", 1, None),       # labels row without a label
-], ids=["feature-text", "feature-empty", "feature-short-row", "label-float",
+], ids=["feature-text", "feature-empty", "feature-short-row", "feature-overflow",
+        "feature-5000-digits", "feature-inf", "feature-nan", "label-float",
         "label-missing"])
 def test_load_rejects_malformed_csv_cells(tmp_path, file, col, value):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
@@ -410,7 +415,10 @@ def test_normalizer_from_a_json_list_is_a_format_error():
     for d in ([0.0, 1.0],
               {"mean": [0.0], "std": [1.0, 2.0], "constant_mask": [False]},
               {"mean": 0.0, "std": 1.0, "constant_mask": False},
-              {"mean": [0.0], "std": [-1.0], "constant_mask": [False]}):
+              {"mean": [0.0], "std": [-1.0], "constant_mask": [False]},
+              {"mean": ["0.5"], "std": [1.0], "constant_mask": [False]},
+              {"mean": [0.0], "std": [1.0], "constant_mask": ["no"]},
+              {"mean": [float("nan")], "std": [1.0], "constant_mask": [False]}):
         with pytest.raises(FormatError):
             Normalizer.from_dict(d)
 

@@ -273,26 +273,7 @@ def test_fusion_width_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# softmax / cross_entropy
-
-def test_softmax_values():
-    assert np.array_equal(cn.softmax(tensor_new([1, 2], [0, 0])).data,
-                          [[0.5, 0.5]])
-    out = cn.softmax(tensor_new([1, 2], [math.log(2), 0])).data
-    assert np.max(np.abs(out - [2 / 3, 1 / 3])) <= 1e-12
-
-
-def test_softmax_rows_sum_to_one():
-    logits = from_array(np.random.default_rng(7).normal(size=(20, 5)) * 3)
-    sums = cn.softmax(logits).data.sum(axis=1)
-    assert np.max(np.abs(sums - 1.0)) <= 1e-12
-
-
-def test_softmax_is_stable_for_large_logits():
-    out = cn.softmax(tensor_new([1, 2], [1000.0, 0.0])).data
-    assert np.isfinite(out).all()
-    assert abs(out.sum() - 1.0) <= 1e-12
-
+# cross_entropy
 
 def test_cross_entropy_uniform_binary():
     loss = cn.cross_entropy(tensor_new([1, 2], [0, 0]), np.array([0]))

@@ -146,15 +146,6 @@ def test_history_enforces_increasing_epochs():
         history.append(cn.EpochRecord(epoch=1, train=m, running=m))
 
 
-def test_final_gap_uses_last_test_evaluation():
-    history = History()
-    mk = lambda acc: Metrics(loss=0.1, accuracy=acc, n=10)
-    history.append(cn.EpochRecord(epoch=1, train=mk(0.9), running=mk(0.5),
-                                  test=mk(0.7)))
-    history.append(cn.EpochRecord(epoch=2, train=mk(0.95), running=mk(0.6)))
-    assert abs(history.final_gap() - 0.2) <= 1e-15
-
-
 def test_early_stopping_with_patience():
     model = tiny_model()
     train = tiny_dataset(n=12, seed=1)
