@@ -28,6 +28,9 @@ class Tensor:
 
     ``node_id`` is the handle assigned by the owning tape; ``None`` means
     the tensor is a plain value and operations on it are not recorded.
+    Arrays handed over with ``_own`` keep their memory layout (conv2d's
+    output stays a transposed view of its gemm result); any other input
+    is copied row-major.
     """
 
     __slots__ = ("data", "node_id", "_tape")
@@ -35,7 +38,7 @@ class Tensor:
     def __init__(self, data, *, _tape: "Tape | None" = None,
                  _node_id: int | None = None, _own: bool = False):
         if _own:
-            arr = np.asarray(data, dtype=np.float64, order="C")
+            arr = np.asarray(data, dtype=np.float64)
         else:
             arr = np.array(data, dtype=np.float64, order="C", copy=True)
         arr.flags.writeable = False

@@ -160,10 +160,14 @@ def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 over ``[B, C, H, W]``.
 
     The output is the elementwise maximum of the four strided views
-    ``x[:, :, r::2, q::2]``, so nothing is copied but the result.  Spatial
-    dims must be even.  When ``x`` is tracked, each window also records
-    its winner (0-3, row-major), the first maximal element, so ties route
-    the gradient deterministically even on constant inputs.
+    ``x[:, :, r::2, q::2]``, so nothing is copied but the result, and any
+    layout of ``x`` (conv2d's transposed output included) is read in
+    place.  Spatial dims must be even.  When ``x`` is tracked, each window
+    also records its winner, the first maximal element, so ties route the
+    gradient deterministically even on constant inputs.  The int8 winner
+    is the row-major position 0-3 of that element, built without masked
+    writes as ``ne0 * (1 + ne1 * (1 + ne2))`` where ``ne_i`` is 1 when
+    view ``i`` differs from the maximum.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d input must be rank 4, got shape {list(x.shape)}")
@@ -176,17 +180,20 @@ def maxpool2d(x: Tensor) -> Tensor:
     np.maximum(out, views[2], out=out)
     np.maximum(out, views[3], out=out)
     if x.grad_tracked:
-        # Later positions first, so the lowest maximal index is written last.
-        winners = np.full(out.shape, 3, dtype=np.int8)
-        for i in (2, 1, 0):
-            winners[views[i] == out] = i
+        winners = np.empty(out.shape, dtype=np.int8)
+        np.not_equal(views[2], out, out=winners)
+        for i in (1, 0):
+            winners += 1
+            winners *= views[i] != out
 
     def backward(g):
-        g_x = np.zeros((batch, c, h, w), dtype=g.dtype)
+        # g_x[b, c, 2i + r, 2j + q] lives at slot [b, c, i, r, j, q]; every
+        # slot is written, so nothing needs zeroing first.
+        g_x = np.empty((batch, c, h // 2, 2, w // 2, 2), dtype=g.dtype)
         for i in range(4):
             r, q = divmod(i, 2)
-            np.copyto(g_x[:, :, r::2, q::2], g, where=winners == i)
-        return (g_x,)
+            g_x[:, :, :, r, :, q] = np.where(winners == i, g, 0.0)
+        return (g_x.reshape(batch, c, h, w),)
 
     return wrap_result(out, (x,), backward)
 

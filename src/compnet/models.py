@@ -13,7 +13,10 @@ pool per stage, then flatten and a dense stack):
 One layer plan (``_layer_plan``) lists a variant's steps in forward
 order; parameter initialization, ``Model.layer_names`` and the forward
 pass are all read off it, so the variants differ only in the steps the
-plan holds.
+plan holds.  The plan lists each trunk stage as conv -> leaky_relu ->
+pool, and so do the layer names and checkpoints, but the forward pass
+pools first (``_run_plan``): LeakyReLU is monotone, so the pooled values
+are the same bits and the activation runs on a quarter of the elements.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -240,10 +243,25 @@ def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None
 
 def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
               features: Tensor | None, stop: str | None = None) -> Tensor:
-    """Apply the layer plan to a batch, returning early at the first ``stop`` step."""
+    """Apply the layer plan to a batch, returning early at the first ``stop`` step.
+
+    Trunk stages execute as conv -> pool -> leaky_relu although the plan
+    lists conv -> leaky_relu -> pool.  ``x -> max(x, slope * x)`` with a
+    correctly rounded multiply is monotone non-decreasing for
+    ``0 < slope < 1``, so the max of the activated window is the
+    activation of the window's max, bit for bit, and the logits are
+    unchanged.  Gradients route to the same element except where the
+    activation rounds two different negative inputs of one window to the
+    same value: pooling first then routes to the true maximum, where the
+    plan's order would route to the first of the tied activations.
+    """
     cfg = model.config
+    steps = _layer_plan(cfg)
+    for i in range(len(steps) - 1):
+        if steps[i].op == "relu" and steps[i + 1].op == "pool":
+            steps[i], steps[i + 1] = steps[i + 1], steps[i]
     x = images
-    for layer in _layer_plan(cfg):
+    for layer in steps:
         if layer.op == stop:
             break
         if layer.op == "conv":

@@ -132,6 +132,54 @@ def test_maxpool_gradient_matches_loop_reference_on_ties():
     assert np.array_equal(grads[xt.node_id].data, maxpool2d_grad_ref(x, g))
 
 
+def test_maxpool_reads_conv_output_layout_in_place():
+    # conv2d returns a transposed view of its gemm result; pooling it must
+    # give the same bits and routing as pooling a row-major copy.  Integer
+    # images and kernels keep every conv output integer-valued, so windows
+    # tie often.
+    rng = np.random.default_rng(11)
+    x = rng.integers(0, 2, size=(3, 2, 7, 9)).astype(float)
+    params = ConvParams(from_array(rng.integers(-1, 2, size=(3, 2, 2, 2)).astype(float)),
+                        from_array(np.zeros(3)))
+    conv_out = cn.conv2d(from_array(x), params)
+    assert not conv_out.data.flags.c_contiguous
+    g = rng.normal(size=(3, 3, 3, 4))
+    results = []
+    for data in (conv_out.data, np.ascontiguousarray(conv_out.data)):
+        tape = Tape()
+        xt = tape.watch(Tensor(data, _own=True))
+        assert xt.data.flags.c_contiguous == (data is not conv_out.data)
+        out = cn.maxpool2d(xt)
+        grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+        results.append((out.data, grads[xt.node_id].data))
+    (out_view, grad_view), (out_copy, grad_copy) = results
+    assert out_view.tobytes() == out_copy.tobytes() == maxpool2d_ref(conv_out.data).tobytes()
+    expected = maxpool2d_grad_ref(np.ascontiguousarray(conv_out.data), g)
+    assert grad_view.tobytes() == grad_copy.tobytes() == expected.tobytes()
+
+
+def test_pool_first_routes_a_leaky_relu_rounding_tie_to_the_true_maximum():
+    # 0.01 * x rounds both top-row inputs to the same double, so after the
+    # activation the window ties; before it, index 1 is strictly larger.
+    x = np.array([[-7.323588919656446, -7.323588919656445],
+                  [-30.0, -40.0]]).reshape(1, 1, 2, 2)
+    assert x[0, 0, 0, 0] < x[0, 0, 0, 1]
+    assert 0.01 * x[0, 0, 0, 0] == 0.01 * x[0, 0, 0, 1]
+    grads = {}
+    for order in ("pool_first", "relu_first"):
+        tape = Tape()
+        xt = tape.watch(from_array(x))
+        if order == "pool_first":
+            out = cn.leaky_relu(cn.maxpool2d(xt), 0.01)
+        else:
+            out = cn.maxpool2d(cn.leaky_relu(xt, 0.01))
+        grads[order] = (out.data, backward(reduce_sum(out))[xt.node_id].data)
+    assert grads["pool_first"][0].tobytes() == grads["relu_first"][0].tobytes()
+    # The trunk pools first: the gradient reaches index 1, the true maximum.
+    assert np.array_equal(grads["pool_first"][1].reshape(4), [0.0, 0.01, 0.0, 0.0])
+    assert np.array_equal(grads["relu_first"][1].reshape(4), [0.01, 0.0, 0.0, 0.0])
+
+
 def test_maxpool_rejects_odd_spatial_dims():
     with pytest.raises(ShapeError):
         cn.maxpool2d(from_array(np.ones((1, 1, 3, 4))))

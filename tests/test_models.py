@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import compnet as cn
-from compnet import (ConfigError, DataError, ModelConfig, ShapeError, Tensor,
-                     VariantError, build_model, conv_stack_geometry,
+from compnet import (ConfigError, ConvParams, DataError, DenseParams,
+                     FusionShape, ModelConfig, ShapeError, Tape, Tensor,
+                     VariantError, backward, build_model, conv_stack_geometry,
                      extract_weight_matrices, feature_importance, forward,
-                     from_array, predict)
+                     from_array, models, predict)
+from compnet.models import FUSION_KINDS, tracked_forward
 from conftest import INFORMATIVE
 
 
@@ -196,6 +198,119 @@ def test_input_validation():
     with pytest.raises(DataError):
         bad = np.full((3, 1, 8, 8), np.nan)
         forward(model, from_array(bad), features)
+
+
+# ---------------------------------------------------------------------------
+# trunk execution order: the plan lists conv -> leaky_relu -> pool, the
+# forward pass pools first
+
+def two_stage_cfg(**overrides):
+    return tiny_cfg(image_shape=(1, 14, 14), conv_filters=(2, 3), **overrides)
+
+
+def test_trunk_pools_before_each_leaky_relu(monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(x, *args):
+            calls.append((name, x.shape))
+            return fn(x, *args)
+        return wrapper
+
+    monkeypatch.setattr(models, "leaky_relu", recording("leaky_relu", models.leaky_relu))
+    monkeypatch.setattr(models, "maxpool2d", recording("maxpool2d", models.maxpool2d))
+    model = build_model(two_stage_cfg())
+    assert model.layer_names[:6] == [
+        "conv2d(1->2, 3x3)", "leaky_relu", "maxpool2d(2x2)",
+        "conv2d(2->3, 3x3)", "leaky_relu", "maxpool2d(2x2)"]
+    images, features = _random_inputs(model.config, batch=2)
+    expected = [("maxpool2d", (2, 2, 12, 12)), ("leaky_relu", (2, 2, 6, 6)),
+                ("maxpool2d", (2, 3, 4, 4)), ("leaky_relu", (2, 3, 2, 2)),
+                ("leaky_relu", (2, 3))]
+    forward(model, images, features)
+    assert calls == expected
+    calls.clear()
+    tracked_forward(model, Tape(), images, features)
+    assert calls == expected
+
+
+def _relu_then_pool_forward(model, p, images, features):
+    """The plan's listed order composed by hand; returns the logits and
+    each stage's conv output."""
+    cfg = model.config
+    slope = cfg.leaky_slope
+    x, conv_outs = images, []
+    for i in range(len(cfg.conv_filters)):
+        x = cn.conv2d(x, ConvParams(p[f"conv{i}.kernels"], p[f"conv{i}.bias"]))
+        conv_outs.append(x.data)
+        x = cn.maxpool2d(cn.leaky_relu(x, slope))
+    x = cn.reshape(x, (x.shape[0], cfg.flat_width))
+    for i in range(len(cfg.dense_hidden)):
+        x = cn.dense(x, DenseParams(p[f"dense{i}.weights"], p[f"dense{i}.bias"]))
+        x = cn.leaky_relu(x, slope)
+        if i == 0 and cfg.fusion_kind == "concat":
+            x = cn.concat_columns(x, features)
+    x = cn.dense(x, DenseParams(p["out.weights"], p["out.bias"]))
+    if cfg.fusion_kind == "compnet":
+        x = cn.fusion_weight_matrix(
+            x, FusionShape.of(cfg.n_classes, cfg.n_features), features)
+    return x, conv_outs
+
+
+def _windows(x):
+    """``[B, C, H, W]`` as its 2x2 pooling windows, ``[B, C, H/2, W/2, 4]``."""
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        b, c, h // 2, w // 2, 4)
+
+
+def test_pool_first_forward_and_gradients_equal_relu_then_pool():
+    rng = np.random.default_rng(21)
+    shape = (6, 1, 14, 14)
+    batches = {
+        "random": rng.normal(size=shape),
+        # Mostly zeros plus small integers: many windows tie exactly.
+        "integer": np.where(rng.random(shape) < 0.9, 0.0,
+                            rng.integers(1, 3, size=shape).astype(float)),
+    }
+    for kind in FUSION_KINDS:
+        model = build_model(two_stage_cfg(fusion_kind=kind, seed=4))
+        cfg = model.config
+        # Non-zero biases, so zero images do not pin every conv output at 0.
+        model.set_params({n: rng.normal(scale=0.1, size=v.shape) if n.endswith(".bias")
+                          else v for n, v in model.params.items()})
+        for name, data in batches.items():
+            images = from_array(data)
+            features = from_array(rng.normal(size=(shape[0], cfg.n_features)))
+            labels = rng.integers(0, cfg.n_classes, size=shape[0])
+
+            plain = {n: from_array(v) for n, v in model.params.items()}
+            ref_logits, conv_outs = _relu_then_pool_forward(model, plain, images, features)
+            logits = forward(model, images, features)
+            assert logits.data.tobytes() == ref_logits.data.tobytes(), (kind, name)
+
+            # Gradients may only differ where leaky_relu rounds two different
+            # inputs of a window to one value; these inputs have none.
+            tied_windows = 0
+            for conv_out in conv_outs:
+                win = _windows(conv_out)
+                activated = np.maximum(win, cfg.leaky_slope * win)
+                assert np.array_equal(win.argmax(axis=-1), activated.argmax(axis=-1))
+                tied_windows += int(((win == win.max(axis=-1, keepdims=True))
+                                     .sum(axis=-1) > 1).sum())
+            assert (tied_windows > 0) == (name == "integer")
+
+            tape = Tape()
+            logits, watched = tracked_forward(model, tape, images, features)
+            grads = backward(cn.cross_entropy(logits, labels))
+            ref_tape = Tape()
+            ref_watched = {n: ref_tape.watch(from_array(v)) for n, v in model.params.items()}
+            ref_logits, _ = _relu_then_pool_forward(model, ref_watched, images, features)
+            ref_grads = backward(cn.cross_entropy(ref_logits, labels))
+            assert logits.data.tobytes() == ref_logits.data.tobytes(), (kind, name)
+            for n in model.param_order:
+                assert (grads[watched[n].node_id].data.tobytes()
+                        == ref_grads[ref_watched[n].node_id].data.tobytes()), (kind, name, n)
 
 
 # ---------------------------------------------------------------------------
