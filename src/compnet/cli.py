@@ -61,46 +61,37 @@ class SplitSettings(DictConfig):
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
-def _resolve_model_config(model_section: Mapping, ds: Dataset,
-                          fusion_kind: str, seed: int | None = None) -> ModelConfig:
-    """Merge the config file's model section with dataset-derived shapes.
+def _resolve_configs(config: Mapping, ds: Dataset, fusion_kind: str, *, seed: int | None = None,
+                     epochs: int | None = None, split_seed: int | None = None
+                     ) -> tuple[ModelConfig, TrainConfig, SplitSettings]:
+    """A run's configs from a parsed config file, its dataset and the flags.
 
-    Shapes stated in the section are checked like any field, then must
-    match the dataset's.
+    ``seed`` overrides the model and shuffle seeds, ``epochs`` the epoch
+    count and ``split_seed`` the split seed.  Shapes stated in the model
+    section are checked like any field, then must match the dataset's.
     """
-    section = {"image_shape": ds.image_shape, "n_classes": ds.n_classes,
-               "n_features": ds.n_features, **model_section, "fusion_kind": fusion_kind}
-    if fusion_kind != "compnet":
-        section.pop("learned_width", None)
-    if seed is not None:
-        section["seed"] = seed
-    config = ModelConfig.from_dict(section)
-    for key in ("image_shape", "n_classes", "n_features"):
-        got, value = getattr(config, key), getattr(ds, key)
-        if got != value:
-            raise ConfigError(f"config {key} = {got} does not match dataset {value}")
-    return config
-
-
-def _resolve_train_config(train_section: Mapping, epochs: int | None = None,
-                          seed: int | None = None) -> TrainConfig:
-    section = dict(train_section)
-    if epochs is not None:
-        section["epochs"] = epochs
-    if seed is not None:
-        section["seed"] = seed
-    return TrainConfig.from_dict(section)
-
-
-def _split_sections(config: Mapping) -> tuple[dict, dict, dict]:
-    unknown = set(config) - {"model", "train", "split"}
+    sections = {name: config.get(name, {}) for name in ("model", "train", "split")}
+    unknown = set(config) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name in ("model", "train", "split"):
-        if name in config and not isinstance(config[name], dict):
+    for name, section in sections.items():
+        if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-    return (dict(config.get("model", {})), dict(config.get("train", {})),
-            dict(config.get("split", {})))
+    for name, key, value in (("model", "seed", seed), ("train", "seed", seed),
+                             ("train", "epochs", epochs), ("split", "seed", split_seed)):
+        if value is not None:  # a flag wins over the file
+            sections[name] = {**sections[name], key: value}
+    model = {"image_shape": ds.image_shape, "n_classes": ds.n_classes,
+             "n_features": ds.n_features, **sections["model"], "fusion_kind": fusion_kind}
+    if fusion_kind != "compnet":
+        model.pop("learned_width", None)
+    split_settings = SplitSettings.from_dict(sections["split"])
+    model_cfg = ModelConfig.from_dict(model)
+    for key in ("image_shape", "n_classes", "n_features"):
+        got, value = getattr(model_cfg, key), getattr(ds, key)
+        if got != value:
+            raise ConfigError(f"config {key} = {got} does not match dataset {value}")
+    return model_cfg, TrainConfig.from_dict(sections["train"]), split_settings
 
 
 @dataclass
@@ -173,14 +164,9 @@ class ComparisonResult:
     results: dict[tuple[str, int], RunResult]
 
 
-def _train_job(ds: Dataset, sections: tuple[dict, dict, dict], seed: int,
-               kind: str) -> RunResult:
-    """One comparison run: resolve its configs from the seed, then train."""
-    model_section, train_section, split_section = sections
-    split_settings = SplitSettings.from_dict({**split_section, "seed": seed})
-    model_cfg = _resolve_model_config(model_section, ds, kind, seed=seed)
-    train_cfg = _resolve_train_config(train_section, seed=seed)
-    return run_training(ds, model_cfg, train_cfg, split_settings)
+def _train_job(ds: Dataset, config: Mapping, seed: int, kind: str) -> RunResult:
+    """One comparison run: its seed sets the model, shuffle and split seeds."""
+    return run_training(ds, *_resolve_configs(config, ds, kind, seed=seed, split_seed=seed))
 
 
 def _default_jobs() -> int:
@@ -212,10 +198,9 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     come in the serial order, seeds outer and kinds inner, and the first
     run in that order that fails raises its exception after ``on_row``
     has seen exactly the rows before it; no run starts once a failure
-    has come in.  No child outlives the call.  An empty ``seeds`` is a
-    ``ConfigError``, raised before any run starts.
+    has come in.  No child outlives the call.  A ``ConfigError`` for an
+    empty ``seeds`` or from the first run's configs comes before any run.
     """
-    sections = _split_sections(config)
     kinds = list(model_kinds)
     for kind in kinds:
         if kind not in FUSION_KINDS:
@@ -226,10 +211,11 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     if not seeds:
         raise ConfigError("run_comparison needs at least one seed")
     plan = [(int(seed), kind) for seed in seeds for kind in kinds]
+    _resolve_configs(config, ds, plan[0][1], seed=plan[0][0], split_seed=plan[0][0])
     from .forkpool import ordered_results  # see its module docstring
     rows: list[dict] = []
     results: dict[tuple[str, int], RunResult] = {}
-    with ordered_results(_train_job, (ds, sections), plan,
+    with ordered_results(_train_job, (ds, config), plan,
                          min(_default_jobs(), len(plan))) as finished:
         for (seed, kind), result in zip(plan, finished):
             row = {
@@ -293,13 +279,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config_json(args.config) if args.config else {}
-    model_section, train_section, split_section = _split_sections(config)
     ds = load_dataset(args.data)
-    split_settings = SplitSettings.from_dict(split_section)
-    model_cfg = _resolve_model_config(model_section, ds, args.model,
-                                      seed=args.seed)
-    train_cfg = _resolve_train_config(train_section, epochs=args.epochs,
-                                      seed=args.seed)
+    model_cfg, train_cfg, split_settings = _resolve_configs(
+        config, ds, args.model, seed=args.seed, epochs=args.epochs)
     result = run_training(ds, model_cfg, train_cfg, split_settings)
 
     out = Path(args.out)

@@ -341,7 +341,8 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
 def load_dataset(manifest_path) -> Dataset:
     """Read a dataset directory back; inverse of :func:`save_dataset`.
 
-    ``manifest_path`` may be the manifest file or its directory.
+    ``manifest_path`` may be the manifest file or its directory.  Any
+    inconsistency in the files is a :class:`FormatError`.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -386,10 +387,6 @@ def load_dataset(manifest_path) -> Dataset:
         features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
         raise FormatError(f"features.csv: non-numeric value: {exc}") from None
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"features.csv: sample {ids[int(finite.argmin())]}: "
-                          f"a value is not a finite double")
 
     label_ids, label_rows = _read_csv_rows(base / files["labels"],
                                            ["id", "label"], n)
@@ -399,7 +396,10 @@ def load_dataset(manifest_path) -> Dataset:
         labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"labels.csv: non-integer label: {exc}") from None
-    return Dataset(ids, images, features, labels, n_classes, provenance)
+    try:
+        return Dataset(ids, images, features, labels, n_classes, provenance)
+    except DataError as exc:  # a class count, value or label the columns refuse
+        raise FormatError(f"{base}: {exc}") from None
 
 
 def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:

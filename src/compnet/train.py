@@ -11,8 +11,9 @@ Checkpoint layout (little-endian):
 * magic ``b"CMPN"``
 * format version, u32
 * header length, u64
-* UTF-8 JSON header: model config, training config echo, parameter
-  names and shapes in order, completed-epoch counter, free-form extras
+* UTF-8 JSON header: model config, training config echo, completed-epoch
+  counter, free-form extras, and the parameter names and shapes in order,
+  which must equal those of the model built from the model config
 * one float64 payload per parameter, then one per velocity, header order
 """
 
@@ -233,6 +234,12 @@ def fit(model: Model, train: Dataset, test: Dataset | None,
     return history
 
 
+def _param_table(model: Model) -> list[dict]:
+    """The checkpoint header's ``params``: each parameter's name and shape, in order."""
+    return [{"name": name, "shape": list(model.params[name].shape)}
+            for name in model.param_order]
+
+
 def checkpoint_save(model: Model, opt_state: OptimState, path,
                     train_config: TrainConfig | None = None,
                     extra: Mapping | None = None) -> Path:
@@ -240,23 +247,17 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     header = {
         "model_config": model.config.to_dict(),
         "train_config": train_config.to_dict() if train_config else None,
-        "params": [{"name": name, "shape": list(model.params[name].shape)}
-                   for name in model.param_order],
+        "params": _param_table(model),
         "epoch": opt_state.epoch,
         "extra": dict(extra) if extra else {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC,
-              struct.pack("<I", CHECKPOINT_VERSION),
-              struct.pack("<Q", len(header_bytes)),
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
               header_bytes]
-    for name in model.param_order:
-        chunks.append(model.params[name].astype("<f8").tobytes())
-    for name in model.param_order:
-        chunks.append(opt_state.velocities[name].astype("<f8").tobytes())
-    out = Path(path)
-    write_atomic(out, b"".join(chunks))
-    return out
+    for arrays in (model.params, opt_state.velocities):
+        chunks.extend(arrays[name].astype("<f8").tobytes() for name in model.param_order)
+    write_atomic(Path(path), b"".join(chunks))
+    return Path(path)
 
 
 def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
@@ -268,56 +269,36 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    version = struct.unpack("<I", blob[4:8])[0]
+    version, header_len = struct.unpack("<IQ", blob[4:16])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    header_len = struct.unpack("<Q", blob[8:16])[0]
     if len(blob) < 16 + header_len:
         raise FormatError(f"{path}: truncated header")
     header = read_json_object(blob[16:16 + header_len], f"{path}: checkpoint header")
-    for key in ("model_config", "params", "epoch"):
-        if key not in header:
-            raise FormatError(f"{path}: checkpoint header missing {key!r}")
-    if not isinstance(header["model_config"], dict):
-        raise FormatError(f"{path}: checkpoint model_config must be an object")
-    entries = header["params"]
-    if not isinstance(entries, list) or not all(
-            isinstance(p, dict) and isinstance(p.get("name"), str)
-            and isinstance(p.get("shape"), list)
-            and all(type(d) is int for d in p["shape"]) for p in entries):
-        raise FormatError(f"{path}: checkpoint params must be a list of name/shape objects")
     extra = header.get("extra") or {}
-    if type(header["epoch"]) is not int or not isinstance(extra, dict):
-        raise FormatError(f"{path}: checkpoint epoch must be an integer and extra an object")
+    if not isinstance(header.get("model_config"), dict) \
+            or type(header.get("epoch")) is not int or not isinstance(extra, dict):
+        raise FormatError(f"{path}: checkpoint header needs a model_config object, "
+                          f"an integer epoch and an extra object")
     try:
         config = ModelConfig.from_dict(header["model_config"])
     except ConfigError as exc:
         raise FormatError(f"{path}: checkpoint model_config is invalid: {exc}") from None
     model = models_mod.build_model(config)
-    names = [p["name"] for p in entries]
-    shapes = {p["name"]: tuple(p["shape"]) for p in entries}
-    if names != model.param_order:
-        raise FormatError(f"{path}: checkpoint parameters do not match the "
-                          f"model built from its config")
-    for name in names:
-        if shapes[name] != model.params[name].shape:
-            raise FormatError(
-                f"{path}: parameter {name} has shape {list(shapes[name])}, "
-                f"model expects {list(model.params[name].shape)}")
+    # As JSON text, so that a shape of 2.0 or true differs from 2 and 1.
+    if json.dumps(header.get("params"), sort_keys=True) != \
+            json.dumps(_param_table(model), sort_keys=True):
+        raise FormatError(f"{path}: checkpoint params do not match the model "
+                          f"built from its config")
     payload = blob[16 + header_len:]
-    total = sum(int(np.prod(shapes[n])) for n in names)
-    if len(payload) != 16 * total:
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {16 * total}")
+    if len(payload) != 16 * model.param_count:
+        raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
+                          f"model needs {16 * model.param_count}")
     values = np.frombuffer(payload, dtype="<f8")
-    params: dict[str, np.ndarray] = {}
-    velocities: dict[str, np.ndarray] = {}
-    offset = 0
-    for target in (params, velocities):
-        for name in names:
-            count = int(np.prod(shapes[name]))
-            target[name] = values[offset:offset + count].astype(
-                np.float64).reshape(shapes[name])
-            offset += count
-    model.set_params(params)
+    arrays, offset = [], 0
+    for like in [*model.params.values()] * 2:  # the parameters, then their velocities
+        arrays.append(values[offset:offset + like.size].astype(np.float64).reshape(like.shape))
+        offset += like.size
+    velocities = dict(zip(model.param_order, arrays[len(model.params):]))
+    model.set_params(dict(zip(model.param_order, arrays)))
     return model, OptimState(velocities=velocities, epoch=header["epoch"]), extra

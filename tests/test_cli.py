@@ -67,19 +67,40 @@ def test_generate_same_seed_same_bytes(tmp_path):
            (tmp_path / "c" / "images.bin").read_bytes()
 
 
+# The sha256 of every file of the recorded byte-identity protocol: the
+# dataset, each variant's training artifacts and a two-seed comparison.
+RECORDED_SHA256 = {
+    "data/manifest.json": "d6e5b9d896dd65d59457ea8a13d28a570f5fd8ffcee1683c92cf5e3fc347ef79",
+    "data/images.bin": "5a9554770f0df981c11a689b44e86a8e9d885dd42087308a92117681cc2879b9",
+    "data/features.csv": "2fa7e4bcb8a54c5d26b919256a20830e912d9cd239cd29d96d0b6b8d53915571",
+    "data/labels.csv": "8134f38d1341525a305b1cd3fb333b08554f74a99ac305e728e3b6eeafa51ea3",
+    "compnet/checkpoint.cmpn": "2b9c7f264b7b94b5769c3f9a95296da66807f750da030d76fa977edb7c1e7735",
+    "compnet/history.csv": "be4a2b224202ab435cbb385c2bda0e43474a1524d46601d9d672d3806420b446",
+    "compnet/normalizer.json": "f6eb781766eb52de8e98880590d2642527efb68f1e4fc033f8a1da70dd307d4f",
+    "image_only/checkpoint.cmpn": "029298113d22be495c3465093e6e843d062de1fa5ac904f13a5c5b5af0df725a",
+    "image_only/history.csv": "541691b8d95174270acadeebe678f6aa77d9cf2d7dd2e3e05de48e596df72f0e",
+    "image_only/normalizer.json": "f6eb781766eb52de8e98880590d2642527efb68f1e4fc033f8a1da70dd307d4f",
+    "concat/checkpoint.cmpn": "748638bfa9774a85a7571cd2e7f2be5c839de536efda42abbe1ba271d41db514",
+    "concat/history.csv": "da7bc01de3cbe47b35849525f79a12bbfd40f6ea9b0a4dacf2b53454aeec3a48",
+    "concat/normalizer.json": "f6eb781766eb52de8e98880590d2642527efb68f1e4fc033f8a1da70dd307d4f",
+    "cmp/compare.csv": "c3fc7366addf315ec81e4cc15d71ef994010a4115875a5ef1324fc5c6e3776e0",
+}
+
+
+def assert_recorded_bytes(root, prefix):
+    names = [name for name in RECORDED_SHA256 if name.startswith(prefix)]
+    assert names
+    for name in names:
+        assert hashlib.sha256((root / name).read_bytes()).hexdigest() == \
+               RECORDED_SHA256[name], name
+
+
 def test_generate_writes_the_recorded_dataset_bytes(tmp_path):
     # Pins the on-disk format and the generator: any change to either
     # changes at least one of these digests.
-    assert main(["generate", "--out", str(tmp_path), "--seed", "4",
+    assert main(["generate", "--out", str(tmp_path / "data"), "--seed", "4",
                  "--n-samples", "400"]) == 0
-    expected = {
-        "manifest.json": "d6e5b9d896dd65d59457ea8a13d28a570f5fd8ffcee1683c92cf5e3fc347ef79",
-        "images.bin": "5a9554770f0df981c11a689b44e86a8e9d885dd42087308a92117681cc2879b9",
-        "features.csv": "2fa7e4bcb8a54c5d26b919256a20830e912d9cd239cd29d96d0b6b8d53915571",
-        "labels.csv": "8134f38d1341525a305b1cd3fb333b08554f74a99ac305e728e3b6eeafa51ea3",
-    }
-    for name, digest in expected.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert_recorded_bytes(tmp_path, "data/")
 
 
 def test_generate_rejects_bad_spec_file(tmp_path):
@@ -145,10 +166,46 @@ def test_train_flag_overrides_epochs(small_dataset_dir, tiny_config, tmp_path):
     assert len(lines) == 3
 
 
+def test_train_seed_sets_the_model_and_shuffle_seeds_but_not_the_split_seed(
+        small_dataset_dir, tmp_path):
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["split"]["seed"] = 3
+    out = tmp_path / "run"
+    assert train_small(small_dataset_dir, write_json(tmp_path / "c.json", config), out,
+                       extra=("--seed", "5", "--epochs", "1")) == 0
+    blob = (out / "checkpoint.cmpn").read_bytes()
+    header = json.loads(blob[16:16 + struct.unpack("<Q", blob[8:16])[0]])
+    assert header["model_config"]["seed"] == header["train_config"]["seed"] == 5
+    assert header["extra"]["split"]["seed"] == 3
+
+
+def test_a_comparison_seed_sets_the_model_shuffle_and_split_seeds(
+        small_dataset, monkeypatch):
+    train_seeds = {}
+    real_run = cli.run_training
+
+    def record(ds, model_cfg, train_cfg, split_settings):
+        train_seeds[(model_cfg.fusion_kind, split_settings.seed)] = train_cfg.seed
+        return real_run(ds, model_cfg, train_cfg, split_settings)
+
+    monkeypatch.setattr(cli, "_default_jobs", lambda: 1)  # record in this process
+    monkeypatch.setattr(cli, "run_training", record)
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"].update(epochs=1, seed=8)
+    config["model"]["seed"] = 9
+    config["split"]["seed"] = 7
+    result = cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2])
+    assert sorted(result.results) == sorted(train_seeds)
+    for (kind, seed), run in result.results.items():
+        assert run.split_settings.seed == run.model.config.seed == seed
+        assert train_seeds[(kind, seed)] == seed
+
+
 def test_train_writes_the_recorded_artifact_bytes(tmp_path):
     # Pins the numerics of the whole training path (kernels, optimizer,
-    # history and checkpoint writers) on the dataset pinned above.
-    data = tmp_path / "ds"
+    # history, normalizer, checkpoint and comparison writers) for every
+    # variant, on the dataset pinned above.
+    data = tmp_path / "data"
     assert main(["generate", "--out", str(data), "--seed", "4",
                  "--n-samples", "400"]) == 0
     config = write_json(tmp_path / "config.json", {
@@ -156,14 +213,12 @@ def test_train_writes_the_recorded_artifact_bytes(tmp_path):
         "train": {"epochs": 3, "batch_size": 64, "learning_rate": 0.012,
                   "eval_every": 2},
         "split": {"train_fraction": 0.75, "stratified": True}})
-    out = tmp_path / "run"
-    assert train_small(data, config, out) == 0
-    expected = {
-        "history.csv": "be4a2b224202ab435cbb385c2bda0e43474a1524d46601d9d672d3806420b446",
-        "checkpoint.cmpn": "2b9c7f264b7b94b5769c3f9a95296da66807f750da030d76fa977edb7c1e7735",
-    }
-    for name, digest in expected.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    for kind in ("compnet", "image_only", "concat"):
+        assert train_small(data, config, tmp_path / kind, model=kind) == 0
+    assert main(["compare", "--config", config, "--data", str(data),
+                 "--models", "compnet,concat", "--seeds", "1,2",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert_recorded_bytes(tmp_path, "")
 
 
 def test_train_rejects_inconsistent_width(small_dataset_dir, tmp_path):
@@ -338,8 +393,15 @@ def copy_with_header(run_dir, dst, edit):
     lambda h: {**h, "epoch": True},
     lambda h: {**h, "extra": [1]},
     lambda h: {**h, "model_config": 5},
+    lambda h: {**h, "params": h["params"][::-1]},
+    lambda h: {**h, "params": h["params"][:-1]},
+    lambda h: {**h, "params": [*h["params"], {"name": "extra.w", "shape": [1]}]},
+    lambda h: {**h, "params": [{**p, "shape": [p["shape"][0] + (i == 0), *p["shape"][1:]]}
+                               for i, p in enumerate(h["params"])]},
 ], ids=["number", "params-number", "params-without-shape", "params-float-shapes",
-        "epoch-text", "epoch-bool", "extra-list", "model_config-number"])
+        "epoch-text", "epoch-bool", "extra-list", "model_config-number",
+        "params-reordered", "params-entry-dropped", "params-entry-added",
+        "params-shape-off-by-one"])
 def test_malformed_checkpoint_header_is_a_format_error(
         trained_run, small_dataset_dir, tmp_path, edit):
     ckpt = copy_with_header(trained_run, tmp_path / "run", edit)
@@ -900,18 +962,38 @@ def with_oversize_field(raw):
     return raw + b"s9," + b"1" * 140_000 + b"\n"
 
 
+# Files that parse, holding values the dataset refuses.
+def with_nan_first_pixel(raw):
+    return struct.pack("<d", float("nan")) + raw[8:]
+
+
+def with_inf_last_pixel(raw):
+    return raw[:-8] + struct.pack("<d", float("-inf"))
+
+
+def with_one_class(raw):
+    return json.dumps({**json.loads(raw), "n_classes": 1}).encode("utf-8")
+
+
+def with_label_out_of_range(raw):
+    header, first, rest = raw.split(b"\n", 2)
+    return b"\n".join([header, first.rsplit(b",", 1)[0] + b",2", rest])
+
+
 RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     "config": ("config.json", 2), "spec": ("spec.json", 2),
     "manifest": ("ds/manifest.json", 3), "features": ("ds/features.csv", 3),
-    "labels": ("ds/labels.csv", 3), "header": ("run/checkpoint.cmpn", 3),
-    "normalizer": ("run/normalizer.json", 3),
+    "labels": ("ds/labels.csv", 3), "images": ("ds/images.bin", 3),
+    "header": ("run/checkpoint.cmpn", 3), "normalizer": ("run/normalizer.json", 3),
 }
 
 
 @pytest.mark.parametrize("target,corrupt", [
     *((t, c) for t in ("config", "spec", "manifest", "header", "normalizer")
       for c in (with_ff_byte, with_huge_integer)),
-    *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field))])
+    *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field)),
+    ("images", with_nan_first_pixel), ("images", with_inf_last_pixel),
+    ("manifest", with_one_class), ("labels", with_label_out_of_range)])
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
     shutil.copytree(trained_run, tmp_path / "run")

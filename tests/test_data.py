@@ -274,7 +274,7 @@ def test_load_rejects_out_of_range_label(tmp_path):
     lines = (root / "labels.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",2"
     (root / "labels.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError):
+    with pytest.raises(FormatError, match="label 2 outside"):
         load_dataset(root)
 
 

@@ -232,6 +232,32 @@ def test_checkpoint_round_trip_preserves_everything(tmp_path):
                           cn.forward(loaded, images, feats).data)
 
 
+@pytest.mark.parametrize("kind", ["compnet", "image_only", "concat"])
+def test_checkpoint_round_trip_is_bit_exact_for_every_variant(tmp_path, kind):
+    # Two conv stages and two hidden layers, saved after SGD steps so the
+    # velocities are not zero.
+    model = tiny_model(seed=3, image_shape=(1, 14, 14), conv_filters=(2, 3),
+                       dense_hidden=(3, 2), fusion_kind=kind)
+    ds = generate_synthetic(SynthSpec(n_samples=12, image_shape=(1, 14, 14),
+                                      n_features=4, n_informative=2, seed=3))
+    state = init_optim_state(model)
+    fit(model, ds, None, TrainConfig(epochs=1, batch_size=4, seed=3), state)
+    assert all(v.any() for v in state.velocities.values())
+    path = tmp_path / "model.cmpn"
+    checkpoint_save(model, state, path)
+
+    loaded, loaded_state, _ = checkpoint_load(path)
+    assert list(loaded.params) == list(model.params)
+    for name, value in model.params.items():
+        assert loaded.params[name].tobytes() == value.tobytes(), name
+        assert loaded_state.velocities[name].tobytes() == \
+               state.velocities[name].tobytes(), name
+    assert loaded_state.epoch == state.epoch == 1
+    images, features, _ = next(ds.batches(12))
+    assert cn.forward(loaded, images, features).data.tobytes() == \
+           cn.forward(model, images, features).data.tobytes()
+
+
 def test_checkpoint_rejects_corrupted_magic(tmp_path):
     model = tiny_model()
     path = tmp_path / "model.cmpn"
