@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -285,6 +285,9 @@ def cmd_train(args) -> int:
     result = run_training(ds, model_cfg, train_cfg, split_settings)
 
     out = Path(args.out)
+    # A checkpoint is written last, so one left from an earlier run must go
+    # first: eval would otherwise pair it with this run's other artifacts.
+    (out / "checkpoint.cmpn").unlink(missing_ok=True)
     write_atomic(out / "history.csv", history_csv(result.history).encode("utf-8"))
     write_atomic(out / "normalizer.json",
                  (json.dumps(result.normalizer.to_dict(), sort_keys=True) + "\n").encode("utf-8"))
@@ -310,9 +313,11 @@ def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
             f"checkpoint does not record split settings; cannot select "
             f"--split {which} (use --split all)")
     try:
-        settings = SplitSettings(train_fraction=settings["train_fraction"],
-                                 seed=settings["seed"], stratified=settings["stratified"])
-    except (KeyError, TypeError, ConfigError) as exc:
+        missing = {f.name for f in fields(SplitSettings)} - set(settings)
+        if missing:
+            raise ConfigError(f"missing keys {sorted(missing)}")
+        settings = SplitSettings.from_dict(settings)
+    except (TypeError, ConfigError) as exc:
         raise FormatError(f"checkpoint split settings are malformed: {exc}") from None
     train_ds, test_ds = split(ds, settings.train_fraction, settings.seed, settings.stratified)
     return train_ds if which == "train" else test_ds

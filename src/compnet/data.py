@@ -5,7 +5,8 @@ Each sample couples an image with a designed-feature vector and a
 label.  A ``Dataset`` holds them column-wise: one read-only array each
 for images, features and labels, plus the sample ids, validated once
 when the dataset is built.  Subsetting, normalizing, batching,
-generating, loading and saving all work on whole columns.
+generating, loading and saving all work on whole columns, and what they
+derive from a dataset is not validated again.
 
 The synthetic generator plants class evidence in both modalities
 independently: each modality's evidence agrees with the true label only
@@ -20,6 +21,14 @@ On-disk layout (one directory per dataset):
 * ``labels.csv``    — ``id,label`` rows.
 
 Everything round-trips bit-exactly.
+
+The CSV files are read once each as text.  When ``csv.reader`` could only
+split that text at its commas and ``\\n`` line ends (no quotes, ``\\r`` or
+NUL, no over-long line, the expected header, ``n`` body lines of the
+expected width), the ids come from splitting the lines and the features
+from NumPy's C parser.  Otherwise, or when the C parser refuses a cell,
+the per-cell reader (``csv.reader`` and Python's ``float``) runs: it
+defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
@@ -47,8 +56,12 @@ class Dataset:
     ``images`` ``[n, C, H, W]``, ``features`` ``[n, N]`` and ``labels``
     ``[n]`` line up row for row with ``ids``.  The dataset takes the
     arrays over without copying, marks them read-only and validates them
-    once, here; models and the trainer consume them through
-    :meth:`batches`.
+    once, here.  What is derived from a dataset relies on that single
+    check: :meth:`subset` and :func:`zscore_apply` take its columns over
+    without scanning them again (``zscore_apply`` checks only the features
+    it computes), and the batches of :meth:`batches` are
+    :class:`CheckedBatch` tensors, which models do not re-scan for
+    non-finite values.
     """
 
     def __init__(self, ids: Sequence[str], images: np.ndarray, features: np.ndarray,
@@ -63,9 +76,7 @@ class Dataset:
                 f"features {list(features.shape)}, labels {list(labels.shape)}")
         if int(n_classes) < 2:
             raise DataError(f"need at least 2 classes, got {n_classes}")
-        finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(features).all(axis=1)
-        if not finite.all():
-            raise DataError(f"sample {ids[int(np.argmin(finite))]}: non-finite values")
+        _check_finite(ids, images, features)
         bad = (labels < 0) | (labels >= n_classes)
         if bad.any():
             i = int(np.argmax(bad))
@@ -78,6 +89,21 @@ class Dataset:
         self.n_features = features.shape[1]
         self.n_classes = int(n_classes)
         self.provenance = dict(provenance or {})
+
+    def _derive(self, ids: list[str], images: np.ndarray, features: np.ndarray,
+                labels: np.ndarray, provenance: Mapping) -> "Dataset":
+        """A dataset of rows of this one's checked columns, built without checks.
+
+        ``features`` may be new; the caller checks it with :func:`_check_finite`.
+        """
+        ds = object.__new__(Dataset)
+        for column in (images, features, labels):
+            column.flags.writeable = False
+        ds._ids = ids
+        ds._images, ds._features, ds._labels = images, features, labels
+        ds.image_shape, ds.n_features = self.image_shape, self.n_features
+        ds.n_classes, ds.provenance = self.n_classes, dict(provenance)
+        return ds
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -96,9 +122,9 @@ class Dataset:
 
     def subset(self, indices: Iterable[int], provenance_note: Mapping | None = None) -> "Dataset":
         idx = np.fromiter(indices, dtype=np.intp)
-        return Dataset([self._ids[i] for i in idx], self._images[idx], self._features[idx],
-                       self._labels[idx], self.n_classes,
-                       {**self.provenance, **(provenance_note or {})})
+        return self._derive([self._ids[i] for i in idx], self._images[idx],
+                            self._features[idx], self._labels[idx],
+                            {**self.provenance, **(provenance_note or {})})
 
     def batches(self, size: int, order: np.ndarray | None = None
                 ) -> Iterator[tuple[Tensor, Tensor, np.ndarray]]:
@@ -109,8 +135,30 @@ class Dataset:
         """
         for start in range(0, len(self), size):
             rows = slice(start, start + size) if order is None else order[start:start + size]
-            yield (Tensor(self._images[rows], _own=True),
-                   Tensor(self._features[rows], _own=True), self._labels[rows])
+            yield (CheckedBatch(self._images[rows], _own=True),
+                   CheckedBatch(self._features[rows], _own=True), self._labels[rows])
+
+
+class CheckedBatch(Tensor):
+    """Rows of a ``Dataset`` column, which the dataset has checked to be finite."""
+
+    __slots__ = ()
+
+
+def _check_finite(ids: Sequence[str], *columns: np.ndarray) -> None:
+    """Raise ``DataError`` naming the first sample with a non-finite value.
+
+    A column's sum is finite unless the column holds a NaN or an infinity
+    or its finite values overflow the sum, so a valid column is read once,
+    with no temporary array; the per-sample pass runs only after a
+    non-finite sum.
+    """
+    if all(np.isfinite(column.sum()) for column in columns):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(column).reshape(len(column), -1).all(axis=1) for column in columns])
+    if not finite.all():
+        raise DataError(f"sample {ids[int(np.argmin(finite))]}: non-finite values")
 
 
 @dataclass
@@ -172,9 +220,15 @@ def zscore_fit(train: Dataset) -> Normalizer:
 
 
 def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
-    """New dataset whose features are ``(x - mean) / std`` under ``norm``."""
-    return Dataset(ds.ids(), ds.images(), norm.transform(ds.features()), ds.labels(),
-                   ds.n_classes, {**ds.provenance, "normalized": True})
+    """New dataset whose features are ``(x - mean) / std`` under ``norm``.
+
+    Images and labels come over from ``ds`` as they are; the new features
+    are checked, since the transform can overflow.
+    """
+    features = norm.transform(ds.features())
+    _check_finite(ds._ids, features)
+    return ds._derive(ds._ids, ds.images(), features, ds.labels(),
+                      {**ds.provenance, "normalized": True})
 
 
 @dataclass
@@ -343,6 +397,11 @@ def load_dataset(manifest_path) -> Dataset:
 
     ``manifest_path`` may be the manifest file or its directory.  Any
     inconsistency in the files is a :class:`FormatError`.
+
+    A CSV file that :func:`_plain_csv_lines` accepts is split without
+    ``csv.reader`` and its features parsed by NumPy's C parser, to the same
+    ids and bits; any other file, or a cell the C parser refuses, goes to
+    the per-cell reader, which is the definition and raises the errors.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -381,25 +440,79 @@ def load_dataset(manifest_path) -> Dataset:
             f"images payload holds {size} bytes, manifest implies {8 * expected}")
     images = np.fromfile(images_path, dtype="<f8").reshape((n, *image_shape))
 
-    ids, rows = _read_csv_rows(base / files["features"],
-                               ["id"] + [f"f{j}" for j in range(n_features)], n)
-    try:
-        features = np.array(rows, dtype=np.float64).reshape((n, n_features))
-    except ValueError as exc:
-        raise FormatError(f"features.csv: non-numeric value: {exc}") from None
-
-    label_ids, label_rows = _read_csv_rows(base / files["labels"],
-                                           ["id", "label"], n)
+    ids, features = _read_features(base / files["features"], n, n_features)
+    label_ids, label_cells = _read_label_cells(base / files["labels"], n)
     if label_ids != ids:
         raise FormatError("labels.csv sample ids do not match features.csv")
     try:
-        labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
+        labels = np.array([int(cell) for cell in label_cells], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"labels.csv: non-integer label: {exc}") from None
     try:
         return Dataset(ids, images, features, labels, n_classes, provenance)
     except DataError as exc:  # a class count, value or label the columns refuse
         raise FormatError(f"{base}: {exc}") from None
+
+
+def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.ndarray]:
+    """The ids and the ``[n, n_features]`` float64 matrix of ``features.csv``.
+
+    The C parser accepts a subset of what ``float()`` accepts (not ``1_0``
+    or non-ASCII digits) and rounds it to the same doubles; what it
+    refuses, the per-cell reader judges.
+    """
+    header = ["id"] + [f"f{j}" for j in range(n_features)]
+    lines = _plain_csv_lines(path, header, n)
+    if lines is not None:
+        try:
+            features = np.loadtxt(lines, delimiter=",", usecols=range(1, n_features + 1),
+                                  comments=None, dtype=np.float64, ndmin=2)
+            return [line.partition(",")[0] for line in lines], features
+        except ValueError:  # a cell the C parser refuses: the reader below judges it
+            pass
+    ids, rows = _read_csv_rows(path, header, n)
+    try:
+        features = np.array(rows, dtype=np.float64).reshape((n, n_features))
+    except ValueError as exc:
+        raise FormatError(f"features.csv: non-numeric value: {exc}") from None
+    return ids, features
+
+
+def _read_label_cells(path: Path, n: int) -> tuple[list[str], list[str]]:
+    """The ids and the label cells of ``labels.csv``, split as :func:`_read_features` does."""
+    header = ["id", "label"]
+    lines = _plain_csv_lines(path, header, n)
+    if lines is None:
+        ids, rows = _read_csv_rows(path, header, n)
+        return ids, [row[0] for row in rows]
+    ids, _, cells = zip(*(line.partition(",") for line in lines))
+    return list(ids), list(cells)
+
+
+def _plain_csv_lines(path: Path, header: list[str], n: int) -> list[str] | None:
+    """The ``n`` body lines of a CSV file that ``csv.reader`` could only split at
+    its commas and ``\\n`` line ends, else ``None``.
+
+    That is a UTF-8 file with no ``"``, ``\\r`` or NUL, no line longer than
+    the csv field size limit, the expected header, and exactly ``n`` body
+    lines of ``len(header)`` fields each.  ``None`` leaves every judgment
+    to :func:`_read_csv_rows`.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "\r" in text or "\0" in text or n < 1 or len(header) < 2:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    commas = len(header) - 1
+    if len(lines) != n + 1 or lines[0] != ",".join(header) \
+            or max(map(len, lines)) > csv.field_size_limit() \
+            or any(line.count(",") != commas for line in lines):
+        return None
+    return lines[1:]
 
 
 def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:

@@ -33,6 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import DictConfig, require_min
+from .data import CheckedBatch
 from .exceptions import ConfigError, DataError, ShapeError, VariantError
 from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, dense, fusion_weight_matrix, leaky_relu,
@@ -217,12 +218,13 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 def _check_images(model: Model, images: Tensor) -> None:
+    """Shape, then finiteness unless the batch came from a checked ``Dataset``."""
     cfg = model.config
     if images.data.ndim != 4 or images.shape[1:] != cfg.image_shape:
         raise ShapeError(
             f"images must be [B, {', '.join(map(str, cfg.image_shape))}], "
             f"got {list(images.shape)}")
-    if not np.isfinite(images.data).all():
+    if not isinstance(images, CheckedBatch) and not np.isfinite(images.data).all():
         raise DataError("images contain non-finite values")
 
 
@@ -237,7 +239,7 @@ def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None
         raise ShapeError(
             f"features must be [{images.shape[0]}, {cfg.n_features}], "
             f"got {list(features.shape)}")
-    if not np.isfinite(features.data).all():
+    if not isinstance(features, CheckedBatch) and not np.isfinite(features.data).all():
         raise DataError("features contain non-finite values")
 
 

@@ -13,6 +13,7 @@ import time  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 import compnet as cn  # noqa: E402
 from compnet.cli import run_comparison  # noqa: E402
@@ -69,3 +70,10 @@ TINY_CLI_CONFIG = {
               "eval_every": 1},
     "split": {"train_fraction": 0.75, "stratified": True},
 }
+
+
+# Plain text, float reprs (``nan`` and ``inf`` among them) and integers
+# past Python's 4,300-digit parsing limit.
+CSV_CELLS = st.one_of(
+    st.text(max_size=6), st.floats().map(repr),
+    st.integers(4301, 5000).map(lambda digits: "7" * digits))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import compnet as cn
 from compnet import cli
 from compnet.cli import SplitSettings, main
-from conftest import TINY_CLI_CONFIG
+from conftest import CSV_CELLS, TINY_CLI_CONFIG
 
 
 def write_json(path, payload):
@@ -310,6 +310,25 @@ def test_missing_dataset_is_an_io_error(tiny_config, tmp_path):
     assert train_small(tmp_path / "nowhere", tiny_config, tmp_path / "run") == 3
 
 
+def test_a_failed_train_leaves_no_stale_checkpoint(
+        small_dataset_dir, tiny_config, tmp_path, monkeypatch):
+    # Run B fails after writing its history and normalizer over run A's;
+    # A's checkpoint must not stay behind for eval to pair with them.
+    out = tmp_path / "run"
+    assert train_small(small_dataset_dir, tiny_config, out, extra=["--epochs", "1"]) == 0
+    other = tmp_path / "other"
+    cn.save_dataset(cn.generate_synthetic(
+        cn.SynthSpec(n_samples=80, image_shape=(1, 12, 12), seed=5)), other)
+
+    def no_space(*args, **kwargs):
+        raise OSError("no space left on device")
+    monkeypatch.setattr(cli, "checkpoint_save", no_space)
+    assert train_small(other, tiny_config, out, extra=["--epochs", "1"]) == 3
+    assert not (out / "checkpoint.cmpn").exists()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.cmpn"),
+                 "--data", str(other)]) != 0
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -450,6 +469,19 @@ def test_eval_rejects_mistyped_checkpoint_split_settings(
         trained_run, tmp_path / "run",
         lambda h: {**h, "extra": {**h["extra"],
                                   "split": {**h["extra"]["split"], **override}}})
+    assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                 str(small_dataset_dir), "--split", "test"]) == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda split: {**split, "shuffle": True},
+    lambda split: {k: v for k, v in split.items() if k != "seed"}],
+    ids=["extra-key", "missing-key"])
+def test_eval_rejects_checkpoint_split_settings_with_other_keys(
+        trained_run, small_dataset_dir, tmp_path, edit):
+    ckpt = copy_with_header(
+        trained_run, tmp_path / "run",
+        lambda h: {**h, "extra": {**h["extra"], "split": edit(h["extra"]["split"])}})
     assert main(["eval", "--checkpoint", str(ckpt), "--data",
                  str(small_dataset_dir), "--split", "test"]) == 3
 
@@ -919,13 +951,6 @@ def test_a_mutated_json_input_ends_in_an_exit_code(
             argv = ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
                     "--data", str(tmp / "ds"), "--out", str(tmp / "imp.csv")]
         assert main(argv) in (0, 2, 3, 4)
-
-
-# Plain text, float reprs (``nan`` and ``inf`` among them) and integers
-# past Python's 4,300-digit parsing limit.
-CSV_CELLS = st.one_of(
-    st.text(max_size=6), st.floats().map(repr),
-    st.integers(4301, 5000).map(lambda digits: "7" * digits))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

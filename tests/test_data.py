@@ -2,12 +2,16 @@
 and stratified splitting."""
 
 import ast
+import csv
 import json
 import math
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compnet as cn
 from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
@@ -15,6 +19,7 @@ from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
                      render_template, save_dataset, split, zscore_apply,
                      zscore_fit)
 from compnet.data import read_json_object
+from conftest import CSV_CELLS
 
 
 def make_dataset(n=4, shape=(1, 4, 4), n_features=3, n_classes=2, labels=None):
@@ -363,6 +368,101 @@ def test_load_rejects_malformed_csv_cells(tmp_path, file, col, value):
 
 
 # ---------------------------------------------------------------------------
+# the C-parser fast path of load_dataset against the per-cell reader
+
+def _load_outcome(root):
+    """What ``load_dataset`` gives: the columns, or the error's class and message."""
+    try:
+        ds = load_dataset(root)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.ids(), ds.features(), ds.labels()
+
+
+def _assert_loads_as_the_per_cell_reader(root):
+    fast = _load_outcome(root)
+    with mock.patch.object(cn.data, "_plain_csv_lines", lambda *args: None):
+        reference = _load_outcome(root)
+    if isinstance(reference[0], type):
+        assert fast == reference
+        return
+    assert not isinstance(fast[0], type), fast
+    (ids, features, labels), (ref_ids, ref_features, ref_labels) = fast, reference
+    assert ids == ref_ids
+    assert features.dtype == ref_features.dtype and features.shape == ref_features.shape
+    assert features.tobytes() == ref_features.tobytes()
+    assert labels.dtype == ref_labels.dtype and labels.tolist() == ref_labels.tolist()
+
+
+def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch):
+    ds = make_dataset(5, n_features=4)
+    root = save_dataset(ds, tmp_path / "d").parent
+
+    def per_cell(*args):
+        raise AssertionError("the per-cell reader ran")
+    monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
+    back = load_dataset(root)
+    assert back.ids() == ds.ids()
+    assert back.features().tobytes() == ds.features().tobytes()
+    assert back.labels().tolist() == ds.labels().tolist()
+
+
+def _set_cell(value, row=2, col=1):
+    def edit(text):
+        lines = text.split("\n")
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        return "\n".join(lines)
+    return edit
+
+
+EDGE_CASES = {
+    "underscore": _set_cell("1_0"),            # float() and int() take it, loadtxt does not
+    "arabic-indic-digit": _set_cell("\u0661"),  # likewise
+    "leading-space": _set_cell(" 1.5"),
+    "spaced-id": _set_cell(" s1 ", col=0),
+    "quoted": _set_cell('"1.5"'),
+    "hash": _set_cell("#"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank-body-line": lambda text: text.replace("\n", "\n\n", 1),
+    "no-final-newline": lambda text: text.rstrip("\n"),
+    "oversize-field": _set_cell("1" * (csv.field_size_limit() + 1)),
+}
+
+
+@pytest.mark.parametrize("file", ["features.csv", "labels.csv"])
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_an_edge_case_loads_as_the_per_cell_reader_loads_it(tmp_path, file, case):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    path = root / file
+    path.write_bytes(EDGE_CASES[case](path.read_text(encoding="utf-8")).encode("utf-8"))
+    _assert_loads_as_the_per_cell_reader(root)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), cell=CSV_CELLS)
+def test_a_mutated_csv_loads_as_the_per_cell_reader_loads_it(data, cell):
+    # One cell of a line, or the whole line, is replaced or removed.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = save_dataset(make_dataset(3), Path(tmp) / "d").parent
+        path = root / data.draw(st.sampled_from(["features.csv", "labels.csv"]))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row = data.draw(st.integers(0, len(lines) - 2))
+        cells = lines[row].split(",")
+        what = data.draw(st.sampled_from(["cell", "drop-cell", "line", "drop-line"]))
+        if what == "cell":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = cell
+        elif what == "drop-cell":
+            del cells[data.draw(st.integers(0, len(cells) - 1))]
+        elif what == "line":
+            cells = data.draw(st.lists(CSV_CELLS, max_size=len(cells) + 1))
+        lines[row:row + 1] = [] if what == "drop-line" else [",".join(cells)]
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        _assert_loads_as_the_per_cell_reader(root)
+
+
+# ---------------------------------------------------------------------------
 # z-scoring
 
 def test_zscore_hand_example():
@@ -399,6 +499,15 @@ def test_zscore_uses_only_fit_statistics():
     assert not np.array_equal(norm_train.mean, norm_both.mean)
     out = zscore_apply(norm_train, shifted).features()
     assert out.mean() > 1.0  # shifted data stays shifted under train stats
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_zscore_apply_rejects_features_the_transform_overflows():
+    ds = make_dataset(2, n_features=1)
+    ds = Dataset(ds.ids(), ds.images(), np.array([[1e300], [0.0]]), ds.labels(), 2)
+    norm = Normalizer(mean=[0.0], std=[1e-11], constant_mask=[False])
+    with pytest.raises(DataError, match="sample s0: non-finite values"):
+        zscore_apply(norm, ds)
 
 
 def test_normalizer_round_trips_through_dict():

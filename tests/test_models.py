@@ -198,6 +198,8 @@ def test_input_validation():
     with pytest.raises(DataError):
         bad = np.full((3, 1, 8, 8), np.nan)
         forward(model, from_array(bad), features)
+    with pytest.raises(DataError):
+        forward(model, images, from_array(np.full((3, model.config.n_features), np.nan)))
 
 
 # ---------------------------------------------------------------------------
