@@ -10,7 +10,7 @@ deterministic training loop with bit-exact checkpoints
 """
 
 from .autodiff import (GradCheckReport, Tape, Tensor, backward, from_array,
-                       grad_check, mul, reduce_sum, reshape, tensor_new)
+                       grad_check, mul, reduce_sum, reshape)
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GradCheckReport", "Tape", "Tensor", "backward", "from_array",
-    "grad_check", "mul", "reduce_sum", "reshape", "tensor_new",
+    "grad_check", "mul", "reduce_sum", "reshape",
     "Dataset", "Normalizer", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",

@@ -143,17 +143,6 @@ def _validated_shape(shape: Sequence[int]) -> Shape:
     return tuple(int(d) for d in dims)
 
 
-def tensor_new(shape: Sequence[int], values: Sequence[float]) -> Tensor:
-    """Build a tensor from ``values`` laid out row-major over ``shape``."""
-    dims = _validated_shape(shape)
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size != count:
-        raise ShapeError(
-            f"shape {list(dims)} needs {count} values, got {vals.size}")
-    return Tensor(vals.reshape(dims))
-
-
 def from_array(a) -> Tensor:
     """Copy any array-like into an untracked tensor."""
     return Tensor(a)

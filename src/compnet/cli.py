@@ -24,7 +24,7 @@ from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, read_json_object, save_dataset, split,
                    write_atomic, zscore_apply, zscore_fit)
-from .exceptions import CompnetError, ConfigError, DataError, FormatError
+from .exceptions import CompnetError, ConfigError, FormatError
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
                      feature_importance)
 from .train import (History, OptimState, TrainConfig, checkpoint_load,
@@ -102,21 +102,6 @@ class RunResult:
     history: History
     normalizer: Normalizer
     split_settings: SplitSettings
-
-    @property
-    def final_train_acc(self) -> float:
-        return self.history.last().train.accuracy
-
-    @property
-    def final_test_acc(self) -> float:
-        rec = self.history.last()
-        if rec.test is None:
-            raise DataError("final epoch has no test evaluation")
-        return rec.test.accuracy
-
-    @property
-    def gap(self) -> float:
-        return self.final_train_acc - self.final_test_acc
 
 
 def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -218,12 +203,13 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     with ordered_results(_train_job, (ds, config), plan,
                          min(_default_jobs(), len(plan))) as finished:
         for (seed, kind), result in zip(plan, finished):
+            last = result.history.last()
             row = {
                 "model": kind,
                 "seed": seed,
-                "train_acc": result.final_train_acc,
-                "test_acc": result.final_test_acc,
-                "gap": result.gap,
+                "train_acc": last.train.accuracy,
+                "test_acc": last.test.accuracy,
+                "gap": last.train.accuracy - last.test.accuracy,
             }
             rows.append(row)
             results[(kind, seed)] = result

@@ -22,13 +22,13 @@ On-disk layout (one directory per dataset):
 
 Everything round-trips bit-exactly.
 
-The CSV files are read once each as text.  When ``csv.reader`` could only
-split that text at its commas and ``\\n`` line ends (no quotes, ``\\r`` or
-NUL, no over-long line, the expected header, ``n`` body lines of the
-expected width), the ids come from splitting the lines and the features
-from NumPy's C parser.  Otherwise, or when the C parser refuses a cell,
-the per-cell reader (``csv.reader`` and Python's ``float``) runs: it
-defines what a file holds and raises every format error.
+``features.csv`` is read once as text.  When ``csv.reader`` could only
+split it at its commas and ``\\n`` line ends (no quotes, ``\\r`` or NUL, no
+over-long line, the expected header, ``n`` body lines of the expected
+width), the ids come from splitting the lines and the features from
+NumPy's C parser.  Otherwise, or when the C parser refuses a cell, and
+always for ``labels.csv``, the per-cell reader (``csv.reader``, ``float``
+and ``int``) runs: it defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def _check_finite(ids: Sequence[str], *columns: np.ndarray) -> None:
     with no temporary array; the per-sample pass runs only after a
     non-finite sum.
     """
-    if all(np.isfinite(column.sum()) for column in columns):
-        return
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the signal
+        if all(np.isfinite(column.sum()) for column in columns):
+            return
     finite = np.logical_and.reduce(
         [np.isfinite(column).reshape(len(column), -1).all(axis=1) for column in columns])
     if not finite.all():
@@ -225,7 +226,8 @@ def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
     Images and labels come over from ``ds`` as they are; the new features
     are checked, since the transform can overflow.
     """
-    features = norm.transform(ds.features())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        features = norm.transform(ds.features())
     _check_finite(ds._ids, features)
     return ds._derive(ds._ids, ds.images(), features, ds.labels(),
                       {**ds.provenance, "normalized": True})
@@ -398,10 +400,11 @@ def load_dataset(manifest_path) -> Dataset:
     ``manifest_path`` may be the manifest file or its directory.  Any
     inconsistency in the files is a :class:`FormatError`.
 
-    A CSV file that :func:`_plain_csv_lines` accepts is split without
-    ``csv.reader`` and its features parsed by NumPy's C parser, to the same
-    ids and bits; any other file, or a cell the C parser refuses, goes to
-    the per-cell reader, which is the definition and raises the errors.
+    ``labels.csv`` goes through the per-cell reader, which is the
+    definition and raises the errors.  A ``features.csv`` that
+    :func:`_plain_csv_lines` accepts is split without ``csv.reader`` and
+    parsed by NumPy's C parser, to the same ids and bits; any other file,
+    or a cell the C parser refuses, goes to the per-cell reader too.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -441,11 +444,11 @@ def load_dataset(manifest_path) -> Dataset:
     images = np.fromfile(images_path, dtype="<f8").reshape((n, *image_shape))
 
     ids, features = _read_features(base / files["features"], n, n_features)
-    label_ids, label_cells = _read_label_cells(base / files["labels"], n)
+    label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)
     if label_ids != ids:
         raise FormatError("labels.csv sample ids do not match features.csv")
     try:
-        labels = np.array([int(cell) for cell in label_cells], dtype=np.int64)
+        labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"labels.csv: non-integer label: {exc}") from None
     try:
@@ -476,17 +479,6 @@ def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.n
     except ValueError as exc:
         raise FormatError(f"features.csv: non-numeric value: {exc}") from None
     return ids, features
-
-
-def _read_label_cells(path: Path, n: int) -> tuple[list[str], list[str]]:
-    """The ids and the label cells of ``labels.csv``, split as :func:`_read_features` does."""
-    header = ["id", "label"]
-    lines = _plain_csv_lines(path, header, n)
-    if lines is None:
-        ids, rows = _read_csv_rows(path, header, n)
-        return ids, [row[0] for row in rows]
-    ids, _, cells = zip(*(line.partition(",") for line in lines))
-    return list(ids), list(cells)
 
 
 def _plain_csv_lines(path: Path, header: list[str], n: int) -> list[str] | None:

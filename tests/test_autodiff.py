@@ -7,32 +7,14 @@ import pytest
 
 import compnet as cn
 from compnet import (DataError, ShapeError, TapeError, Tensor, Tape, backward,
-                     from_array, grad_check, mul, reduce_sum, reshape,
-                     tensor_new)
+                     from_array, grad_check, mul, reduce_sum, reshape)
 
 
 # ---------------------------------------------------------------------------
 # construction
 
-def test_tensor_new_row_major():
-    t = tensor_new([2, 3], [1, 2, 3, 4, 5, 6])
-    assert t.shape == (2, 3)
-    assert np.array_equal(t.data, [[1, 2, 3], [4, 5, 6]])
-
-
-def test_tensor_new_degenerate():
-    t = tensor_new([1], [0])
-    assert t.shape == (1,)
-    assert t.data[0] == 0.0
-
-
-def test_tensor_new_count_mismatch():
-    with pytest.raises(ShapeError):
-        tensor_new([2, 2], [1, 2, 3])
-
-
 def test_tensor_data_is_immutable():
-    t = tensor_new([2], [1, 2])
+    t = from_array([1, 2])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
 
@@ -48,33 +30,33 @@ def test_from_array_copies():
 # reshape
 
 def test_reshape_vector_to_matrix():
-    t = tensor_new([6], [1, 2, 3, 4, 5, 6])
+    t = from_array([1, 2, 3, 4, 5, 6])
     r = reshape(t, [2, 3])
     assert np.array_equal(r.data, [[1, 2, 3], [4, 5, 6]])
 
 
 def test_reshape_matrix_transposed_layout():
-    t = tensor_new([2, 3], [1, 2, 3, 4, 5, 6])
+    t = from_array([[1, 2, 3], [4, 5, 6]])
     r = reshape(t, [3, 2])
     assert np.array_equal(r.data, [[1, 2], [3, 4], [5, 6]])
 
 
 def test_reshape_count_mismatch():
     with pytest.raises(ShapeError):
-        reshape(tensor_new([4], [1, 2, 3, 4]), [3, 2])
+        reshape(from_array([1, 2, 3, 4]), [3, 2])
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 def test_mul_example():
-    out = mul(tensor_new([3], [1, 2, 3]), tensor_new([3], [2, 2, 2]))
+    out = mul(from_array([1, 2, 3]), from_array([2, 2, 2]))
     assert np.array_equal(out.data, [2, 4, 6])
 
 
 def test_elementwise_shape_mismatch():
-    a = tensor_new([2], [1, 2])
-    b = tensor_new([3], [1, 2, 3])
+    a = from_array([1, 2])
+    b = from_array([1, 2, 3])
     with pytest.raises(ShapeError):
         mul(a, b)
 
@@ -83,7 +65,7 @@ def test_elementwise_shape_mismatch():
 # reduce_sum
 
 def test_reduce_sum_examples():
-    assert reduce_sum(tensor_new([3], [1, 2, 3])).item() == 6.0
+    assert reduce_sum(from_array([1, 2, 3])).item() == 6.0
     assert reduce_sum(from_array(np.zeros((2, 2)))).item() == 0.0
 
 
@@ -101,7 +83,7 @@ def test_reduce_sum_sequential_accumulation():
 
 def test_grad_of_sum_of_squares():
     tape = Tape()
-    x = tape.watch(tensor_new([3], [1, -2, 3]))
+    x = tape.watch(from_array([1, -2, 3]))
     loss = reduce_sum(mul(x, x))
     grads = backward(loss)
     assert np.array_equal(grads[x.node_id].data, [2, -4, 6])
@@ -116,29 +98,29 @@ def test_grad_of_plain_sum_is_ones():
 
 def test_untouched_leaf_gets_zero_grad():
     tape = Tape()
-    x = tape.watch(tensor_new([2], [1.0, 2.0]))
-    y = tape.watch(tensor_new([2], [3.0, 4.0]))
+    x = tape.watch(from_array([1.0, 2.0]))
+    y = tape.watch(from_array([3.0, 4.0]))
     grads = backward(reduce_sum(mul(x, x)))
     assert not grads[y.node_id].data.any()
 
 
 def test_backward_rejects_non_scalar_loss():
     tape = Tape()
-    x = tape.watch(tensor_new([2], [1.0, 2.0]))
+    x = tape.watch(from_array([1.0, 2.0]))
     with pytest.raises(ShapeError):
         backward(mul(x, x))
 
 
 def test_backward_rejects_untracked_loss():
-    x = tensor_new([2], [1.0, 2.0])
+    x = from_array([1.0, 2.0])
     with pytest.raises(TapeError):
         backward(reduce_sum(x))
 
 
 def test_ops_reject_tensors_from_different_tapes():
     t1, t2 = Tape(), Tape()
-    x = t1.watch(tensor_new([2], [1.0, 2.0]))
-    y = t2.watch(tensor_new([2], [3.0, 4.0]))
+    x = t1.watch(from_array([1.0, 2.0]))
+    y = t2.watch(from_array([3.0, 4.0]))
     with pytest.raises(TapeError):
         mul(x, y)
 
@@ -148,19 +130,19 @@ def test_ops_reject_tensors_from_different_tapes():
 
 def test_grad_check_quadratic():
     report = grad_check(lambda x: reduce_sum(mul(x, x)),
-                        tensor_new([2], [1.0, 2.0]), step=1e-5)
+                        from_array([1.0, 2.0]), step=1e-5)
     assert report.passed
     assert report.max_rel_err <= 1e-8
 
 
 def test_grad_check_linear_is_exact_to_rounding():
-    report = grad_check(reduce_sum, tensor_new([3], [0.3, -1.2, 2.5]))
+    report = grad_check(reduce_sum, from_array([0.3, -1.2, 2.5]))
     assert report.passed
     assert report.max_rel_err <= 1e-9
 
 
 def test_grad_check_leaky_relu_away_from_kink():
-    point = tensor_new([4], [-2.0, -0.5, 0.7, 3.0])  # all |x| > 10 * step
+    point = from_array([-2.0, -0.5, 0.7, 3.0])  # all |x| > 10 * step
     report = grad_check(lambda x: reduce_sum(cn.leaky_relu(x)), point,
                         step=1e-5, tol=1e-6)
     assert report.passed

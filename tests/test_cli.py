@@ -1005,11 +1005,25 @@ def with_label_out_of_range(raw):
     return b"\n".join([header, first.rsplit(b",", 1)[0] + b",2", rest])
 
 
+def with_tiny_std(raw):
+    # (x - mean) / std overflows the double range.
+    norm = json.loads(raw)
+    norm["std"][0], norm["mean"][0] = 1e-300, -1e10
+    return json.dumps(norm).encode("utf-8")
+
+
+def with_zero_std(raw):
+    norm = json.loads(raw)
+    norm["std"][0], norm["constant_mask"][0] = 0.0, False
+    return json.dumps(norm).encode("utf-8")
+
+
 RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     "config": ("config.json", 2), "spec": ("spec.json", 2),
     "manifest": ("ds/manifest.json", 3), "features": ("ds/features.csv", 3),
     "labels": ("ds/labels.csv", 3), "images": ("ds/images.bin", 3),
     "header": ("run/checkpoint.cmpn", 3), "normalizer": ("run/normalizer.json", 3),
+    "normalizer-values": ("run/normalizer.json", 2),
 }
 
 
@@ -1018,7 +1032,9 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
       for c in (with_ff_byte, with_huge_integer)),
     *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field)),
     ("images", with_nan_first_pixel), ("images", with_inf_last_pixel),
-    ("manifest", with_one_class), ("labels", with_label_out_of_range)])
+    ("manifest", with_one_class), ("labels", with_label_out_of_range),
+    ("normalizer-values", with_tiny_std), ("normalizer-values", with_zero_std)])
+@pytest.mark.filterwarnings("error")  # a NumPy warning would be a second stderr line
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
     shutil.copytree(trained_run, tmp_path / "run")

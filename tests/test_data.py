@@ -73,6 +73,16 @@ def test_sample_rejects_non_finite():
         Dataset(["ok", "bad"], images, np.zeros((2, 2)), np.array([0, 1]), 2)
 
 
+@pytest.mark.filterwarnings("error")  # no NumPy warning on the way to either outcome
+def test_the_finite_check_warns_of_nothing_when_a_column_sum_is_not_finite():
+    big = np.array([[1e308], [1e308]])  # finite values whose sum overflows
+    ds = Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), big, np.array([0, 1]), 2)
+    assert ds.features().tolist() == big.tolist()
+    opposite = np.array([[np.inf], [-np.inf]])  # a sum of NaN
+    with pytest.raises(DataError, match="sample a: non-finite"):
+        Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), opposite, np.array([0, 1]), 2)
+
+
 def test_batches_follow_order_and_keep_the_short_last_batch():
     ds = make_dataset(5)
     order = np.array([3, 0, 4, 1, 2])
@@ -398,8 +408,13 @@ def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch
     ds = make_dataset(5, n_features=4)
     root = save_dataset(ds, tmp_path / "d").parent
 
-    def per_cell(*args):
-        raise AssertionError("the per-cell reader ran")
+    # labels.csv has only the per-cell reader; features.csv must not need it.
+    read_csv_rows = cn.data._read_csv_rows
+
+    def per_cell(path, *args):
+        if path.name == "features.csv":
+            raise AssertionError("the per-cell reader ran on features.csv")
+        return read_csv_rows(path, *args)
     monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
     back = load_dataset(root)
     assert back.ids() == ds.ids()
@@ -501,7 +516,7 @@ def test_zscore_uses_only_fit_statistics():
     assert out.mean() > 1.0  # shifted data stays shifted under train stats
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")  # the DataError alone reports it
 def test_zscore_apply_rejects_features_the_transform_overflows():
     ds = make_dataset(2, n_features=1)
     ds = Dataset(ds.ids(), ds.images(), np.array([[1e300], [0.0]]), ds.labels(), 2)

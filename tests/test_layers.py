@@ -9,7 +9,7 @@ import pytest
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
                      FusionShape, NumericError, ShapeError, Tape, Tensor,
-                     backward, from_array, reduce_sum, tensor_new)
+                     backward, from_array, reduce_sum)
 from naive_ref import (conv2d_ref, dense_ref, fusion_ref, maxpool2d_grad_ref,
                        maxpool2d_ref)
 
@@ -57,7 +57,7 @@ def test_conv2d_one_filter_one_by_one_kernel_over_channels(batch):
 def test_conv2d_bias_shifts_each_filter():
     x = from_array(np.zeros((1, 1, 3, 3)))
     params = ConvParams(from_array(np.zeros((2, 1, 2, 2))),
-                        tensor_new([2], [1.5, -2.0]))
+                        from_array([1.5, -2.0]))
     out = cn.conv2d(x, params).data
     assert np.array_equal(out[0, 0], np.full((2, 2), 1.5))
     assert np.array_equal(out[0, 1], np.full((2, 2), -2.0))
@@ -189,13 +189,13 @@ def test_maxpool_rejects_odd_spatial_dims():
 # dense
 
 def test_dense_hand_example():
-    params = DenseParams(from_array(np.eye(2)), tensor_new([2], [1, 1]))
-    out = cn.dense(tensor_new([1, 2], [1, 2]), params)
+    params = DenseParams(from_array(np.eye(2)), from_array([1, 1]))
+    out = cn.dense(from_array([[1, 2]]), params)
     assert np.array_equal(out.data, [[2, 3]])
 
 
 def test_dense_zero_weights_give_bias_rows():
-    params = DenseParams(from_array(np.zeros((3, 2))), tensor_new([2], [5, -1]))
+    params = DenseParams(from_array(np.zeros((3, 2))), from_array([5, -1]))
     out = cn.dense(from_array(np.random.default_rng(3).normal(size=(4, 3))),
                    params)
     assert np.array_equal(out.data, np.tile([5.0, -1.0], (4, 1)))
@@ -220,13 +220,13 @@ def test_dense_width_mismatch():
 # leaky_relu
 
 def test_leaky_relu_values():
-    out = cn.leaky_relu(tensor_new([3], [-2.0, 0.0, 3.0]), slope=0.01)
+    out = cn.leaky_relu(from_array([-2.0, 0.0, 3.0]), slope=0.01)
     assert np.array_equal(out.data, [-0.02, 0.0, 3.0])
 
 
 def test_leaky_relu_gradient_including_origin():
     tape = Tape()
-    x = tape.watch(tensor_new([3], [-1.0, 0.0, 2.0]))
+    x = tape.watch(from_array([-1.0, 0.0, 2.0]))
     grads = backward(reduce_sum(cn.leaky_relu(x)))
     # The kink at exactly 0 takes the positive side's derivative.
     assert np.array_equal(grads[x.node_id].data, [0.01, 1.0, 1.0])
@@ -242,7 +242,7 @@ def test_leaky_relu_is_bit_equal_to_the_branch_form(slope):
 
 
 def test_leaky_relu_slope_bounds():
-    x = tensor_new([1], [1.0])
+    x = from_array([1.0])
     for slope in (0.0, 1.0, -0.5):
         with pytest.raises(ConfigError):
             cn.leaky_relu(x, slope=slope)
@@ -253,8 +253,8 @@ def test_leaky_relu_slope_bounds():
 
 def test_concat_columns_order_and_gradient():
     tape = Tape()
-    a = tape.watch(tensor_new([2, 2], [1, 2, 3, 4]))
-    b = tape.watch(tensor_new([2, 1], [9, 8]))
+    a = tape.watch(from_array([[1, 2], [3, 4]]))
+    b = tape.watch(from_array([[9], [8]]))
     out = cn.concat_columns(a, b)
     assert np.array_equal(out.data, [[1, 2, 9], [3, 4, 8]])
     weights = from_array(np.array([[1.0, 10.0, 100.0], [1.0, 10.0, 100.0]]))
@@ -272,17 +272,17 @@ def test_concat_columns_batch_mismatch():
 # fusion_weight_matrix
 
 def test_fusion_hand_example():
-    learned = tensor_new([1, 6], [1, 2, 3, 4, 5, 6])
+    learned = from_array([[1, 2, 3, 4, 5, 6]])
     shape = FusionShape.of(2, 3)
-    ones = tensor_new([1, 3], [1, 1, 1])
+    ones = from_array([[1, 1, 1]])
     assert np.array_equal(
         cn.fusion_weight_matrix(learned, shape, ones).data, [[6, 15]])
 
 
 def test_fusion_one_hot_extracts_column():
-    learned = tensor_new([1, 6], [1, 2, 3, 4, 5, 6])
+    learned = from_array([[1, 2, 3, 4, 5, 6]])
     shape = FusionShape.of(2, 3)
-    e1 = tensor_new([1, 3], [0, 1, 0])
+    e1 = from_array([[0, 1, 0]])
     assert np.array_equal(cn.fusion_weight_matrix(learned, shape, e1).data,
                           [[2, 5]])
 
@@ -324,7 +324,7 @@ def test_fusion_width_mismatch():
 # cross_entropy
 
 def test_cross_entropy_uniform_binary():
-    loss = cn.cross_entropy(tensor_new([1, 2], [0, 0]), np.array([0]))
+    loss = cn.cross_entropy(from_array([[0, 0]]), np.array([0]))
     assert abs(loss.item() - math.log(2)) <= 1e-12
 
 
@@ -376,7 +376,7 @@ def test_cross_entropy_rejects_non_finite_logits():
 
 def test_untracked_trunk_ops_record_no_tape_entry():
     tape = Tape()
-    watched = tape.watch(tensor_new([1], [1.0]))
+    watched = tape.watch(from_array([1.0]))
     cn.mul(watched, watched)
     before = len(tape._entries)
     rng = np.random.default_rng(8)
