@@ -20,8 +20,8 @@ from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
                      conv2d, cross_entropy, dense, fusion_weight_matrix,
                      leaky_relu, maxpool2d)
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
-                     conv_stack_geometry, extract_weight_matrices,
-                     feature_importance, forward, predict)
+                     extract_weight_matrices, feature_importance, forward,
+                     predict)
 from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
@@ -40,8 +40,7 @@ __all__ = [
     "cross_entropy", "dense", "fusion_weight_matrix", "leaky_relu",
     "maxpool2d",
     "ImportanceReport", "Model", "ModelConfig", "build_model",
-    "conv_stack_geometry", "extract_weight_matrices", "feature_importance",
-    "forward", "predict",
+    "extract_weight_matrices", "feature_importance", "forward", "predict",
     "EpochRecord", "History", "Metrics", "OptimState", "TrainConfig",
     "checkpoint_load", "checkpoint_save", "evaluate", "fit",
     "init_optim_state", "sgd_momentum_step", "train_epoch",

@@ -215,8 +215,12 @@ def zscore_fit(train: Dataset) -> Normalizer:
     if len(train) == 0:
         raise DataError("cannot fit a normalizer on an empty dataset")
     feats = train.features()
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow both
+        mean = feats.mean(axis=0)
+        std = feats.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise DataError(f"feature f{bad[0]}: mean or std over the training split is not finite")
     return Normalizer(mean=mean, std=std, constant_mask=std < _CONST_STD)
 
 

@@ -1,22 +1,19 @@
 """Model assembly: the composite fusion network and its two baselines.
 
-All three variants share one convolutional trunk (conv -> LeakyReLU ->
-pool per stage, then flatten and a dense stack):
+All three variants share one convolutional trunk (conv -> pool ->
+LeakyReLU per stage, then flatten and a dense stack):
 
 * ``compnet`` ends in a dense layer of width ``n_classes * n_features``;
-  that vector is reshaped row-major into one weight row per class and
+  that vector is read row-major as one weight row per class and
   dotted with the designed-feature vector to produce class scores.
 * ``concat`` appends the designed features to the first dense layer's
   activations and classifies with further dense layers.
 * ``image_only`` ignores the designed features entirely.
 
-One layer plan (``_layer_plan``) lists a variant's steps in forward
-order; parameter initialization, ``Model.layer_names`` and the forward
+One layer plan (``_layer_plan``) lists a variant's steps in the order
+they run; config validation, parameter initialization and the forward
 pass are all read off it, so the variants differ only in the steps the
-plan holds.  The plan lists each trunk stage as conv -> leaky_relu ->
-pool, and so do the layer names and checkpoints, but the forward pass
-pools first (``_run_plan``): LeakyReLU is monotone, so the pooled values
-are the same bits and the activation runs on a quarter of the elements.
+plan holds.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -26,7 +23,7 @@ loop can pull gradients for every parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,41 +41,19 @@ FUSION_KINDS = ("compnet", "concat", "image_only")
 EVAL_BATCH = 256
 
 
-def conv_stack_geometry(image_shape: Sequence[int], conv_filters: Sequence[int],
-                        kernel_size: int) -> list[tuple[int, int, int]]:
-    """Per-stage (channels, H, W) after each conv+pool, ending at the trunk output.
-
-    Raises ``ConfigError`` when any stage underflows or would pool odd
-    spatial dims.
-    """
-    c, h, w = image_shape
-    stages = [(c, h, w)]
-    for i, f in enumerate(conv_filters):
-        h2, w2 = h - kernel_size + 1, w - kernel_size + 1
-        if h2 < 1 or w2 < 1:
-            raise ConfigError(
-                f"conv stage {i}: kernel {kernel_size} does not fit in {h}x{w}")
-        if h2 % 2 or w2 % 2:
-            raise ConfigError(
-                f"conv stage {i}: pooling needs even dims, got {h2}x{w2}")
-        c, h, w = f, h2 // 2, w2 // 2
-        stages.append((c, h, w))
-    return stages
-
-
 @dataclass
 class ModelConfig(DictConfig):
     """Everything needed to build one of the three variants deterministically.
 
-    ``learned_width`` is the width of the vector entering the fusion
-    reshape; it applies to the ``compnet`` variant only and must equal
+    ``learned_width`` is the width of the vector entering the fusion;
+    it applies to the ``compnet`` variant only and must equal
     ``n_classes * n_features`` (left as ``None`` it takes that value).
     """
     image_shape: tuple[int, int, int]
     n_classes: int
     n_features: int
     conv_filters: tuple[int, ...] = (30, 30)
-    kernel_size: int = 3
+    kernel_size: int = 5
     dense_hidden: tuple[int, ...] = (256,)
     fusion_kind: str = "compnet"
     leaky_slope: float = 0.01
@@ -110,21 +85,13 @@ class ModelConfig(DictConfig):
             raise ConfigError(
                 "concat variant injects features after the first hidden dense "
                 "layer and therefore needs a non-empty dense_hidden")
-        # Raises ConfigError if the conv/pool chain is impossible.
-        conv_stack_geometry(self.image_shape, self.conv_filters, self.kernel_size)
-
-    @property
-    def flat_width(self) -> int:
-        c, h, w = conv_stack_geometry(
-            self.image_shape, self.conv_filters, self.kernel_size)[-1]
-        return c * h * w
+        _layer_plan(self)  # raises ConfigError if the conv/pool chain is impossible
 
 
 @dataclass
 class Model:
-    """A built network: config, layer descriptions, and named parameters."""
+    """A built network: config and named parameters."""
     config: ModelConfig
-    layer_names: list[str]
     params: dict[str, np.ndarray]
 
     @property
@@ -148,49 +115,52 @@ class Model:
 
 
 class _Layer(NamedTuple):
-    """One forward step: ``label`` is its ``Model.layer_names`` entry; conv and
-    dense steps own the weight and bias named in ``params``, the weight of
-    shape ``shape``; flatten's ``shape`` is the flat width."""
+    """One forward step: conv and dense steps own the weight and bias named in ``params``,
+    the weight of shape ``shape``; flatten's ``shape`` is the flat width."""
     op: str
-    label: str
     params: tuple[str, ...] = ()
     shape: tuple[int, ...] = ()
 
 
 def _dense(name: str, p: int, q: int) -> _Layer:
-    return _Layer("dense", f"dense({p}->{q})", (f"{name}.weights", f"{name}.bias"), (p, q))
+    return _Layer("dense", (f"{name}.weights", f"{name}.bias"), (p, q))
 
 
 def _layer_plan(cfg: ModelConfig) -> list[_Layer]:
-    """The variant's layers in forward order.
+    """The variant's layers in the order they run; ``ConfigError`` if a conv stage
+    underflows or would pool odd spatial dims.
 
-    All variants run the same conv trunk and dense stack and differ only
-    in where the designed features enter: ``concat`` splices them in
-    after the first hidden layer, ``compnet`` reshapes the output vector
-    into the class x feature matrix and dots it with them, and
-    ``image_only`` never uses them.
+    All variants run the same conv trunk and dense stack and differ only in
+    where the designed features enter: ``concat`` splices them in after the
+    first hidden layer, ``compnet`` reads the output vector as the class x
+    feature matrix and dots it with them, and ``image_only`` never uses them.
+    Each trunk stage pools before its LeakyReLU: that is monotone, so the logits
+    are the same bits as activating first, and it runs on a quarter of the elements.
     """
-    relu = _Layer("relu", "leaky_relu")
+    relu = _Layer("relu")
     plan: list[_Layer] = []
-    c_in, k = cfg.image_shape[0], cfg.kernel_size
+    (c, h, w), k = cfg.image_shape, cfg.kernel_size
     for i, f in enumerate(cfg.conv_filters):
-        plan += [_Layer("conv", f"conv2d({c_in}->{f}, {k}x{k})",
-                       (f"conv{i}.kernels", f"conv{i}.bias"), (f, c_in, k, k)),
-                 relu, _Layer("pool", "maxpool2d(2x2)")]
-        c_in = f
-    width = cfg.flat_width
-    plan.append(_Layer("flatten", f"flatten({width})", shape=(width,)))
-    for i, h in enumerate(cfg.dense_hidden):
-        plan += [_dense(f"dense{i}", width, h), relu]
-        width = h
+        h2, w2 = h - k + 1, w - k + 1
+        if h2 < 1 or w2 < 1:
+            raise ConfigError(f"conv stage {i}: kernel {k} does not fit in {h}x{w}")
+        if h2 % 2 or w2 % 2:
+            raise ConfigError(f"conv stage {i}: pooling needs even dims, got {h2}x{w2}")
+        plan += [_Layer("conv", (f"conv{i}.kernels", f"conv{i}.bias"), (f, c, k, k)),
+                 _Layer("pool"), relu]
+        c, h, w = f, h2 // 2, w2 // 2
+    width = c * h * w
+    plan.append(_Layer("flatten", shape=(width,)))
+    for i, units in enumerate(cfg.dense_hidden):
+        plan += [_dense(f"dense{i}", width, units), relu]
+        width = units
         if i == 0 and cfg.fusion_kind == "concat":
-            plan.append(_Layer("concat", f"concat_features(+{cfg.n_features})"))
+            plan.append(_Layer("concat"))
             width += cfg.n_features
     out_width = cfg.learned_width if cfg.fusion_kind == "compnet" else cfg.n_classes
     plan.append(_dense("out", width, out_width))
     if cfg.fusion_kind == "compnet":
-        plan += [_Layer("reshape", f"reshape({cfg.n_classes}x{cfg.n_features})"),
-                 _Layer("fusion", "fusion_dot(designed_features)")]
+        plan.append(_Layer("fusion"))
     return plan
 
 
@@ -202,9 +172,8 @@ def build_model(cfg: ModelConfig) -> Model:
     yields bit-identical parameters.
     """
     rng = np.random.default_rng(cfg.seed)
-    plan = _layer_plan(cfg)
     params: dict[str, np.ndarray] = {}
-    for layer in plan:
+    for layer in _layer_plan(cfg):
         if not layer.params:
             continue
         # fan_in + fan_out is size/shape[0] + size/shape[1] both for conv
@@ -214,7 +183,7 @@ def build_model(cfg: ModelConfig) -> Model:
         weight, bias = layer.params
         params[weight] = rng.uniform(-s, s, size=layer.shape)
         params[bias] = np.zeros(layer.shape[0 if layer.op == "conv" else 1])
-    return Model(config=cfg, layer_names=[layer.label for layer in plan], params=params)
+    return Model(config=cfg, params=params)
 
 
 def _check_images(model: Model, images: Tensor) -> None:
@@ -245,25 +214,12 @@ def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None
 
 def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
               features: Tensor | None, stop: str | None = None) -> Tensor:
-    """Apply the layer plan to a batch, returning early at the first ``stop`` step.
-
-    Trunk stages execute as conv -> pool -> leaky_relu although the plan
-    lists conv -> leaky_relu -> pool.  ``x -> max(x, slope * x)`` with a
-    correctly rounded multiply is monotone non-decreasing for
-    ``0 < slope < 1``, so the max of the activated window is the
-    activation of the window's max, bit for bit, and the logits are
-    unchanged.  Gradients route to the same element except where the
-    activation rounds two different negative inputs of one window to the
-    same value: pooling first then routes to the true maximum, where the
-    plan's order would route to the first of the tied activations.
-    """
+    """Apply the layer plan to a batch, returning early at the first ``stop`` step."""
     cfg = model.config
-    steps = _layer_plan(cfg)
-    for i in range(len(steps) - 1):
-        if steps[i].op == "relu" and steps[i + 1].op == "pool":
-            steps[i], steps[i + 1] = steps[i + 1], steps[i]
     x = images
-    for layer in steps:
+    # Each op is read as a module global when it runs, so wrappers patched
+    # onto this module (perfbench's tracer) see every call.
+    for layer in _layer_plan(cfg):
         if layer.op == stop:
             break
         if layer.op == "conv":
@@ -278,8 +234,6 @@ def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
             x = ad.reshape(x, (x.shape[0], *layer.shape))
         elif layer.op == "concat":
             x = concat_columns(x, features)
-        # The reshape step needs no work here: the fusion layer reads the
-        # vector row-major as the class x feature matrix itself.
         elif layer.op == "fusion":
             x = fusion_weight_matrix(
                 x, FusionShape.of(cfg.n_classes, cfg.n_features), features)
@@ -320,14 +274,15 @@ def extract_weight_matrices(model: Model, images: Tensor) -> Tensor:
 
     Only meaningful for the ``compnet`` variant, whose logits are exactly
     these matrices applied to the designed features: the plan runs up to
-    its reshape step, which is applied here instead of inside the fusion.
+    its fusion step, and the learned vector is read row-major here as the
+    class x feature matrix, as the fusion itself reads it.
     """
     if model.config.fusion_kind != "compnet":
         raise VariantError(
             f"weight matrices exist only for the compnet variant, "
             f"not {model.config.fusion_kind!r}")
     _check_images(model, images)
-    learned = _run_plan(model, _plain_params(model), images, None, stop="reshape")
+    learned = _run_plan(model, _plain_params(model), images, None, stop="fusion")
     cfg = model.config
     return ad.reshape(learned, (learned.shape[0], cfg.n_classes, cfg.n_features))
 

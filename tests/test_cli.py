@@ -67,6 +67,15 @@ def test_generate_same_seed_same_bytes(tmp_path):
            (tmp_path / "c" / "images.bin").read_bytes()
 
 
+def test_train_with_no_config_runs_on_a_generated_set_with_no_spec(tmp_path):
+    # The default model config must fit the default 32x32 images.
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--n-samples", "64"]) == 0
+    assert main(["train", "--data", str(data), "--model", "compnet",
+                 "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+    assert (tmp_path / "run" / "checkpoint.cmpn").is_file()
+
+
 # The sha256 of every file of the recorded byte-identity protocol: the
 # dataset, each variant's training artifacts and a two-seed comparison.
 RECORDED_SHA256 = {
@@ -304,6 +313,28 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert not (out / "checkpoint.cmpn").exists()
+
+
+@pytest.mark.parametrize("f0", [
+    [1e308] * 4 + [0.0] * 196,             # the column sum overflows
+    [(-1) ** i * 1e200 for i in range(200)]],  # the mean is 0, the variance overflows
+    ids=["sum", "variance"])
+@pytest.mark.filterwarnings("error")  # a NumPy warning would be a second stderr line
+def test_a_feature_whose_statistics_overflow_fails_the_train_run(
+        tiny_config, tmp_path, capsys, f0):
+    # Every value is finite; only the normalizer fitted on them is not.
+    ds = cn.generate_synthetic(cn.SynthSpec(n_samples=200, image_shape=(1, 12, 12), seed=2))
+    features = ds.features().copy()
+    features[:, 0] = f0
+    data = tmp_path / "ds"
+    cn.save_dataset(cn.Dataset(ds.ids(), ds.images(), features, ds.labels(), ds.n_classes),
+                    data)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert train_small(data, tiny_config, out) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: feature f0: "), lines
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_missing_dataset_is_an_io_error(tiny_config, tmp_path):
