@@ -85,23 +85,20 @@ class Tape:
 
     def __init__(self) -> None:
         self._entries: list[_TapeEntry] = []
-        self._shapes: dict[int, Shape] = {}
-        self._leaves: list[int] = []
+        self._leaves: dict[int, Shape] = {}  # leaf node id -> shape
+
+    def _next_node(self) -> int:
+        return len(self._leaves) + len(self._entries)  # every node is one or the other
 
     def watch(self, t: Tensor) -> Tensor:
         """Return a tracked view of ``t`` registered as a leaf."""
-        node = self._new_node(t.shape)
-        self._leaves.append(node)
+        node = self._next_node()
+        self._leaves[node] = t.shape
         return Tensor(t.data, _tape=self, _node_id=node, _own=True)
-
-    def _new_node(self, shape: Sequence[int]) -> int:
-        node = len(self._shapes)
-        self._shapes[node] = tuple(shape)
-        return node
 
     def _record(self, out_data: np.ndarray, inputs: Sequence[Tensor | None],
                 backward) -> Tensor:
-        out_id = self._new_node(out_data.shape)
+        out_id = self._next_node()
         in_ids = tuple(
             t.node_id if (t is not None and t.grad_tracked) else None
             for t in inputs
@@ -211,9 +208,9 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
                 continue
             have = grads.get(in_id)
             grads[in_id] = g if have is None else have + g
-    for leaf in tape._leaves:
+    for leaf, shape in tape._leaves.items():
         if leaf not in grads:
-            grads[leaf] = np.zeros(tape._shapes[leaf])
+            grads[leaf] = np.zeros(shape)
     return {node: Tensor(arr, _own=True) for node, arr in grads.items()}
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, read_json_object, save_dataset, split,
@@ -101,7 +103,6 @@ class RunResult:
     opt_state: OptimState
     history: History
     normalizer: Normalizer
-    split_settings: SplitSettings
 
 
 def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -115,8 +116,7 @@ def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     model = build_model(model_cfg)
     state = init_optim_state(model)
     history = fit(model, train_n, test_n, train_cfg, state)
-    return RunResult(model=model, opt_state=state, history=history,
-                     normalizer=norm, split_settings=split_settings)
+    return RunResult(model=model, opt_state=state, history=history, normalizer=norm)
 
 
 def history_csv(history: History) -> str:
@@ -149,11 +149,6 @@ class ComparisonResult:
     results: dict[tuple[str, int], RunResult]
 
 
-def _train_job(ds: Dataset, config: Mapping, seed: int, kind: str) -> RunResult:
-    """One comparison run: its seed sets the model, shuffle and split seeds."""
-    return run_training(ds, *_resolve_configs(config, ds, kind, seed=seed, split_seed=seed))
-
-
 def _default_jobs() -> int:
     """Runs ``run_comparison`` trains at once: 2, or 1 on a single CPU.
 
@@ -183,26 +178,26 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     come in the serial order, seeds outer and kinds inner, and the first
     run in that order that fails raises its exception after ``on_row``
     has seen exactly the rows before it; no run starts once a failure
-    has come in.  No child outlives the call.  A ``ConfigError`` for an
-    empty ``seeds`` or from the first run's configs comes before any run.
+    has come in.  No child outlives the call.  A ``ConfigError`` for
+    repeated kinds or seeds, for an empty ``seeds``, or from any run's
+    configs comes before any run.
     """
-    kinds = list(model_kinds)
-    for kind in kinds:
-        if kind not in FUSION_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}; "
-                              f"choose from {list(FUSION_KINDS)}")
+    kinds, seeds = list(model_kinds), [int(seed) for seed in seeds]
     if len(set(kinds)) != len(kinds):
         raise ConfigError("model kinds must be distinct")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
     if not seeds:
         raise ConfigError("run_comparison needs at least one seed")
-    plan = [(int(seed), kind) for seed in seeds for kind in kinds]
-    _resolve_configs(config, ds, plan[0][1], seed=plan[0][0], split_seed=plan[0][0])
+    runs = {(seed, kind): _resolve_configs(config, ds, kind, seed=seed, split_seed=seed)
+            for seed in seeds for kind in kinds}
     from .forkpool import ordered_results  # see its module docstring
     rows: list[dict] = []
     results: dict[tuple[str, int], RunResult] = {}
-    with ordered_results(_train_job, (ds, config), plan,
-                         min(_default_jobs(), len(plan))) as finished:
-        for (seed, kind), result in zip(plan, finished):
+    # Children get ``runs`` through fork, and look up run_training when they call it.
+    with ordered_results(lambda seed, kind: run_training(ds, *runs[seed, kind]),
+                         list(runs), min(_default_jobs(), len(runs))) as finished:
+        for (seed, kind), result in zip(runs, finished):
             last = result.history.last()
             row = {
                 "model": kind,
@@ -215,19 +210,11 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
             results[(kind, seed)] = result
             if on_row is not None:
                 on_row(row)
-    means = {}
-    for kind in kinds:
-        mine = [r for r in rows if r["model"] == kind]
-        means[kind] = {
-            key: sum(r[key] for r in mine) / len(mine)
-            for key in ("train_acc", "test_acc", "gap")
-        }
-    improvements = {}
-    if "compnet" in means:
-        for kind in kinds:
-            if kind != "compnet":
-                improvements[kind] = 100.0 * (means["compnet"]["test_acc"]
-                                              - means[kind]["test_acc"])
+    means = {kind: {key: sum(r[key] for r in rows if r["model"] == kind) / len(seeds)
+                    for key in ("train_acc", "test_acc", "gap")}
+             for kind in kinds}
+    improvements = {kind: 100.0 * (means["compnet"]["test_acc"] - means[kind]["test_acc"])
+                    for kind in kinds if "compnet" in means and kind != "compnet"}
     return ComparisonResult(rows=rows, means=means, improvements=improvements,
                             results=results)
 
@@ -279,7 +266,7 @@ def cmd_train(args) -> int:
                  (json.dumps(result.normalizer.to_dict(), sort_keys=True) + "\n").encode("utf-8"))
     checkpoint_save(result.model, result.opt_state, out / "checkpoint.cmpn",
                     train_config=train_cfg,
-                    extra={"split": result.split_settings.to_dict(),
+                    extra={"split": split_settings.to_dict(),
                            "normalizer_file": "normalizer.json"})
     rec = result.history.last()
     test_part = (f", test loss {rec.test.loss:.4f} acc {rec.test.accuracy:.4f}"
@@ -371,15 +358,12 @@ def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
     ds = load_dataset(args.data)
     report = feature_importance(model, ds)
-    rank_of = report.rank_of
     lines = ["class,feature_index,mean_abs_weight,rank"]
-    for k in range(report.n_classes):
-        for j in range(report.n_features):
-            lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{rank_of[k, j]}")
+    for k, j in np.ndindex(report.importance.shape):
+        lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{report.rank_of[k, j]}")
     write_atomic(Path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
-    tops = {k: int(report.ranking[k, 0]) for k in range(report.n_classes)}
     print("top feature per class: "
-          + ", ".join(f"class {k} -> f{j}" for k, j in tops.items()))
+          + ", ".join(f"class {k} -> f{j}" for k, j in enumerate(report.ranking[:, 0])))
     print(f"table -> {args.out}")
     return 0
 

@@ -19,15 +19,15 @@ from typing import Callable, Iterator, Sequence
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
-def _child(parent: int, conn, fn: Callable, args: tuple, job: tuple) -> None:
+def _child(parent: int, conn, fn: Callable, job: tuple) -> None:
     """Child process: send ``conn`` its one reply, then exit.
 
-    The reply is ``(fn(*args, *job), None)`` or ``(None, exception)``.
-    ``fn``, ``args`` and ``job`` arrive through fork, so they are never
-    pickled.  On Linux the kernel kills the child when its parent dies,
-    so a killed command leaves no child running; a parent that died
-    before that was set is caught by the ``getppid`` check.  Ctrl-C
-    reaches the whole process group, and only the parent acts on it.
+    The reply is ``(fn(*job), None)`` or ``(None, exception)``.  ``fn``
+    and ``job`` arrive through fork, so they are never pickled.  On Linux
+    the kernel kills the child when its parent dies, so a killed command
+    leaves no child running; a parent that died before that was set is
+    caught by the ``getppid`` check.  Ctrl-C reaches the whole process
+    group, and only the parent acts on it.
     """
     if sys.platform.startswith("linux"):
         prctl = ctypes.CDLL(None).prctl
@@ -37,14 +37,14 @@ def _child(parent: int, conn, fn: Callable, args: tuple, job: tuple) -> None:
         os._exit(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (fn(*args, *job), None)
+        reply = (fn(*job), None)
     except Exception as exc:  # the parent shows the child's traceback too
         reply = (None, ExceptionWithTraceback(exc, exc.__traceback__))
     conn.send(reply)
 
 
-def _in_order(context, fn: Callable, args: tuple, jobs: Sequence[tuple],
-              workers: int, running: dict) -> Iterator:
+def _in_order(context, fn: Callable, jobs: Sequence[tuple], workers: int,
+              running: dict) -> Iterator:
     """Yield the jobs' results in job order, at most ``workers`` at once.
 
     ``running`` maps each live child's pipe to its job index and process.
@@ -61,7 +61,7 @@ def _in_order(context, fn: Callable, args: tuple, jobs: Sequence[tuple],
                 conn, theirs = context.Pipe(duplex=False)
                 with theirs:  # only the child keeps its end, so EOF means it died
                     proc = context.Process(target=_child, daemon=True,
-                                           args=(os.getpid(), theirs, fn, args, job))
+                                           args=(os.getpid(), theirs, fn, job))
                     proc.start()
                 running[conn] = started, proc
             if index in finished:
@@ -84,8 +84,8 @@ def _in_order(context, fn: Callable, args: tuple, jobs: Sequence[tuple],
 
 
 @contextlib.contextmanager
-def ordered_results(fn: Callable, args: tuple, jobs: Sequence[tuple], workers: int):
-    """Yield an iterator over ``fn(*args, *job)`` for each job, in job order.
+def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
+    """Yield an iterator over ``fn(*job)`` for each job, in job order.
 
     With more than one worker and ``fork`` available, each job runs in its
     own forked child, at most ``workers`` at once, and children exist only
@@ -94,15 +94,14 @@ def ordered_results(fn: Callable, args: tuple, jobs: Sequence[tuple], workers: i
     exception; a child that dies fails its job with ``ChildProcessError``.
     Otherwise the jobs run one after another in this process.  Only
     ``fork`` is used: ``spawn`` and ``forkserver`` start helpers that
-    outlive the children, and would pickle ``args`` for every child.
+    outlive the children, and would pickle ``fn`` and every job.
     """
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield (fn(*args, *job) for job in jobs)
+        yield (fn(*job) for job in jobs)
         return
     running: dict = {}
     try:
-        yield _in_order(multiprocessing.get_context("fork"), fn, args, jobs,
-                        workers, running)
+        yield _in_order(multiprocessing.get_context("fork"), fn, jobs, workers, running)
     finally:
         for conn, (_, proc) in running.items():
             proc.kill()

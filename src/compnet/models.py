@@ -297,27 +297,7 @@ class ImportanceReport:
     """
     importance: np.ndarray
     ranking: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.importance = np.asarray(self.importance, dtype=np.float64)
-        self.ranking = np.asarray(self.ranking, dtype=np.int64)
-        if self.importance.shape != self.ranking.shape or self.importance.ndim != 2:
-            raise ShapeError("importance and ranking must be matching rank-2 arrays")
-
-    @property
-    def n_classes(self) -> int:
-        return self.importance.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.importance.shape[1]
-
-    @property
-    def rank_of(self) -> np.ndarray:
-        inv = np.empty_like(self.ranking)
-        rows = np.arange(self.n_classes)[:, None]
-        inv[rows, self.ranking] = np.arange(self.n_features)[None, :]
-        return inv
+    rank_of: np.ndarray
 
 
 def feature_importance(model: Model, dataset) -> ImportanceReport:
@@ -335,5 +315,6 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
         total += np.abs(extract_weight_matrices(model, images).data).sum(axis=0)
     importance = total / n
     ranking = np.argsort(-importance, axis=1, kind="stable")
-    return ImportanceReport(importance=importance, ranking=ranking)
+    return ImportanceReport(importance=importance, ranking=ranking,
+                            rank_of=np.argsort(ranking, axis=1))  # each row's inverse
 

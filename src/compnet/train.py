@@ -126,12 +126,8 @@ def init_optim_state(model: Model) -> OptimState:
 
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
-                      state: OptimState, lr: float, momentum: float
-                      ) -> tuple[dict[str, np.ndarray], OptimState]:
-    """One momentum update: ``v <- momentum*v + g``; ``w <- w - lr*v``.
-
-    Mutates ``params`` and ``state`` in place and returns them.
-    """
+                      state: OptimState, lr: float, momentum: float) -> None:
+    """One momentum update, in place: ``v <- momentum*v + g``; ``w <- w - lr*v``."""
     for name, w in params.items():
         g = grads[name]
         if g.shape != w.shape:
@@ -144,7 +140,6 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndar
         v = momentum * v + g
         state.velocities[name] = v
         params[name] = w - lr * v
-    return params, state
 
 
 def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,

@@ -77,7 +77,8 @@ def test_train_with_no_config_runs_on_a_generated_set_with_no_spec(tmp_path):
 
 
 # The sha256 of every file of the recorded byte-identity protocol: the
-# dataset, each variant's training artifacts and a two-seed comparison.
+# dataset, each variant's training artifacts, a two-seed comparison, and
+# the compnet run's test-split metrics and importance table.
 RECORDED_SHA256 = {
     "data/manifest.json": "d6e5b9d896dd65d59457ea8a13d28a570f5fd8ffcee1683c92cf5e3fc347ef79",
     "data/images.bin": "5a9554770f0df981c11a689b44e86a8e9d885dd42087308a92117681cc2879b9",
@@ -86,6 +87,8 @@ RECORDED_SHA256 = {
     "compnet/checkpoint.cmpn": "2b9c7f264b7b94b5769c3f9a95296da66807f750da030d76fa977edb7c1e7735",
     "compnet/history.csv": "be4a2b224202ab435cbb385c2bda0e43474a1524d46601d9d672d3806420b446",
     "compnet/normalizer.json": "f6eb781766eb52de8e98880590d2642527efb68f1e4fc033f8a1da70dd307d4f",
+    "compnet/metrics.json": "07396ec50fb80a5912efb068fe0db84ebb6f1868403fddaa6a028a3996389aed",
+    "compnet/importance.csv": "29cdba2fe9199dab8eba94dfb69e422234b14b926d684c93f25a0f6cb831b003",
     "image_only/checkpoint.cmpn": "029298113d22be495c3465093e6e843d062de1fa5ac904f13a5c5b5af0df725a",
     "image_only/history.csv": "541691b8d95174270acadeebe678f6aa77d9cf2d7dd2e3e05de48e596df72f0e",
     "image_only/normalizer.json": "f6eb781766eb52de8e98880590d2642527efb68f1e4fc033f8a1da70dd307d4f",
@@ -206,14 +209,14 @@ def test_a_comparison_seed_sets_the_model_shuffle_and_split_seeds(
     result = cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2])
     assert sorted(result.results) == sorted(train_seeds)
     for (kind, seed), run in result.results.items():
-        assert run.split_settings.seed == run.model.config.seed == seed
+        assert run.model.config.seed == seed
         assert train_seeds[(kind, seed)] == seed
 
 
 def test_train_writes_the_recorded_artifact_bytes(tmp_path):
     # Pins the numerics of the whole training path (kernels, optimizer,
-    # history, normalizer, checkpoint and comparison writers) for every
-    # variant, on the dataset pinned above.
+    # history, normalizer, checkpoint, comparison, metrics and importance
+    # writers) for every variant, on the dataset pinned above.
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data), "--seed", "4",
                  "--n-samples", "400"]) == 0
@@ -227,6 +230,10 @@ def test_train_writes_the_recorded_artifact_bytes(tmp_path):
     assert main(["compare", "--config", config, "--data", str(data),
                  "--models", "compnet,concat", "--seeds", "1,2",
                  "--out", str(tmp_path / "cmp")]) == 0
+    checkpoint = str(tmp_path / "compnet" / "checkpoint.cmpn")
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(data)]) == 0
+    assert main(["importance", "--checkpoint", checkpoint, "--data", str(data),
+                 "--out", str(tmp_path / "compnet" / "importance.csv")]) == 0
     assert_recorded_bytes(tmp_path, "")
 
 
@@ -615,6 +622,39 @@ def test_run_comparison_rejects_empty_seeds_before_any_run(small_dataset, monkey
     monkeypatch.setattr(cli, "run_training", no_run)
     with pytest.raises(cn.ConfigError):
         cli.run_comparison(small_dataset, TINY_CLI_CONFIG, ["compnet", "concat"], [])
+
+
+def test_compare_rejects_repeated_seeds_before_any_run(
+        small_dataset_dir, tmp_path, monkeypatch):
+    def no_run(*args):
+        pytest.fail("a run started")
+
+    monkeypatch.setattr(cli, "run_training", no_run)
+    assert main(["compare", "--config", compare_config(tmp_path),
+                 "--data", str(small_dataset_dir), "--models", "compnet,image_only",
+                 "--seeds", "1,1,2", "--out", str(tmp_path / "cmp")]) == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_config_that_a_later_kind_rejects_fails_before_any_run(
+        small_dataset, small_dataset_dir, tmp_path, monkeypatch, jobs):
+    # compnet accepts an empty dense_hidden; concat, second in each seed, does not.
+    def no_run(*args):
+        pytest.fail("a run started")
+
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["model"]["dense_hidden"] = []
+    monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+    monkeypatch.setattr(cli, "run_training", no_run)
+    with pytest.raises(cn.ConfigError, match="dense_hidden"):
+        cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2])
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_json(tmp_path / "cfg.json", config),
+                 "--data", str(small_dataset_dir), "--models", "compnet,concat",
+                 "--seeds", "1,2", "--out", str(out)]) == 2
+    assert (out / "compare.csv").read_text(encoding="utf-8") == \
+           "model,seed,train_acc,test_acc,gap\n"
+    assert_no_child_processes()
 
 
 def test_importing_the_cli_and_running_other_commands_skips_multiprocessing(tmp_path):
