@@ -3,10 +3,10 @@ and the seeded synthetic image+tabular benchmark generator.
 
 Each sample couples an image with a designed-feature vector and a
 label.  A ``Dataset`` holds them column-wise: one read-only array each
-for images, features and labels, plus the sample ids, validated once
-when the dataset is built.  Subsetting, normalizing, batching,
-generating, loading and saving all work on whole columns, and what they
-derive from a dataset is not validated again.
+for images, features and labels, plus the sample ids.  Subsetting,
+normalizing, batching, generating, loading and saving all work on whole
+columns.  Every dataset is validated when it is built, so its batches
+are ``CheckedBatch``.
 
 The synthetic generator plants class evidence in both modalities
 independently: each modality's evidence agrees with the true label only
@@ -55,13 +55,10 @@ class Dataset:
 
     ``images`` ``[n, C, H, W]``, ``features`` ``[n, N]`` and ``labels``
     ``[n]`` line up row for row with ``ids``.  The dataset takes the
-    arrays over without copying, marks them read-only and validates them
-    once, here.  What is derived from a dataset relies on that single
-    check: :meth:`subset` and :func:`zscore_apply` take its columns over
-    without scanning them again (``zscore_apply`` checks only the features
-    it computes), and the batches of :meth:`batches` are
-    :class:`CheckedBatch` tensors, which models do not re-scan for
-    non-finite values.
+    arrays over without copying and marks them read-only.  Every dataset,
+    a :meth:`subset` or a :func:`zscore_apply` result too, is validated
+    when it is built, so its batches are :class:`CheckedBatch`, which
+    models do not re-scan for non-finite values.
     """
 
     def __init__(self, ids: Sequence[str], images: np.ndarray, features: np.ndarray,
@@ -90,21 +87,6 @@ class Dataset:
         self.n_classes = int(n_classes)
         self.provenance = dict(provenance or {})
 
-    def _derive(self, ids: list[str], images: np.ndarray, features: np.ndarray,
-                labels: np.ndarray, provenance: Mapping) -> "Dataset":
-        """A dataset of rows of this one's checked columns, built without checks.
-
-        ``features`` may be new; the caller checks it with :func:`_check_finite`.
-        """
-        ds = object.__new__(Dataset)
-        for column in (images, features, labels):
-            column.flags.writeable = False
-        ds._ids = ids
-        ds._images, ds._features, ds._labels = images, features, labels
-        ds.image_shape, ds.n_features = self.image_shape, self.n_features
-        ds.n_classes, ds.provenance = self.n_classes, dict(provenance)
-        return ds
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -122,9 +104,9 @@ class Dataset:
 
     def subset(self, indices: Iterable[int], provenance_note: Mapping | None = None) -> "Dataset":
         idx = np.fromiter(indices, dtype=np.intp)
-        return self._derive([self._ids[i] for i in idx], self._images[idx],
-                            self._features[idx], self._labels[idx],
-                            {**self.provenance, **(provenance_note or {})})
+        return Dataset([self._ids[i] for i in idx], self._images[idx], self._features[idx],
+                       self._labels[idx], self.n_classes,
+                       {**self.provenance, **(provenance_note or {})})
 
     def batches(self, size: int, order: np.ndarray | None = None
                 ) -> Iterator[tuple[Tensor, Tensor, np.ndarray]]:
@@ -227,14 +209,14 @@ def zscore_fit(train: Dataset) -> Normalizer:
 def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
     """New dataset whose features are ``(x - mean) / std`` under ``norm``.
 
-    Images and labels come over from ``ds`` as they are; the new features
-    are checked, since the transform can overflow.
+    Images and labels come over from ``ds`` as they are.  Every dataset
+    is validated when it is built, so its batches are ``CheckedBatch``
+    and features the transform overflowed raise ``DataError``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         features = norm.transform(ds.features())
-    _check_finite(ds._ids, features)
-    return ds._derive(ds._ids, ds.images(), features, ds.labels(),
-                      {**ds.provenance, "normalized": True})
+    return Dataset(ds.ids(), ds.images(), features, ds.labels(), ds.n_classes,
+                   {**ds.provenance, "normalized": True})
 
 
 @dataclass
@@ -534,9 +516,11 @@ def split(ds: Dataset, train_fraction: float, seed: int,
     """Deterministic disjoint train/test split.
 
     Stratified mode keeps each class's train share within one sample of
-    ``round(train_fraction * class_count)`` while making the overall
-    train size exactly ``round(train_fraction * n)``; both sides keep at
-    least one sample of every class.
+    ``round(train_fraction * class_count)``, and both sides hold every
+    class.  The train size is ``round(train_fraction * n)`` unless keeping
+    one sample of every class on each side adds or removes samples: a
+    2-sample class and a 98-sample class split at 0.1 give 11 train
+    samples, not 10.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")

@@ -60,27 +60,25 @@ class DenseParams:
 class FusionShape:
     """Dimensions tying the learned vector to the weight-matrix view.
 
-    A learned vector of length ``m`` is reshaped into ``n_classes`` rows
-    of ``n_features`` weights each, so ``m == n_classes * n_features``
-    must hold exactly.
+    A learned vector of length ``m == n_classes * n_features`` is reshaped
+    into ``n_classes`` rows of ``n_features`` weights each.
     """
     n_classes: int
     n_features: int
-    m: int
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
             raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
         if self.n_features < 1:
             raise ShapeError(f"need at least 1 designed feature, got {self.n_features}")
-        if self.m != self.n_classes * self.n_features:
-            raise ShapeError(
-                f"learned width {self.m} != n_classes*n_features "
-                f"= {self.n_classes * self.n_features}")
+
+    @property
+    def m(self) -> int:
+        return self.n_classes * self.n_features
 
     @classmethod
     def of(cls, n_classes: int, n_features: int) -> "FusionShape":
-        return cls(n_classes, n_features, n_classes * n_features)
+        return cls(n_classes, n_features)
 
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:

@@ -68,12 +68,6 @@ class Metrics:
     accuracy: float
     n: int
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise DataError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.loss < 0.0:
-            raise DataError(f"loss must be >= 0, got {self.loss}")
-
 
 @dataclass
 class EpochRecord:

@@ -326,7 +326,6 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
     [1e308] * 4 + [0.0] * 196,             # the column sum overflows
     [(-1) ** i * 1e200 for i in range(200)]],  # the mean is 0, the variance overflows
     ids=["sum", "variance"])
-@pytest.mark.filterwarnings("error")  # a NumPy warning would be a second stderr line
 def test_a_feature_whose_statistics_overflow_fails_the_train_run(
         tiny_config, tmp_path, capsys, f0):
     # Every value is finite; only the normalizer fitted on them is not.
@@ -580,6 +579,15 @@ def test_compare_argument_validation(small_dataset_dir, tmp_path):
     assert main(base + ["--models", "compnet", "--seeds", "1"]) == 2
     assert main(base + ["--models", "compnet,bogus", "--seeds", "1"]) == 2
     assert main(base + ["--models", "compnet,concat", "--seeds", "1,x"]) == 2
+
+
+def test_compare_rejects_repeated_model_kinds_with_one_error_line(
+        small_dataset_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["compare", "--config", compare_config(tmp_path),
+                 "--data", str(small_dataset_dir), "--models", "compnet,compnet",
+                 "--seeds", "1", "--out", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err == "error: model kinds must be distinct\n"
 
 
 def test_compare_config_errors_are_usage_errors(small_dataset_dir, tmp_path):
@@ -1089,11 +1097,40 @@ def with_zero_std(raw):
     return json.dumps(norm).encode("utf-8")
 
 
+def with_version_2(raw):
+    return raw[:4] + struct.pack("<I", 2) + raw[8:]
+
+
+def with_header_past_the_end(raw):
+    return raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]
+
+
+def with_format_version_2(raw):
+    return json.dumps({**json.loads(raw), "format_version": 2}).encode("utf-8")
+
+
+def with_empty_image_shape(raw):
+    manifest = json.loads(raw)
+    shape = [0, *manifest["image_shape"][1:]]
+    return json.dumps({**manifest, "image_shape": shape}).encode("utf-8")
+
+
+def with_model_number(raw):
+    return json.dumps({**json.loads(raw), "model": 5}).encode("utf-8")
+
+
+def with_other_image_shape(raw):
+    config = json.loads(raw)
+    config["model"]["image_shape"] = [1, 8, 8]  # the dataset's images are 1x12x12
+    return json.dumps(config).encode("utf-8")
+
+
 RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     "config": ("config.json", 2), "spec": ("spec.json", 2),
     "manifest": ("ds/manifest.json", 3), "features": ("ds/features.csv", 3),
     "labels": ("ds/labels.csv", 3), "images": ("ds/images.bin", 3),
-    "header": ("run/checkpoint.cmpn", 3), "normalizer": ("run/normalizer.json", 3),
+    "header": ("run/checkpoint.cmpn", 3), "checkpoint": ("run/checkpoint.cmpn", 3),
+    "normalizer": ("run/normalizer.json", 3),
     "normalizer-values": ("run/normalizer.json", 2),
 }
 
@@ -1104,8 +1141,10 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field)),
     ("images", with_nan_first_pixel), ("images", with_inf_last_pixel),
     ("manifest", with_one_class), ("labels", with_label_out_of_range),
-    ("normalizer-values", with_tiny_std), ("normalizer-values", with_zero_std)])
-@pytest.mark.filterwarnings("error")  # a NumPy warning would be a second stderr line
+    ("normalizer-values", with_tiny_std), ("normalizer-values", with_zero_std),
+    ("checkpoint", with_version_2), ("checkpoint", with_header_past_the_end),
+    ("manifest", with_format_version_2), ("manifest", with_empty_image_shape),
+    ("config", with_model_number), ("config", with_other_image_shape)])
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
     shutil.copytree(trained_run, tmp_path / "run")
@@ -1126,5 +1165,24 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
                    "--data", str(tmp_path / "ds")])
     capsys.readouterr()
     assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", ["eval", "importance", "train"])
+def test_a_dataset_with_no_samples_is_a_usage_error_with_one_error_line(
+        small_dataset, trained_run, tmp_path, capsys, command):
+    empty = tmp_path / "empty"
+    cn.save_dataset(small_dataset.subset([]), empty)
+    argv = {
+        "eval": ["eval", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                 "--data", str(empty), "--split", "all"],
+        "importance": ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                       "--data", str(empty), "--out", str(tmp_path / "imp.csv")],
+        "train": ["train", "--config", write_json(tmp_path / "config.json", TINY_CLI_CONFIG),
+                  "--data", str(empty), "--model", "compnet", "--out", str(tmp_path / "out")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines

