@@ -16,9 +16,9 @@ from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    zscore_apply, zscore_fit)
 from .exceptions import (CompnetError, ConfigError, DataError, FormatError,
                          NumericError, ShapeError, TapeError, VariantError)
-from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
-                     conv2d, cross_entropy, dense, fusion_weight_matrix,
-                     leaky_relu, maxpool2d)
+from .layers import (ConvParams, DenseParams, concat_columns, conv2d,
+                     cross_entropy, dense, fusion_weight_matrix, leaky_relu,
+                     maxpool2d)
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
                      extract_weight_matrices, feature_importance, forward,
                      predict)
@@ -36,7 +36,7 @@ __all__ = [
     "zscore_apply", "zscore_fit",
     "CompnetError", "ConfigError", "DataError", "FormatError", "NumericError",
     "ShapeError", "TapeError", "VariantError",
-    "ConvParams", "DenseParams", "FusionShape", "concat_columns", "conv2d",
+    "ConvParams", "DenseParams", "concat_columns", "conv2d",
     "cross_entropy", "dense", "fusion_weight_matrix", "leaky_relu",
     "maxpool2d",
     "ImportanceReport", "Model", "ModelConfig", "build_model",

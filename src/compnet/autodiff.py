@@ -59,8 +59,6 @@ class Tensor:
         return self.node_id is not None
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
@@ -132,14 +130,6 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
     return tape._record(data, inputs, backward)
 
 
-def _validated_shape(shape: Sequence[int]) -> Shape:
-    dims = tuple(shape)
-    for d in dims:
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ShapeError(f"dimensions must be positive integers, got {list(dims)}")
-    return tuple(int(d) for d in dims)
-
-
 def from_array(a) -> Tensor:
     """Copy any array-like into an untracked tensor."""
     return Tensor(a)
@@ -159,9 +149,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(t: Tensor, new_shape: Sequence[int]) -> Tensor:
     """Reinterpret the flat row-major data under a new shape."""
-    dims = _validated_shape(new_shape)
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if count != t.size:
+    dims = tuple(new_shape)
+    if int(np.prod(dims, dtype=np.int64)) != t.size:
         raise ShapeError(
             f"cannot reshape {t.size} elements into {list(dims)}")
     out = t.data.reshape(dims)

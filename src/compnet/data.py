@@ -194,8 +194,6 @@ class Normalizer:
 
 def zscore_fit(train: Dataset) -> Normalizer:
     """Fit per-feature mean and population standard deviation on ``train``."""
-    if len(train) == 0:
-        raise DataError("cannot fit a normalizer on an empty dataset")
     feats = train.features()
     with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow both
         mean = feats.mean(axis=0)

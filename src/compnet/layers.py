@@ -1,15 +1,20 @@
 """Differentiable network layers.
 
-Convolution, pooling, dense, LeakyReLU and cross-entropy cover
-the image pathway; ``fusion_weight_matrix`` is the composite scoring
-layer that reinterprets a learned vector as a per-class weight matrix and
-dots each row with the designed-feature vector.  All layers register
-their backward rules on the tape through :func:`autodiff.wrap_result`,
-so anything built from them can be trained end to end.
+Convolution, pooling, dense, LeakyReLU and cross-entropy cover the image
+pathway; ``fusion_weight_matrix(learned, n_classes, designed)`` is the
+composite scoring layer that reinterprets a learned vector as an
+``n_classes`` x ``n_features`` weight matrix and dots each row with the
+designed-feature vector.  All layers register their backward rules on the
+tape through :func:`autodiff.wrap_result`, so anything built from them
+can be trained end to end.
 
 Geometry is deliberately rigid: convolutions are valid (no padding) with
 stride 1, pooling is 2x2 with stride 2, and odd spatial dimensions are a
 hard error instead of a silent crop.
+
+``ModelConfig`` and the model's layer plan fix every shape that reaches a
+layer, so the layers re-check only channels, kernel fit, even pooling
+dims, widths and labels; any other bad shape fails in NumPy itself.
 """
 
 from __future__ import annotations
@@ -28,57 +33,12 @@ class ConvParams:
     kernels: Tensor
     bias: Tensor
 
-    def __post_init__(self) -> None:
-        if self.kernels.data.ndim != 4:
-            raise ShapeError(
-                f"conv kernels must be rank 4, got shape {list(self.kernels.shape)}")
-        f, _, kh, kw = self.kernels.shape
-        if min(f, kh, kw) < 1:
-            raise ShapeError(f"conv kernel dims must be >= 1, got {list(self.kernels.shape)}")
-        if self.bias.shape != (f,):
-            raise ShapeError(
-                f"conv bias must have shape [{f}], got {list(self.bias.shape)}")
-
 
 @dataclass
 class DenseParams:
     """Weights ``[p, q]`` and bias ``[q]`` for a fully connected layer."""
     weights: Tensor
     bias: Tensor
-
-    def __post_init__(self) -> None:
-        if self.weights.data.ndim != 2:
-            raise ShapeError(
-                f"dense weights must be rank 2, got shape {list(self.weights.shape)}")
-        q = self.weights.shape[1]
-        if self.bias.shape != (q,):
-            raise ShapeError(
-                f"dense bias must have shape [{q}], got {list(self.bias.shape)}")
-
-
-@dataclass
-class FusionShape:
-    """Dimensions tying the learned vector to the weight-matrix view.
-
-    A learned vector of length ``m == n_classes * n_features`` is reshaped
-    into ``n_classes`` rows of ``n_features`` weights each.
-    """
-    n_classes: int
-    n_features: int
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
-        if self.n_features < 1:
-            raise ShapeError(f"need at least 1 designed feature, got {self.n_features}")
-
-    @property
-    def m(self) -> int:
-        return self.n_classes * self.n_features
-
-    @classmethod
-    def of(cls, n_classes: int, n_features: int) -> "FusionShape":
-        return cls(n_classes, n_features)
 
 
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -167,8 +127,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     writes as ``ne0 * (1 + ne1 * (1 + ne2))`` where ``ne_i`` is 1 when
     view ``i`` differs from the maximum.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"maxpool2d input must be rank 4, got shape {list(x.shape)}")
     batch, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even spatial dims, got {h}x{w}")
@@ -198,8 +156,6 @@ def maxpool2d(x: Tensor) -> Tensor:
 
 def dense(x: Tensor, params: DenseParams) -> Tensor:
     """Affine map ``x @ weights + bias`` over a batch ``[B, p]``."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"dense input must be rank 2, got shape {list(x.shape)}")
     p, q = params.weights.shape
     if x.shape[1] != p:
         raise ShapeError(f"dense input width {x.shape[1]} != weight rows {p}")
@@ -231,8 +187,6 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
 def concat_columns(a: Tensor, b: Tensor) -> Tensor:
     """Join two batches ``[B, p]`` and ``[B, q]`` into ``[B, p+q]``."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("concat_columns needs rank-2 operands")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(
             f"concat_columns batch sizes differ: {a.shape[0]} vs {b.shape[0]}")
@@ -245,35 +199,28 @@ def concat_columns(a: Tensor, b: Tensor) -> Tensor:
     return wrap_result(out, (a, b), backward)
 
 
-def fusion_weight_matrix(learned: Tensor, shape: FusionShape, designed: Tensor) -> Tensor:
+def fusion_weight_matrix(learned: Tensor, n_classes: int, designed: Tensor) -> Tensor:
     """Class scores from a learned weight matrix applied to designed features.
 
-    Each sample's learned vector ``[m]`` is reshaped row-major into a
-    matrix with one row of ``n_features`` weights per class; the score
-    for class ``k`` is the dot product of row ``k`` with that sample's
-    designed-feature vector.  The layer is bilinear, so the gradients are
-    exact: dO_k/dW_kj is the designed feature j and dO_k/dD_j is the
-    learned weight W_kj.
+    ``learned`` is ``[B, n_classes * n_features]`` and ``designed`` is
+    ``[B, n_features]``, so ``n_features`` is read off ``designed``.  Each
+    sample's learned vector is reshaped row-major into a matrix with one
+    row of ``n_features`` weights per class; the score for class ``k`` is
+    the dot product of row ``k`` with that sample's designed-feature
+    vector.  The layer is bilinear, so the gradients are exact:
+    dO_k/dW_kj is the designed feature j and dO_k/dD_j is the learned
+    weight W_kj.
     """
-    if learned.data.ndim != 2:
+    batch, n_features = designed.shape
+    if learned.shape[1] != n_classes * n_features:
         raise ShapeError(
-            f"fusion learned input must be rank 2, got shape {list(learned.shape)}")
-    if designed.data.ndim != 2:
-        raise ShapeError(
-            f"fusion designed input must be rank 2, got shape {list(designed.shape)}")
-    batch = learned.shape[0]
-    if learned.shape[1] != shape.m:
-        raise ShapeError(
-            f"learned width {learned.shape[1]} != expected {shape.m}")
-    if designed.shape != (batch, shape.n_features):
-        raise ShapeError(
-            f"designed features must be [{batch}, {shape.n_features}], "
-            f"got {list(designed.shape)}")
-    per_class = learned.data.reshape(batch, shape.n_classes, shape.n_features)
+            f"learned width {learned.shape[1]} != {n_classes} classes x "
+            f"{n_features} features")
+    per_class = learned.data.reshape(batch, n_classes, n_features)
     out = np.einsum("bkn,bn->bk", per_class, designed.data)
 
     def backward(g):
-        g_learned = (g[:, :, None] * designed.data[:, None, :]).reshape(batch, shape.m)
+        g_learned = (g[:, :, None] * designed.data[:, None, :]).reshape(learned.shape)
         g_designed = np.einsum("bk,bkn->bn", g, per_class)
         return g_learned, g_designed
 
@@ -287,9 +234,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     ``logsumexp(row) - row[label]`` so no probability is materialized on
     the forward path.
     """
-    if logits.data.ndim != 2 or logits.shape[1] < 2:
-        raise ShapeError(
-            f"cross_entropy needs [batch, classes>=2] logits, got {list(logits.shape)}")
     if not np.isfinite(logits.data).all():
         raise NumericError("cross_entropy received non-finite logits")
     batch, k = logits.shape

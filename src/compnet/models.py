@@ -31,10 +31,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import DictConfig, require_min
 from .data import CheckedBatch
-from .exceptions import ConfigError, DataError, ShapeError, VariantError
-from .layers import (ConvParams, DenseParams, FusionShape, concat_columns,
-                     conv2d, dense, fusion_weight_matrix, leaky_relu,
-                     maxpool2d)
+from .exceptions import ConfigError, DataError, NumericError, ShapeError, VariantError
+from .layers import (ConvParams, DenseParams, concat_columns, conv2d, dense,
+                     fusion_weight_matrix, leaky_relu, maxpool2d)
 
 FUSION_KINDS = ("compnet", "concat", "image_only")
 # Rows per forward-only pass when scoring or explaining a whole dataset.
@@ -104,14 +103,9 @@ class Model:
         return sum(int(p.size) for p in self.params.values())
 
     def set_params(self, new_params: Mapping[str, np.ndarray]) -> None:
-        """Replace parameter values in place (shapes must match)."""
+        """Replace parameter values in place; shapes are the caller's to keep."""
         for name in self.param_order:
-            new = np.asarray(new_params[name], dtype=np.float64)
-            if new.shape != self.params[name].shape:
-                raise ShapeError(
-                    f"parameter {name}: shape {list(new.shape)} != "
-                    f"{list(self.params[name].shape)}")
-            self.params[name] = new
+            self.params[name] = np.asarray(new_params[name], dtype=np.float64)
 
 
 class _Layer(NamedTuple):
@@ -235,8 +229,7 @@ def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
         elif layer.op == "concat":
             x = concat_columns(x, features)
         elif layer.op == "fusion":
-            x = fusion_weight_matrix(
-                x, FusionShape.of(cfg.n_classes, cfg.n_features), features)
+            x = fusion_weight_matrix(x, cfg.n_classes, features)
     return x
 
 
@@ -301,7 +294,11 @@ class ImportanceReport:
 
 
 def feature_importance(model: Model, dataset) -> ImportanceReport:
-    """Mean |weight matrix| over a dataset, with per-class feature rankings."""
+    """Mean |weight matrix| over a dataset, with per-class feature rankings.
+
+    ``NumericError`` if that mean is not finite, as it can be for a loaded
+    model whose finite weights overflow.
+    """
     if model.config.fusion_kind != "compnet":
         raise VariantError(
             f"feature importance requires the compnet variant, "
@@ -311,9 +308,12 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
         raise DataError("feature importance needs a non-empty dataset")
     cfg = model.config
     total = np.zeros((cfg.n_classes, cfg.n_features))
-    for images, _, _ in dataset.batches(EVAL_BATCH):
-        total += np.abs(extract_weight_matrices(model, images).data).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for images, _, _ in dataset.batches(EVAL_BATCH):
+            total += np.abs(extract_weight_matrices(model, images).data).sum(axis=0)
     importance = total / n
+    if not np.isfinite(importance).all():
+        raise NumericError("feature importance is not finite")
     ranking = np.argsort(-importance, axis=1, kind="stable")
     return ImportanceReport(importance=importance, ranking=ranking,
                             rank_of=np.argsort(ranking, axis=1))  # each row's inverse

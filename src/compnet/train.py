@@ -31,7 +31,7 @@ from . import models as models_mod
 from .autodiff import Tape, backward
 from .config import DictConfig, require_min
 from .data import Dataset, read_json_object, write_atomic
-from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
+from .exceptions import ConfigError, DataError, FormatError, NumericError
 from .layers import cross_entropy
 from .models import EVAL_BATCH, Model, ModelConfig
 
@@ -100,8 +100,6 @@ class History:
         return len(self.records)
 
     def last(self) -> EpochRecord:
-        if not self.records:
-            raise DataError("history is empty")
         return self.records[-1]
 
 
@@ -124,10 +122,6 @@ def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndar
     """One momentum update, in place: ``v <- momentum*v + g``; ``w <- w - lr*v``."""
     for name, w in params.items():
         g = grads[name]
-        if g.shape != w.shape:
-            raise ShapeError(
-                f"gradient for {name} has shape {list(g.shape)}, "
-                f"parameter has {list(w.shape)}")
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name}")
         v = state.velocities[name]
@@ -169,17 +163,24 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
 
 
 def evaluate(model: Model, ds: Dataset) -> Metrics:
-    """Loss and accuracy over a dataset; parameters untouched."""
+    """Loss and accuracy over a dataset; parameters untouched.
+
+    ``NumericError`` if the logits or the loss are not finite, as they
+    can be for a loaded model whose finite weights overflow.
+    """
     n = len(ds)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
     correct = 0
-    for images, features, labels in ds.batches(EVAL_BATCH):
-        logits = models_mod.forward(model, images, features)
-        loss = cross_entropy(logits, labels)
-        loss_sum += loss.item() * len(labels)
-        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+        for images, features, labels in ds.batches(EVAL_BATCH):
+            logits = models_mod.forward(model, images, features)
+            loss = cross_entropy(logits, labels)
+            loss_sum += loss.item() * len(labels)
+            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+    if not np.isfinite(loss_sum):
+        raise NumericError("evaluation loss is not finite")
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)
 
 
@@ -253,7 +254,8 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
     """Rebuild a model and optimizer state bit-exactly from a checkpoint.
 
     Also returns the header's free-form ``extra`` object.  Every way the
-    file can disagree with the layout above is a :class:`FormatError`.
+    file can disagree with the layout above is a :class:`FormatError`, and
+    so is a non-finite parameter or velocity, which ``fit`` never saves.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -285,9 +287,13 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
                           f"model needs {16 * model.param_count}")
     values = np.frombuffer(payload, dtype="<f8")
     arrays, offset = [], 0
-    for like in [*model.params.values()] * 2:  # the parameters, then their velocities
-        arrays.append(values[offset:offset + like.size].astype(np.float64).reshape(like.shape))
-        offset += like.size
+    for kind in ("parameter", "velocity"):
+        for name, like in model.params.items():
+            arr = values[offset:offset + like.size].astype(np.float64).reshape(like.shape)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: {kind} {name} holds non-finite values")
+            arrays.append(arr)
+            offset += like.size
     velocities = dict(zip(model.param_order, arrays[len(model.params):]))
     model.set_params(dict(zip(model.param_order, arrays)))
     return model, OptimState(velocities=velocities, epoch=header["epoch"]), extra

@@ -14,9 +14,9 @@ import numpy as np
 import compnet as cn
 from compnet import autodiff as ad
 from compnet.cli import main
-from compnet.layers import (ConvParams, DenseParams, FusionShape,
-                            concat_columns, conv2d, cross_entropy, dense,
-                            fusion_weight_matrix, leaky_relu, maxpool2d)
+from compnet.layers import (ConvParams, DenseParams, concat_columns, conv2d,
+                            cross_entropy, dense, fusion_weight_matrix,
+                            leaky_relu, maxpool2d)
 from compnet.models import tracked_forward
 from conftest import BENCH_SEEDS, INFORMATIVE, NUISANCE, TINY_CLI_CONFIG
 from naive_ref import conv2d_ref, dense_ref, fusion_ref, maxpool2d_ref
@@ -63,7 +63,7 @@ def _layer_grad_cases(rng):
     learned = rng.normal(size=(3, 8))
     designed = rng.normal(size=(3, 4))
     w_fused = rng.normal(size=(3, 2))
-    shape = FusionShape.of(n_classes=2, n_features=4)
+    n_classes = 2
     logits = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 1])
 
@@ -114,11 +114,11 @@ def _layer_grad_cases(rng):
          ad.from_array(cols_b)),
         ("fusion/learned",
          lambda t: _weighted_sum(fusion_weight_matrix(
-             t, shape, ad.from_array(designed)), w_fused),
+             t, n_classes, ad.from_array(designed)), w_fused),
          ad.from_array(learned)),
         ("fusion/designed",
          lambda t: _weighted_sum(fusion_weight_matrix(
-             ad.from_array(learned), shape, t), w_fused),
+             ad.from_array(learned), n_classes, t), w_fused),
          ad.from_array(designed)),
         ("cross_entropy/logits",
          lambda t: cross_entropy(t, labels),
@@ -190,8 +190,7 @@ def test_fusion_layer_matches_reshape_dot_reference():
         batch = int(rng.integers(1, 5))
         learned = rng.normal(size=(batch, n_classes * n_features))
         designed = rng.normal(size=(batch, n_features))
-        shape = FusionShape.of(n_classes, n_features)
-        got = fusion_weight_matrix(ad.from_array(learned), shape,
+        got = fusion_weight_matrix(ad.from_array(learned), n_classes,
                                    ad.from_array(designed)).data
         want = fusion_ref(learned, n_classes, n_features, designed)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -199,23 +198,23 @@ def test_fusion_layer_matches_reshape_dot_reference():
 
     # a one-hot designed vector must read off one learned column exactly
     learned = rng.normal(size=(2, 12))
-    shape = FusionShape.of(3, 4)
+    n_classes = 3
     matrices = learned.reshape(2, 3, 4)
     for j in range(4):
         one_hot = np.zeros((2, 4))
         one_hot[:, j] = 1.0
-        got = fusion_weight_matrix(ad.from_array(learned), shape,
+        got = fusion_weight_matrix(ad.from_array(learned), n_classes,
                                    ad.from_array(one_hot)).data
         assert np.array_equal(got, matrices[:, :, j])
 
     # linearity in the designed features
     d1 = rng.normal(size=(2, 4))
     d2 = rng.normal(size=(2, 4))
-    combo = fusion_weight_matrix(ad.from_array(learned), shape,
+    combo = fusion_weight_matrix(ad.from_array(learned), n_classes,
                                  ad.from_array(2.5 * d1 - 0.5 * d2)).data
-    parts = (2.5 * fusion_weight_matrix(ad.from_array(learned), shape,
+    parts = (2.5 * fusion_weight_matrix(ad.from_array(learned), n_classes,
                                         ad.from_array(d1)).data
-             - 0.5 * fusion_weight_matrix(ad.from_array(learned), shape,
+             - 0.5 * fusion_weight_matrix(ad.from_array(learned), n_classes,
                                           ad.from_array(d2)).data)
     lin_err = float(np.max(np.abs(combo - parts)))
     assert lin_err <= 1e-12

@@ -1,8 +1,11 @@
 """End-to-end command-line runs: artifact contents, determinism, exit codes."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import math
 import os
 import shutil
 import signal
@@ -14,6 +17,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1167,6 +1171,132 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing-config", "config file not found"),
+    ("no-seeds", "--seeds needs at least one seed"),
+    ("no-conv-filters", "conv_filters must not be empty"),
+    ("leaky-slope", "leaky_slope must be in (0, 1)"),
+    ("pixel-noise", "pixel_noise must be >= 0"),
+    ("one-balance-entry", "class_balance needs 2 entries"),
+    ("balance-sum", "class_balance must be positive and sum to 1"),
+    ("one-sample-class", "stratified split needs >= 2 samples per class"),
+    ("short-normalizer", "normalizer fitted on 15 features")])
+def test_a_rejected_setting_ends_in_exit_2_and_one_error_line(
+        small_dataset, small_dataset_dir, trained_run, tmp_path, capsys, case, message):
+    def train(ds=small_dataset_dir, **model):
+        config = copy.deepcopy(TINY_CLI_CONFIG)
+        config["model"].update(model)
+        return ["train", "--config", write_json(tmp_path / "config.json", config),
+                "--data", str(ds), "--model", "compnet", "--out", str(tmp_path / "out")]
+
+    def generate(**spec):
+        return ["generate", "--spec", write_json(tmp_path / "spec.json", {"n_samples": 40, **spec}),
+                "--out", str(tmp_path / "out")]
+
+    if case == "one-sample-class":
+        labels = small_dataset.labels().tolist()
+        keep = [i for i, y in enumerate(labels) if y == 0] + [labels.index(1)]
+        cn.save_dataset(small_dataset.subset(keep), tmp_path / "ds")
+    if case == "short-normalizer":
+        run = shutil.copytree(trained_run, tmp_path / "run")
+        norm = json.loads((run / "normalizer.json").read_text(encoding="utf-8"))
+        write_json(run / "normalizer.json", {key: values[:-1] for key, values in norm.items()})
+    argv = {
+        "missing-config": lambda: ["train", "--config", str(tmp_path / "missing.json"),
+                                   "--data", str(small_dataset_dir), "--model", "compnet",
+                                   "--out", str(tmp_path / "out")],
+        "no-seeds": lambda: ["compare", "--data", str(small_dataset_dir), "--models",
+                             "compnet,concat", "--seeds", ",", "--out", str(tmp_path / "out")],
+        "no-conv-filters": lambda: train(conv_filters=[]),
+        "leaky-slope": lambda: train(leaky_slope=1.5),
+        "pixel-noise": lambda: generate(pixel_noise=-1),
+        "one-balance-entry": lambda: generate(class_balance=[1.0]),
+        "balance-sum": lambda: generate(class_balance=[0.3, 0.3]),
+        "one-sample-class": lambda: train(ds=tmp_path / "ds"),
+        "short-normalizer": lambda: ["eval", "--checkpoint",
+                                     str(tmp_path / "run" / "checkpoint.cmpn"),
+                                     "--data", str(small_dataset_dir)],
+    }[case]()
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def overwrite_payload(ckpt, values):
+    """Set float ``i`` (modulo the float count) of a checkpoint's payload to ``v``
+    for each ``(i, v)``."""
+    blob = ckpt.read_bytes()
+    start = 16 + struct.unpack("<Q", blob[8:16])[0]
+    floats = np.frombuffer(blob[start:], dtype="<f8").copy()
+    for i, v in values:
+        floats[i % floats.size] = v
+    ckpt.write_bytes(blob[:start] + floats.tobytes())
+
+
+def score_checkpoint(run, data_dir):
+    """Run ``eval`` and ``importance`` on ``run``: per command, its exit code,
+    its stderr lines and, on success, whether every number it wrote is finite."""
+    outcomes = []
+    for command, out in (("eval", run / "metrics.json"), ("importance", run / "imp.csv")):
+        argv = ["--checkpoint", str(run / "checkpoint.cmpn"), "--data", str(data_dir)]
+        if command == "importance":
+            argv += ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, *argv])
+        finite = None
+        if code == 0:
+            if command == "eval":
+                numbers = json.loads(out.read_text(encoding="utf-8")).values()
+            else:
+                rows = out.read_text(encoding="utf-8").splitlines()[1:]
+                numbers = [float(row.split(",")[2]) for row in rows]
+            finite = all(math.isfinite(v) for v in numbers if not isinstance(v, str))
+        outcomes.append((command, code, err.getvalue().splitlines(), finite))
+    return outcomes
+
+
+# conv0.kernels is the first payload array: 2 filters x 1 channel x 3 x 3.
+CONV0_KERNELS, CONV0_BIAS = range(18), range(18, 20)
+
+
+@pytest.mark.parametrize("values,code,message", [
+    ([(0, float("nan"))], 3, "parameter conv0.kernels holds non-finite values"),
+    ([(5, float("-inf"))], 3, "parameter conv0.kernels holds non-finite values"),
+    ([(-1, float("inf"))], 3, "velocity out.bias holds non-finite values"),
+    ([*((i, 1e308) for i in CONV0_KERNELS), *((i, 0.0) for i in CONV0_BIAS)], 4,
+     {"eval": "cross_entropy received non-finite logits",
+      "importance": "feature importance is not finite"})])
+def test_a_checkpoint_that_cannot_score_ends_in_its_exit_code_and_one_error_line(
+        trained_run, small_dataset_dir, tmp_path, values, code, message):
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    overwrite_payload(run / "checkpoint.cmpn", values)
+    for command, got, lines, _ in score_checkpoint(run, small_dataset_dir):
+        want = message[command] if isinstance(message, dict) else message
+        assert got == code, command
+        assert len(lines) == 1 and lines[0].startswith("error: ") and want in lines[0], lines
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_checkpoint_with_overwritten_payload_floats_scores_finite_or_fails_cleanly(
+        trained_run, small_dataset_dir, data):
+    values = data.draw(st.lists(
+        st.tuples(st.integers(0, 1 << 16),
+                  st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308])),
+        min_size=1, max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        run = shutil.copytree(trained_run, Path(tmp) / "run")
+        overwrite_payload(run / "checkpoint.cmpn", values)
+        for command, code, lines, finite in score_checkpoint(run, small_dataset_dir):
+            if code == 0:
+                assert finite and not lines, (command, lines)
+            else:
+                assert code in (3, 4), command
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("command", ["eval", "importance", "train"])

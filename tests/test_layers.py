@@ -8,7 +8,7 @@ import pytest
 
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
-                     FusionShape, NumericError, ShapeError, Tape, Tensor,
+                     NumericError, ShapeError, Tape, Tensor,
                      backward, from_array, reduce_sum)
 from naive_ref import (conv2d_ref, dense_ref, fusion_ref, maxpool2d_grad_ref,
                        maxpool2d_ref)
@@ -273,24 +273,22 @@ def test_concat_columns_batch_mismatch():
 
 def test_fusion_hand_example():
     learned = from_array([[1, 2, 3, 4, 5, 6]])
-    shape = FusionShape.of(2, 3)
     ones = from_array([[1, 1, 1]])
     assert np.array_equal(
-        cn.fusion_weight_matrix(learned, shape, ones).data, [[6, 15]])
+        cn.fusion_weight_matrix(learned, 2, ones).data, [[6, 15]])
 
 
 def test_fusion_one_hot_extracts_column():
     learned = from_array([[1, 2, 3, 4, 5, 6]])
-    shape = FusionShape.of(2, 3)
     e1 = from_array([[0, 1, 0]])
-    assert np.array_equal(cn.fusion_weight_matrix(learned, shape, e1).data,
+    assert np.array_equal(cn.fusion_weight_matrix(learned, 2, e1).data,
                           [[2, 5]])
 
 
 def test_fusion_zero_designed_gives_zero_scores():
     rng = np.random.default_rng(5)
     learned = from_array(rng.normal(size=(4, 6)))
-    out = cn.fusion_weight_matrix(learned, FusionShape.of(2, 3),
+    out = cn.fusion_weight_matrix(learned, 2,
                                   from_array(np.zeros((4, 3))))
     assert not out.data.any()
 
@@ -299,24 +297,22 @@ def test_fusion_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     learned0 = rng.normal(size=(2, 6))
     designed0 = rng.normal(size=(2, 3))
-    shape = FusionShape.of(2, 3)
 
     rep_l = cn.grad_check(
-        lambda L: reduce_sum(cn.fusion_weight_matrix(L, shape,
+        lambda L: reduce_sum(cn.fusion_weight_matrix(L, 2,
                                                      from_array(designed0))),
         from_array(learned0), step=1e-5, tol=1e-6)
     assert rep_l.passed
     rep_d = cn.grad_check(
         lambda D: reduce_sum(cn.fusion_weight_matrix(from_array(learned0),
-                                                     shape, D)),
+                                                     2, D)),
         from_array(designed0), step=1e-5, tol=1e-6)
     assert rep_d.passed
 
 
 def test_fusion_width_mismatch():
     with pytest.raises(ShapeError):
-        cn.fusion_weight_matrix(from_array(np.ones((1, 7))),
-                                FusionShape.of(2, 3),
+        cn.fusion_weight_matrix(from_array(np.ones((1, 7))), 2,
                                 from_array(np.ones((1, 3))))
 
 

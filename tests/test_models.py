@@ -6,7 +6,7 @@ import pytest
 
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
-                     FusionShape, ModelConfig, ShapeError, Tape, Tensor,
+                     ModelConfig, ShapeError, Tape, Tensor,
                      VariantError, backward, build_model, extract_weight_matrices,
                      feature_importance, forward, from_array, models, predict)
 from compnet.models import FUSION_KINDS, tracked_forward
@@ -191,6 +191,15 @@ def test_input_validation():
         forward(model, images, from_array(np.full((3, model.config.n_features), np.nan)))
 
 
+@pytest.mark.parametrize("kind", FUSION_KINDS)
+def test_a_features_batch_one_column_short_is_rejected_before_any_layer(kind):
+    # The layers themselves no longer check the designed-feature width.
+    model = build_model(tiny_cfg(fusion_kind=kind))
+    images, features = _random_inputs(model.config)
+    with pytest.raises(ShapeError, match="features must be"):
+        forward(model, images, from_array(features.data[:, :-1]))
+
+
 # ---------------------------------------------------------------------------
 # run order: the plan lists the ops in the order they run, and each trunk
 # stage pools before its LeakyReLU
@@ -249,8 +258,7 @@ def _relu_then_pool_forward(model, p, images, features):
             x = cn.concat_columns(x, features)
     x = cn.dense(x, DenseParams(p["out.weights"], p["out.bias"]))
     if cfg.fusion_kind == "compnet":
-        x = cn.fusion_weight_matrix(
-            x, FusionShape.of(cfg.n_classes, cfg.n_features), features)
+        x = cn.fusion_weight_matrix(x, cfg.n_classes, features)
     return x, conv_outs
 
 
