@@ -173,7 +173,7 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
         raise DataError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
     correct = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
         for images, features, labels in ds.batches(EVAL_BATCH):
             logits = models_mod.forward(model, images, features)
             loss = cross_entropy(logits, labels)
