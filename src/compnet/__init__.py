@@ -22,7 +22,7 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d,
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
                      extract_weight_matrices, feature_importance, forward,
                      predict)
-from .train import (EpochRecord, History, Metrics, OptimState, TrainConfig,
+from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
 
@@ -41,7 +41,7 @@ __all__ = [
     "maxpool2d",
     "ImportanceReport", "Model", "ModelConfig", "build_model",
     "extract_weight_matrices", "feature_importance", "forward", "predict",
-    "EpochRecord", "History", "Metrics", "OptimState", "TrainConfig",
+    "EpochRecord", "Metrics", "OptimState", "TrainConfig",
     "checkpoint_load", "checkpoint_save", "evaluate", "fit",
     "init_optim_state", "sgd_momentum_step", "train_epoch",
     "__version__",

@@ -29,7 +29,7 @@ from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
 from .exceptions import CompnetError, ConfigError, FormatError
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
                      feature_importance)
-from .train import (History, OptimState, TrainConfig, checkpoint_load,
+from .train import (EpochRecord, OptimState, TrainConfig, checkpoint_load,
                     checkpoint_save, evaluate, fit, init_optim_state)
 
 
@@ -101,7 +101,7 @@ class RunResult:
     """Everything one training run leaves behind, before any file is written."""
     model: Model
     opt_state: OptimState
-    history: History
+    history: list[EpochRecord]
     normalizer: Normalizer
 
 
@@ -119,9 +119,9 @@ def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     return RunResult(model=model, opt_state=state, history=history, normalizer=norm)
 
 
-def history_csv(history: History) -> str:
+def history_csv(history: list[EpochRecord]) -> str:
     lines = ["epoch,train_loss,train_acc,test_loss,test_acc"]
-    for rec in history.records:
+    for rec in history:
         test_loss = _fmt(rec.test.loss) if rec.test else ""
         test_acc = _fmt(rec.test.accuracy) if rec.test else ""
         lines.append(f"{rec.epoch},{_fmt(rec.train.loss)},{_fmt(rec.train.accuracy)},"
@@ -198,7 +198,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     with ordered_results(lambda seed, kind: run_training(ds, *runs[seed, kind]),
                          list(runs), min(_default_jobs(), len(runs))) as finished:
         for (seed, kind), result in zip(runs, finished):
-            last = result.history.last()
+            last = result.history[-1]
             row = {
                 "model": kind,
                 "seed": seed,
@@ -268,11 +268,10 @@ def cmd_train(args) -> int:
                     train_config=train_cfg,
                     extra={"split": split_settings.to_dict(),
                            "normalizer_file": "normalizer.json"})
-    rec = result.history.last()
-    test_part = (f", test loss {rec.test.loss:.4f} acc {rec.test.accuracy:.4f}"
-                 if rec.test else "")
+    rec = result.history[-1]
     print(f"{args.model}: epoch {rec.epoch}, train loss {rec.train.loss:.4f} "
-          f"acc {rec.train.accuracy:.4f}{test_part}")
+          f"acc {rec.train.accuracy:.4f}, test loss {rec.test.loss:.4f} "
+          f"acc {rec.test.accuracy:.4f}")
     print(f"artifacts -> {out}")
     return 0
 

@@ -51,8 +51,9 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     ``(c, u)`` at column offset ``j`` for output column ``j``.  The band
     is ordered ``(c, kh, w)``, so each output sums the same products in
     the same order as an im2col dot product over ``(c, kh, kw)``, with
-    exact zeros in between.  The im2col columns are built only in the
-    backward rule, for the kernel gradient.
+    exact zeros in between.  The same band, transposed, gives the input
+    gradient; im2col columns are built only in the backward rule, for the
+    kernel gradient.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got shape {list(x.shape)}")
@@ -91,24 +92,19 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         cols_t = np.ascontiguousarray(
             sliding(x.data, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)).reshape(
             c_in * kh * kw, batch * oh * ow)
-        g_cols_f = np.ascontiguousarray(
+        g_f = np.ascontiguousarray(
             g.reshape(batch, f, oh * ow).transpose(0, 2, 1))  # [B, OH*OW, F]
-        g_k = (g_cols_f.reshape(batch * oh * ow, f).T @ cols_t.T).reshape(f, c_in, kh, kw)
+        g_k = (g_f.reshape(batch * oh * ow, f).T @ cols_t.T).reshape(f, c_in, kh, kw)
         g_b = g.sum(axis=(0, 2, 3))
         if not need_x:
             return None, g_k, g_b
-        # grad wrt input is the full correlation of g with the spatially
-        # flipped kernels, channel roles swapped; one gemm via im2col
-        # over the zero-padded output gradient.
-        g_pad = np.zeros((batch, f, h + kh - 1, w + kw - 1))
-        g_pad[:, :, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = g
-        g_wins = sliding(g_pad, (kh, kw), axis=(2, 3))
-        g_cols = np.ascontiguousarray(g_wins.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            batch, h * w, f * kh * kw)
-        k_flip = np.ascontiguousarray(
-            params.kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(
-            c_in, f * kh * kw)
-        g_x = (g_cols @ k_flip.T).transpose(0, 2, 1).reshape(batch, c_in, h, w)
+        # Each output row's gradient over the kh input rows it read,
+        # [B*OH, C*kh*W], through the band; overlapping rows add up.
+        g_rows = (g.transpose(0, 2, 1, 3).reshape(batch * oh, f * ow) @ band.T).reshape(
+            batch, oh, c_in, kh, w)
+        g_x = np.zeros((batch, c_in, h, w))
+        for u in range(kh):
+            g_x[:, :, u:u + oh] += g_rows[:, :, :, u].transpose(0, 2, 1, 3)
         return g_x, g_k, g_b
 
     return wrap_result(out, (x, params.kernels, params.bias), backward)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -85,25 +85,6 @@ class EpochRecord:
 
 
 @dataclass
-class History:
-    """Per-epoch records of one run, in strictly increasing epoch order."""
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        if self.records and record.epoch <= self.records[-1].epoch:
-            raise ConfigError(
-                f"history epochs must increase: {record.epoch} after "
-                f"{self.records[-1].epoch}")
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def last(self) -> EpochRecord:
-        return self.records[-1]
-
-
-@dataclass
 class OptimState:
     """Per-parameter momentum velocities plus the completed-epoch counter."""
     velocities: dict[str, np.ndarray]
@@ -119,13 +100,16 @@ def init_optim_state(model: Model) -> OptimState:
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
                       state: OptimState, lr: float, momentum: float) -> None:
-    """One momentum update, in place: ``v <- momentum*v + g``; ``w <- w - lr*v``."""
-    for name, w in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
+    """One momentum update, in place: ``v <- momentum*v + g``; ``w <- w - lr*v``.
+
+    Every gradient is checked before anything moves, so a non-finite one
+    raises ``NumericError`` with all parameters and velocities untouched.
+    """
+    for name in params:
+        if not np.isfinite(grads[name]).all():
             raise NumericError(f"non-finite gradient for parameter {name}")
-        v = state.velocities[name]
-        v = momentum * v + g
+    for name, w in params.items():
+        v = momentum * state.velocities[name] + grads[name]
         state.velocities[name] = v
         params[name] = w - lr * v
 
@@ -185,21 +169,19 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
 
 
 def fit(model: Model, train: Dataset, test: Dataset | None,
-        cfg: TrainConfig, state: OptimState | None = None,
-        history: History | None = None) -> History:
+        cfg: TrainConfig, state: OptimState | None = None) -> list[EpochRecord]:
     """Run ``cfg.epochs`` epochs, evaluating on the cadence of ``eval_every``.
 
-    Test data is only ever evaluated, never trained on.  Pass the
-    ``state``/``history`` from a loaded checkpoint to resume: the loop
+    Returns this call's records, one per epoch.  Test data is only ever
+    evaluated, never trained on.  Pass the ``state`` from a loaded
+    checkpoint to resume, ``history += fit(..., state)``: the loop
     continues from ``state.epoch`` and reproduces an uninterrupted run
     bit-exactly.  With ``patience`` set, training stops early once test
     accuracy has failed to improve over that many consecutive
-    evaluations.
+    evaluations of this call.
     """
     state = state if state is not None else init_optim_state(model)
-    history = history if history is not None else History()
-    best_test_acc = -1.0
-    stale_evals = 0
+    history: list[EpochRecord] = []
     # A diverging run ends in the NumericError of the finite checks on
     # logits, loss and gradients; NumPy's overflow warnings on the way there
     # would only repeat it on stderr.
@@ -214,13 +196,9 @@ def fit(model: Model, train: Dataset, test: Dataset | None,
             history.append(EpochRecord(epoch=epoch, train=train_eval,
                                        running=running, test=test_eval))
             if cfg.patience is not None and test_eval is not None:
-                if test_eval.accuracy > best_test_acc:
-                    best_test_acc = test_eval.accuracy
-                    stale_evals = 0
-                else:
-                    stale_evals += 1
-                    if stale_evals >= cfg.patience:
-                        break
+                accs = [rec.test.accuracy for rec in history if rec.test is not None]
+                if max(accs[-cfg.patience:]) <= max(accs[:-cfg.patience], default=-1.0):
+                    break
     return history
 
 

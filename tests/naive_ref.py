@@ -28,6 +28,25 @@ def conv2d_ref(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarr
     return out
 
 
+def conv2d_input_grad_ref(g: np.ndarray, kernels: np.ndarray,
+                          image_hw: tuple[int, int]) -> np.ndarray:
+    """Input gradient of the valid cross-correlation: each output gradient
+    ``g[b, f, i, j]`` flows back to every input it read, weighted by the tap."""
+    batch, f, oh, ow = g.shape
+    f_k, c_in, kh, kw = kernels.shape
+    assert f == f_k
+    out = np.zeros((batch, c_in) + tuple(image_hw))
+    for b in range(batch):
+        for fi in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    for c in range(c_in):
+                        for u in range(kh):
+                            for v in range(kw):
+                                out[b, c, i + u, j + v] += g[b, fi, i, j] * kernels[fi, c, u, v]
+    return out
+
+
 def maxpool2d_ref(x: np.ndarray) -> np.ndarray:
     """2x2 window, stride 2 max pooling."""
     batch, c, h, w = x.shape

@@ -355,8 +355,7 @@ def test_checkpoint_round_trip_and_resume_are_bit_exact(tmp_path):
     after = cn.forward(loaded, images, features).data.tobytes()
     assert before == after, "reloaded model predicts differently"
 
-    resumed_hist = cn.History()
-    cn.fit(loaded, train_ds, test_ds, cfg, loaded_state, resumed_hist)
+    cn.fit(loaded, train_ds, test_ds, cfg, loaded_state)
 
     straight = cn.build_model(tiny_model_config("compnet", seed=13))
     cn.fit(straight, train_ds, test_ds, cfg)

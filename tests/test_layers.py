@@ -10,8 +10,8 @@ import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
                      NumericError, ShapeError, Tape, Tensor,
                      backward, from_array, reduce_sum)
-from naive_ref import (conv2d_ref, dense_ref, fusion_ref, maxpool2d_grad_ref,
-                       maxpool2d_ref)
+from naive_ref import (conv2d_input_grad_ref, conv2d_ref, dense_ref, fusion_ref,
+                       maxpool2d_grad_ref, maxpool2d_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,23 @@ def test_conv2d_one_filter_one_by_one_kernel_over_channels(batch):
                     ConvParams(from_array(kernels), from_array(bias))).data
     assert out.shape == (batch, 1, 5, 6)
     assert np.max(np.abs(out - conv2d_ref(x, kernels, bias))) <= 1e-12
+
+
+@pytest.mark.parametrize("x_shape, k_shape", [
+    ((2, 3, 8, 8), (4, 3, 3, 3)),  # several channels and filters
+    ((3, 2, 6, 9), (3, 2, 2, 4)),  # non-square image and kernel
+])
+def test_conv2d_input_gradient_matches_naive_loops(x_shape, k_shape):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=x_shape)
+    kernels = rng.normal(size=k_shape)
+    tape = Tape()
+    xt = tape.watch(from_array(x))
+    out = cn.conv2d(xt, ConvParams(from_array(kernels), from_array(np.zeros(k_shape[0]))))
+    g = rng.normal(size=out.shape)
+    grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+    expected = conv2d_input_grad_ref(g, kernels, x_shape[2:])
+    assert np.max(np.abs(grads[xt.node_id].data - expected)) <= 1e-12
 
 
 def test_conv2d_bias_shifts_each_filter():

@@ -3,13 +3,14 @@ and checkpoint round trips."""
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import compnet as cn
-from compnet import (ConfigError, DataError, Dataset, FormatError, History,
-                     Metrics, ModelConfig, OptimState, SynthSpec,
+from compnet import (ConfigError, DataError, Dataset, FormatError,
+                     ModelConfig, NumericError, OptimState, SynthSpec,
                      TrainConfig, build_model, checkpoint_load,
                      checkpoint_save, evaluate, fit, from_array,
                      generate_synthetic, init_optim_state, sgd_momentum_step,
@@ -89,6 +90,23 @@ def test_zero_gradient_moves_only_by_velocity():
     assert abs(params["w"][0] - (1.0 - 0.1 * 1.8)) <= 1e-15
 
 
+def test_non_finite_gradient_moves_nothing():
+    model = tiny_model()
+    state = init_optim_state(model)
+    rng = np.random.default_rng(4)
+    for name, w in model.params.items():
+        state.velocities[name] = rng.normal(size=w.shape)
+    grads = {name: rng.normal(size=w.shape) for name, w in model.params.items()}
+    grads["out.bias"][1] = np.nan  # the last parameter stepped
+    params_before = snapshot(model)
+    velocities_before = copy.deepcopy(state.velocities)
+    with pytest.raises(NumericError, match="parameter out.bias"):
+        sgd_momentum_step(model.params, grads, state, lr=0.1, momentum=0.9)
+    for before, after in ((params_before, model.params),
+                          (velocities_before, state.velocities)):
+        assert all(before[n].tobytes() == after[n].tobytes() for n in before)
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 
@@ -107,7 +125,7 @@ def test_single_sample_is_memorized():
     history = fit(model, ds, None,
                   TrainConfig(epochs=500, batch_size=1, learning_rate=0.05,
                               momentum=0.9, seed=0))
-    assert history.last().train.accuracy == 1.0
+    assert history[-1].train.accuracy == 1.0
 
 
 def test_training_is_seed_deterministic():
@@ -117,7 +135,7 @@ def test_training_is_seed_deterministic():
         history = fit(model, tiny_dataset(), None,
                       TrainConfig(epochs=3, batch_size=4, learning_rate=0.01,
                                   seed=7))
-        runs.append((snapshot(model), history.last().train))
+        runs.append((snapshot(model), history[-1].train))
     assert params_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
 
@@ -133,17 +151,9 @@ def test_history_length_and_cadence():
     history = fit(model, train, test,
                   TrainConfig(epochs=7, batch_size=4, learning_rate=0.01,
                               eval_every=3))
-    evaluated = [rec.epoch for rec in history.records if rec.test is not None]
+    evaluated = [rec.epoch for rec in history if rec.test is not None]
     assert evaluated == [3, 6, 7]  # cadence plus the final epoch
-    assert [rec.epoch for rec in history.records] == list(range(1, 8))
-
-
-def test_history_enforces_increasing_epochs():
-    history = History()
-    m = Metrics(loss=0.0, accuracy=1.0, n=1)
-    history.append(cn.EpochRecord(epoch=1, train=m, running=m))
-    with pytest.raises(ConfigError):
-        history.append(cn.EpochRecord(epoch=1, train=m, running=m))
+    assert [rec.epoch for rec in history] == list(range(1, 8))
 
 
 def test_early_stopping_with_patience():
@@ -154,6 +164,18 @@ def test_early_stopping_with_patience():
                   TrainConfig(epochs=50, batch_size=4, learning_rate=0.0,
                               eval_every=1, patience=2))
     assert len(history) < 50  # frozen parameters cannot keep improving
+
+
+def test_infinite_loss_from_finite_logits_stops_fit_quietly():
+    # Logits near +-1e308 are finite, but a label-1 row's loss
+    # logsumexp - logit is 1e308 + 1e308, which overflows to inf.
+    model = tiny_model(fusion_kind="image_only")
+    model.params["out.bias"] = np.array([1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^loss diverged at epoch 0, batch 0$"):
+            fit(model, tiny_dataset(), None,
+                TrainConfig(epochs=1, batch_size=4, shuffle=False))
 
 
 def test_training_on_empty_dataset_fails():
@@ -201,7 +223,7 @@ def test_fully_reliable_noise_free_data_reaches_perfect_accuracy():
     history = fit(model, ds_n, None,
                   TrainConfig(epochs=120, batch_size=8, learning_rate=0.02,
                               seed=1))
-    assert history.last().train.accuracy == 1.0
+    assert history[-1].train.accuracy == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +326,11 @@ def test_resume_matches_uninterrupted_training(tmp_path):
     path = tmp_path / "mid.cmpn"
     checkpoint_save(resumed, state, path, train_config=cfg)
     loaded, loaded_state, _ = checkpoint_load(path)
-    fit(loaded, train, test, cfg, loaded_state, history)
+    history += fit(loaded, train, test, cfg, loaded_state)
 
     assert params_equal(straight.params, loaded.params)
     assert len(history) == len(straight_hist)
-    for a, b in zip(history.records, straight_hist.records):
+    for a, b in zip(history, straight_hist):
         assert (a.epoch, a.train, a.running) == (b.epoch, b.train, b.running)
         if b.test is not None:
             assert a.test == b.test
