@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import models as models_mod
 from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, read_json_object, save_dataset, split,
@@ -149,20 +149,6 @@ class ComparisonResult:
     results: dict[tuple[str, int], RunResult]
 
 
-def _default_jobs() -> int:
-    """Runs ``run_comparison`` trains at once: 2, or 1 on a single CPU.
-
-    Two child processes at a time are what was measured (each peaks at
-    about 100 MB on the 1,000-sample benchmark); more CPUs do not bring
-    more children until their memory and speed are measured too.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
 def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                    seeds: Sequence[int],
                    on_row: Callable[[dict], None] | None = None) -> ComparisonResult:
@@ -196,7 +182,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     results: dict[tuple[str, int], RunResult] = {}
     # Children get ``runs`` through fork, and look up run_training when they call it.
     with ordered_results(lambda seed, kind: run_training(ds, *runs[seed, kind]),
-                         list(runs), min(_default_jobs(), len(runs))) as finished:
+                         list(runs), min(models_mod.default_jobs(), len(runs))) as finished:
         for (seed, kind), result in zip(runs, finished):
             last = result.history[-1]
             row = {

@@ -1,7 +1,8 @@
 """Run independent jobs in forked child processes, results in job order.
 
-Only ``compnet compare`` needs this, and ``cli`` imports it only there:
-``multiprocessing`` adds about 17 ms to the start of every other command.
+``compnet compare`` and long scoring passes (``models.scored_batches``) import
+it only when they fork: ``multiprocessing`` adds about 17 ms to the start of
+every other command.
 """
 
 from __future__ import annotations
@@ -92,11 +93,13 @@ def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
     inside the ``with`` block: however it ends, the live ones are killed
     and reaped.  The first job in job order that fails raises its
     exception; a child that dies fails its job with ``ChildProcessError``.
-    Otherwise the jobs run one after another in this process.  Only
+    Otherwise, and inside any ``multiprocessing`` child, so that no child
+    forks children, the jobs run one after another in this process.  Only
     ``fork`` is used: ``spawn`` and ``forkserver`` start helpers that
     outlive the children, and would pickle ``fn`` and every job.
     """
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1 or multiprocessing.parent_process() is not None \
+            or "fork" not in multiprocessing.get_all_start_methods():
         yield (fn(*job) for job in jobs)
         return
     running: dict = {}

@@ -92,9 +92,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         cols_t = np.ascontiguousarray(
             sliding(x.data, (kh, kw), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3)).reshape(
             c_in * kh * kw, batch * oh * ow)
-        g_f = np.ascontiguousarray(
-            g.reshape(batch, f, oh * ow).transpose(0, 2, 1))  # [B, OH*OW, F]
-        g_k = (g_f.reshape(batch * oh * ow, f).T @ cols_t.T).reshape(f, c_in, kh, kw)
+        gt = g.transpose(1, 0, 2, 3).reshape(f, batch * oh * ow)  # one copy
+        g_k = (gt @ cols_t.T).reshape(f, c_in, kh, kw)
         g_b = g.sum(axis=(0, 2, 3))
         if not need_x:
             return None, g_k, g_b

@@ -22,8 +22,10 @@ loop can pull gradients for every parameter.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,49 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d, dense,
 FUSION_KINDS = ("compnet", "concat", "image_only")
 # Rows per forward-only pass when scoring or explaining a whole dataset.
 EVAL_BATCH = 256
+# Batches each child must get before a scoring pass forks.  Forking on every evaluate
+# slowed `compnet train` (2,000 samples, 2 epochs) from 0.48 to 0.71 s: a child's first
+# B=256 batch, faulting its heap in afresh, took 13-17 ms against 7 ms.  At 8, every
+# evaluation in the benchmark's and acceptance gate's fits (<= 6 batches) stays in-process.
+MIN_CHILD_BATCHES = 8
+
+
+def default_jobs() -> int:
+    """Children for ``compare``'s runs and a long scoring pass: 2, or 1 on one CPU.
+
+    Two at a time are what was measured (a ``compare`` child peaks at about
+    100 MB on the 1,000-sample benchmark); more CPUs bring no more children
+    until their memory and speed are measured too.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def scored_batches(fn: Callable, dataset) -> list:
+    """``fn(images, features, labels)`` for each ``EVAL_BATCH`` batch, in batch order.
+
+    With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2) children,
+    each forked child scores one contiguous run of them; otherwise they run in this
+    process, which never loads ``multiprocessing`` then.  Either way the results, and
+    the first exception in batch order, are the same, and no child outlives the call.
+    """
+    n_batches = -(-len(dataset) // EVAL_BATCH)
+    workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
+    if workers < 2:
+        return [fn(*batch) for batch in dataset.batches(EVAL_BATCH)]
+    from .forkpool import ordered_results  # see its module docstring
+
+    def score_run(start: int, stop: int) -> list:
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
+            return [fn(*batch) for batch in
+                    itertools.islice(dataset.batches(EVAL_BATCH), start, stop)]
+
+    cuts = [n_batches * i // workers for i in range(workers + 1)]
+    with ordered_results(score_run, list(zip(cuts, cuts[1:])), workers) as runs:
+        return [result for run in runs for result in run]
 
 
 @dataclass
@@ -309,8 +354,9 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
     cfg = model.config
     total = np.zeros((cfg.n_classes, cfg.n_features))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        for images, _, _ in dataset.batches(EVAL_BATCH):
-            total += np.abs(extract_weight_matrices(model, images).data).sum(axis=0)
+        for part in scored_batches(lambda images, *_: np.abs(
+                extract_weight_matrices(model, images).data).sum(axis=0), dataset):
+            total += part
     importance = total / n
     if not np.isfinite(importance).all():
         raise NumericError("feature importance is not finite")

@@ -33,7 +33,7 @@ from .config import DictConfig, require_min
 from .data import Dataset, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError
 from .layers import cross_entropy
-from .models import EVAL_BATCH, Model, ModelConfig
+from .models import Model, ModelConfig
 
 CHECKPOINT_MAGIC = b"CMPN"
 CHECKPOINT_VERSION = 1
@@ -155,14 +155,18 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
     n = len(ds)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
+
+    def score(images, features, labels) -> tuple[float, int]:
+        logits = models_mod.forward(model, images, features)
+        return (cross_entropy(logits, labels).item() * len(labels),
+                int((np.argmax(logits.data, axis=1) == labels).sum()))
+
     loss_sum = 0.0
     correct = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
-        for images, features, labels in ds.batches(EVAL_BATCH):
-            logits = models_mod.forward(model, images, features)
-            loss = cross_entropy(logits, labels)
-            loss_sum += loss.item() * len(labels)
-            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+        for batch_loss, batch_correct in models_mod.scored_batches(score, ds):
+            loss_sum += batch_loss
+            correct += batch_correct
     if not np.isfinite(loss_sum):
         raise NumericError("evaluation loss is not finite")
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet import cli
+from compnet import cli, forkpool, models
 from compnet.cli import SplitSettings, main
 from conftest import CSV_CELLS, TINY_CLI_CONFIG
 
@@ -204,7 +204,7 @@ def test_a_comparison_seed_sets_the_model_shuffle_and_split_seeds(
         train_seeds[(model_cfg.fusion_kind, split_settings.seed)] = train_cfg.seed
         return real_run(ds, model_cfg, train_cfg, split_settings)
 
-    monkeypatch.setattr(cli, "_default_jobs", lambda: 1)  # record in this process
+    monkeypatch.setattr(models, "default_jobs", lambda: 1)  # record in this process
     monkeypatch.setattr(cli, "run_training", record)
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["train"].update(epochs=1, seed=8)
@@ -617,7 +617,7 @@ def test_compare_numeric_failure_keeps_completed_rows(
 
     monkeypatch.setattr(cli, "run_training", fail_concat)
     for jobs in (1, 2):
-        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        monkeypatch.setattr(models, "default_jobs", lambda: jobs)
         out = tmp_path / f"cmp-{jobs}"
         assert main(["compare", "--config", compare_config(tmp_path),
                      "--data", str(small_dataset_dir), "--models", "compnet,concat",
@@ -656,7 +656,7 @@ def test_a_config_that_a_later_kind_rejects_fails_before_any_run(
 
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["model"]["dense_hidden"] = []
-    monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+    monkeypatch.setattr(models, "default_jobs", lambda: jobs)
     monkeypatch.setattr(cli, "run_training", no_run)
     with pytest.raises(cn.ConfigError, match="dense_hidden"):
         cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2])
@@ -682,6 +682,21 @@ def test_importing_the_cli_and_running_other_commands_skips_multiprocessing(tmp_
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_a_one_batch_eval_skips_multiprocessing(trained_run, small_dataset_dir, tmp_path):
+    # A pass too short for two scoring children never loads multiprocessing.
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
+    argv = ["eval", "--checkpoint", str(run / "checkpoint.cmpn"),
+            "--data", str(small_dataset_dir), "--split", "all"]
+    code = ("import compnet.cli, sys; "
+            f"assert compnet.cli.main({argv!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # compare on child processes
 
@@ -694,7 +709,7 @@ def test_compare_in_process_and_on_workers_give_the_same_bytes_and_parameters(
         small_dataset, small_dataset_dir, tmp_path, monkeypatch):
     cfg = compare_config(tmp_path)
     for jobs in (1, 2):
-        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        monkeypatch.setattr(models, "default_jobs", lambda: jobs)
         assert main(["compare", "--config", cfg, "--data", str(small_dataset_dir),
                      "--models", "compnet,image_only,concat", "--seeds", "1,2",
                      "--out", str(tmp_path / str(jobs))]) == 0
@@ -704,7 +719,7 @@ def test_compare_in_process_and_on_workers_give_the_same_bytes_and_parameters(
     config = json.loads(Path(cfg).read_text(encoding="utf-8"))
     runs = []
     for jobs in (1, 2):
-        monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+        monkeypatch.setattr(models, "default_jobs", lambda: jobs)
         runs.append(cli.run_comparison(small_dataset, config, ["compnet", "concat"],
                                        [3, 4]))
     serial, pooled = runs
@@ -737,7 +752,7 @@ def test_compare_first_failing_run_in_serial_order_decides(
             raise cn.ConfigError("bad concat run")
         return real_run(ds, model_cfg, *args)
 
-    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(models, "default_jobs", lambda: 2)
     monkeypatch.setattr(cli, "run_training", fail_late_and_early)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", compare_config(tmp_path),
@@ -766,7 +781,7 @@ def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeyp
     def hung(signum, frame):
         pytest.fail("compare still waits for the run of a dead worker")
 
-    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(models, "default_jobs", lambda: 2)
     monkeypatch.setattr(cli, "run_training", die_on_kind)
     out = tmp_path / "cmp"
     previous = signal.signal(signal.SIGALRM, hung)
@@ -804,7 +819,7 @@ def test_compare_leaves_no_child_process_on_return_or_raise(
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["train"]["epochs"] = 1
     kinds, seeds = ["compnet", "concat"], [1, 2]
-    monkeypatch.setattr(cli, "_default_jobs", lambda: 2)
+    monkeypatch.setattr(models, "default_jobs", lambda: 2)
     cli.run_comparison(small_dataset, config, kinds, seeds)
     assert_no_child_processes()
 
@@ -846,7 +861,7 @@ def test_compare_starts_no_run_after_a_run_has_failed(
 
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["train"]["epochs"] = 1
-    monkeypatch.setattr(cli, "_default_jobs", lambda: jobs)
+    monkeypatch.setattr(models, "default_jobs", lambda: jobs)
     monkeypatch.setattr(cli, "run_training", mark_then_run)
     with pytest.raises(cn.NumericError):
         cli.run_comparison(small_dataset, config, ["compnet", "concat"], [1, 2],
@@ -892,7 +907,7 @@ def process_group(pgid):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or not Path("/proc/self/stat").exists(),
                     reason="needs Linux /proc")
-@pytest.mark.skipif(cli._default_jobs() < 2, reason="compare starts no worker on one CPU")
+@pytest.mark.skipif(models.default_jobs() < 2, reason="compare starts no worker on one CPU")
 def test_killed_compare_leaves_no_worker_running(small_dataset_dir, tmp_path):
     config = copy.deepcopy(TINY_CLI_CONFIG)
     config["train"]["epochs"] = 5000  # far longer than the 5 s below
@@ -926,6 +941,103 @@ def test_killed_compare_leaves_no_worker_running(small_dataset_dir, tmp_path):
                 pass
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+# ---------------------------------------------------------------------------
+# eval and importance on child processes
+
+@pytest.fixture(scope="module")
+def scoring_dataset():
+    """16 scoring batches at the small dataset's geometry: two children's worth."""
+    return cn.generate_synthetic(cn.SynthSpec(
+        n_samples=2 * models.MIN_CHILD_BATCHES * models.EVAL_BATCH,
+        image_shape=(1, 12, 12), seed=12))
+
+
+def score_all(run, data_dir, jobs, monkeypatch, capfd):
+    """``eval --split all`` and ``importance`` of a copy of ``run`` with the CPU
+    rule at ``jobs``: the copy, each command's exit code and stderr lines (its
+    children's included), and the worker count of each forked scoring pass."""
+    run = shutil.copytree(run, data_dir.parent / f"run-{jobs}")
+    real, workers = forkpool.ordered_results, []
+
+    def count_workers(fn, runs, n):
+        workers.append(n)
+        return real(fn, runs, n)
+
+    monkeypatch.setattr(forkpool, "ordered_results", count_workers)
+    monkeypatch.setattr(models, "default_jobs", lambda: jobs)
+    ckpt = str(run / "checkpoint.cmpn")
+    outcomes = []
+    for argv in (["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--split", "all"],
+                 ["importance", "--checkpoint", ckpt, "--data", str(data_dir),
+                  "--out", str(run / "importance.csv")]):
+        capfd.readouterr()
+        code = main(argv)
+        outcomes.append((code, capfd.readouterr().err.splitlines()))
+        assert_no_child_processes()
+    return run, outcomes, workers
+
+
+def test_scoring_in_process_and_on_children_writes_the_same_bytes(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    artifacts = []
+    for jobs in (1, 2):
+        run, outcomes, workers = score_all(trained_run, tmp_path / "data", jobs,
+                                           monkeypatch, capfd)
+        assert outcomes == [(0, []), (0, [])]
+        assert workers == ([] if jobs == 1 else [2, 2])
+        artifacts.append([(run / name).read_bytes()
+                          for name in ("metrics.json", "importance.csv")])
+    assert artifacts[0] == artifacts[1]
+
+
+def test_a_sample_that_overflows_in_the_second_child_fails_scoring_with_one_error_line(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    # With every conv0 kernel weight at 10, one pixel of 1e308 overflows the
+    # conv, while ordinary pixels still score finite.
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    overwrite_payload(run / "checkpoint.cmpn", [(i, 10.0) for i in CONV0_KERNELS])
+    images = scoring_dataset.images().copy()
+    images[12 * models.EVAL_BATCH + 5, 0, 6, 6] = 1e308  # batch 12 of 16
+    ds = scoring_dataset
+    cn.save_dataset(cn.Dataset(ds.ids(), images, ds.features(), ds.labels(), ds.n_classes),
+                    tmp_path / "data")
+    for jobs in (1, 2):
+        _, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
+        assert outcomes == [(4, ["error: cross_entropy received non-finite logits"]),
+                            (4, ["error: feature importance is not finite"])]
+        assert workers == ([] if jobs == 1 else [2, 2])
+
+
+def test_scoring_fails_with_exit_3_when_a_child_dies(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    test_process = os.getpid()
+
+    def die_in_a_child(*args):
+        if os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+        pytest.fail("scored in the test process")
+
+    monkeypatch.setattr(models, "forward", die_in_a_child)
+    monkeypatch.setattr(models, "extract_weight_matrices", die_in_a_child)
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    _, outcomes, workers = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
+    assert [code for code, _ in outcomes] == [3, 3] and workers == [2, 2]
+    for _, lines in outcomes:
+        assert len(lines) == 1 and lines[0].startswith("error: the child running job"), lines
+
+
+def test_ordered_results_inside_a_child_runs_its_jobs_in_that_child():
+    def inner_pids(_):
+        with forkpool.ordered_results(os.getpid, [(), ()], 2) as pids:
+            return os.getpid(), list(pids)
+
+    with forkpool.ordered_results(inner_pids, [(0,), (1,)], 2) as results:
+        for child, pids in results:
+            assert child != os.getpid() and pids == [child, child]
+    assert_no_child_processes()
 
 
 # ---------------------------------------------------------------------------
