@@ -17,10 +17,15 @@ On-disk layout (one directory per dataset):
 
 * ``manifest.json`` — counts, shapes, file names, provenance.
 * ``images.bin``    — raw little-endian float64 pixels, sample-major.
+  A loaded dataset maps it read-only for as long as the dataset lives.
 * ``features.csv``  — ``id,f0..f{N-1}`` rows, floats printed exactly.
 * ``labels.csv``    — ``id,label`` rows.
 
-Everything round-trips bit-exactly.
+Everything round-trips bit-exactly.  ``save_dataset`` writes each file
+to a temporary name and renames it over the old one, which leaves the
+inode a loaded dataset maps untouched.  Replace a dataset's files that
+way: truncating ``images.bin`` in place while a process reads it can kill
+that process with SIGBUS.
 
 ``features.csv`` is read once as text.  When ``csv.reader`` could only
 split it at its commas and ``\\n`` line ends (no quotes, ``\\r`` or NUL, no
@@ -35,6 +40,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -311,7 +318,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     templates = np.stack([render_template(k, spec.image_shape) for k in range(2)])
     images = templates[img_evidence]
     if spec.pixel_noise > 0:
-        images = images + rng.normal(0.0, spec.pixel_noise, size=images.shape)
+        noise = rng.normal(0.0, spec.pixel_noise, size=images.shape)
+        noise += images  # addition commutes, so these are the bits of images + noise
+        images = noise
 
     features = rng.normal(0.0, 1.0, size=(n, spec.n_features))
     signs = 2.0 * feat_evidence - 1.0
@@ -322,8 +331,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
                    spec.n_classes, {"kind": "synthetic", "spec": spec.to_dict()})
 
 
-def write_atomic(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` through a temporary file, creating parent dirs."""
+def write_atomic(path: Path, payload: bytes | np.ndarray) -> None:
+    """Write ``payload`` (any bytes-like object) to ``path`` through a temporary
+    file, creating parent dirs."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -349,7 +359,7 @@ def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) 
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
-    write_atomic(out / "images.bin", ds.images().astype("<f8", copy=False).tobytes())
+    write_atomic(out / "images.bin", np.ascontiguousarray(ds.images(), dtype="<f8"))
 
     feat_lines = ["id," + ",".join(f"f{j}" for j in range(ds.n_features))]
     # repr of a Python float is the shortest string that parses back to
@@ -383,6 +393,13 @@ def load_dataset(manifest_path) -> Dataset:
 
     ``manifest_path`` may be the manifest file or its directory.  Any
     inconsistency in the files is a :class:`FormatError`.
+
+    ``images.bin`` is mapped read-only, not copied, and stays mapped while
+    the dataset or any view of its images lives.  Replace the files by
+    writing new ones and renaming them, as :func:`save_dataset` does;
+    truncating ``images.bin`` in place under a running reader can end it
+    with SIGBUS.  An empty ``images.bin`` cannot be mapped and loads as an
+    empty array.
 
     ``labels.csv`` goes through the per-cell reader, which is the
     definition and raises the errors.  A ``features.csv`` that
@@ -419,13 +436,13 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError(f"{path}: manifest provenance must be an object")
     base = path.parent
 
-    images_path = base / files["images"]
-    expected = n * int(np.prod(image_shape))
-    size = images_path.stat().st_size
-    if size != 8 * expected:
-        raise FormatError(
-            f"images payload holds {size} bytes, manifest implies {8 * expected}")
-    images = np.fromfile(images_path, dtype="<f8").reshape((n, *image_shape))
+    expected = 8 * n * math.prod(image_shape)  # Python ints: no int64 wrap
+    with open(base / files["images"], "rb") as fh:
+        pixels = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) \
+            if os.fstat(fh.fileno()).st_size else b""
+    if len(pixels) != expected:
+        raise FormatError(f"images payload holds {len(pixels)} bytes, manifest implies {expected}")
+    images = np.frombuffer(pixels, dtype="<f8").reshape((n, *image_shape))
 
     ids, features = _read_features(base / files["features"], n, n_features)
     label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)

@@ -318,10 +318,11 @@ def test_load_missing_manifest_raises_os_error(tmp_path):
     {"n_classes": True},
     {"image_shape": [1, 4.5, 4]},
     {"format_version": 1.0},
+    {"image_shape": [1, 4, 4 + 2 ** 62]},  # 16 pixels per sample if the product wraps
 ], ids=["n_features-text", "image_shape-number", "image_shape-2d", "files-number",
         "provenance-number", "n_samples-fractional", "n_samples-text",
         "n_classes-fractional", "n_classes-bool", "image_shape-fractional",
-        "format_version-float"])
+        "format_version-float", "image_shape-overflow"])
 def test_load_rejects_malformed_manifest_fields(tmp_path, edit):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     manifest = json.loads((root / "manifest.json").read_text())
@@ -343,6 +344,31 @@ def test_load_rejects_a_partial_trailing_pixel(tmp_path):
         fh.write(b"\0\0\0")
     with pytest.raises(FormatError):
         load_dataset(root)
+
+
+def test_load_of_a_zero_sample_directory_is_an_empty_dataset(tmp_path):
+    empty = Dataset([], np.empty((0, 1, 4, 4)), np.empty((0, 3)),
+                    np.empty(0, dtype=np.int64), 2)
+    root = save_dataset(empty, tmp_path / "d").parent
+    assert (root / "images.bin").read_bytes() == b""
+    assert (root / "features.csv").read_text() == "id,f0,f1,f2\n"
+    assert (root / "labels.csv").read_text() == "id,label\n"
+    back = load_dataset(root)
+    assert len(back) == 0 and back.ids() == []
+    assert back.images().shape == (0, 1, 4, 4)
+    assert back.features().shape == (0, 3) and back.labels().shape == (0,)
+
+
+def test_a_loaded_dataset_survives_a_rewrite_of_its_directory(tmp_path):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    ds = load_dataset(root)
+    loaded = ds.images().tobytes()
+    other = generate_synthetic(SynthSpec(n_samples=5, image_shape=(1, 6, 6), seed=3))
+    save_dataset(other, root)
+    assert ds.images().tobytes() == loaded
+    assert load_dataset(root).images().tobytes() == other.images().tobytes() != loaded
+    with pytest.raises(ValueError):
+        ds.images()[0, 0, 0, 0] = 1.0
 
 
 def _edit_csv_cell(path, row, col, value):
