@@ -28,19 +28,16 @@ class Tensor:
 
     ``node_id`` is the handle assigned by the owning tape; ``None`` means
     the tensor is a plain value and operations on it are not recorded.
-    Arrays handed over with ``_own`` keep their memory layout (conv2d's
-    output stays a transposed view of its gemm result); any other input
-    is copied row-major.
+    ``Tensor(data)`` adopts ``data`` as a float64 array without copying it
+    (a float64 ndarray keeps its memory layout: conv2d's output stays a
+    transposed view of its gemm result) and marks that array read-only;
+    :func:`from_array` is the constructor that copies.
     """
 
     __slots__ = ("data", "node_id", "_tape")
 
-    def __init__(self, data, *, _tape: "Tape | None" = None,
-                 _node_id: int | None = None, _own: bool = False):
-        if _own:
-            arr = np.asarray(data, dtype=np.float64)
-        else:
-            arr = np.array(data, dtype=np.float64, order="C", copy=True)
+    def __init__(self, data, *, _tape: "Tape | None" = None, _node_id: int | None = None):
+        arr = np.asarray(data, dtype=np.float64)
         arr.flags.writeable = False
         self.data = arr
         self._tape = _tape
@@ -92,7 +89,7 @@ class Tape:
         """Return a tracked view of ``t`` registered as a leaf."""
         node = self._next_node()
         self._leaves[node] = t.shape
-        return Tensor(t.data, _tape=self, _node_id=node, _own=True)
+        return Tensor(t.data, _tape=self, _node_id=node)
 
     def _record(self, out_data: np.ndarray, inputs: Sequence[Tensor | None],
                 backward) -> Tensor:
@@ -102,7 +99,7 @@ class Tape:
             for t in inputs
         )
         self._entries.append(_TapeEntry(out_id, in_ids, backward))
-        return Tensor(out_data, _tape=self, _node_id=out_id, _own=True)
+        return Tensor(out_data, _tape=self, _node_id=out_id)
 
 
 def _tape_of(*tensors: Tensor | None) -> Tape | None:
@@ -126,13 +123,13 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
     """
     tape = _tape_of(*inputs)
     if tape is None:
-        return Tensor(data, _own=True)
+        return Tensor(data)
     return tape._record(data, inputs, backward)
 
 
 def from_array(a) -> Tensor:
-    """Copy any array-like into an untracked tensor."""
-    return Tensor(a)
+    """Copy any array-like, row-major, into an untracked tensor."""
+    return Tensor(np.array(a, dtype=np.float64, order="C"))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -174,11 +171,11 @@ def reduce_sum(t: Tensor) -> Tensor:
     return wrap_result(out, (t,), backward)
 
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
+def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse-mode gradients of a tracked scalar loss.
 
-    Returns a map from node id to gradient tensor.  Every watched leaf is
-    present; leaves the loss never touched get zeros.
+    Returns a map from node id to gradient array, shaped like the node.
+    Every watched leaf is present; leaves the loss never touched get zeros.
     """
     if not loss.grad_tracked:
         raise TapeError("loss tensor is not tracked on any tape")
@@ -200,7 +197,7 @@ def backward(loss: Tensor) -> dict[int, Tensor]:
     for leaf, shape in tape._leaves.items():
         if leaf not in grads:
             grads[leaf] = np.zeros(shape)
-    return {node: Tensor(arr, _own=True) for node, arr in grads.items()}
+    return grads
 
 
 @dataclass
@@ -227,7 +224,7 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
         raise ShapeError("grad_check target must return a scalar")
     if not np.isfinite(out.data).all():
         raise NumericError("function value is not finite at the test point")
-    analytic = backward(out)[x.node_id].data.ravel()
+    analytic = backward(out)[x.node_id].ravel()
 
     flat = point.data.ravel()
     numeric = np.empty_like(analytic)
@@ -235,7 +232,7 @@ def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
         for sign in (+1.0, -1.0):
             bumped = flat.copy()
             bumped[i] += sign * step
-            val = fn(Tensor(bumped.reshape(point.shape), _own=True)).item()
+            val = fn(Tensor(bumped.reshape(point.shape))).item()
             if not np.isfinite(val):
                 raise NumericError(
                     f"function value is not finite at coordinate {i}")

@@ -229,7 +229,7 @@ def cmd_generate(args) -> int:
     spec = SynthSpec.from_dict(spec_dict)
     ds = generate_synthetic(spec)
     manifest = save_dataset(ds, args.out)
-    labels = ds.labels()
+    labels = ds.labels
     counts = ", ".join(f"class {k}: {int((labels == k).sum())}"
                        for k in range(ds.n_classes))
     print(f"wrote {len(ds)} samples ({counts}) -> {manifest}")

@@ -2,8 +2,9 @@
 and the seeded synthetic image+tabular benchmark generator.
 
 Each sample couples an image with a designed-feature vector and a
-label.  A ``Dataset`` holds them column-wise: one read-only array each
-for images, features and labels, plus the sample ids.  Subsetting,
+label.  A ``Dataset`` holds them column-wise, as attributes: one
+read-only array each for ``images``, ``features`` and ``labels``, plus
+the tuple of sample ``ids``.  Subsetting,
 normalizing, batching, generating, loading and saving all work on whole
 columns.  Every dataset is validated when it is built, so its batches
 are ``CheckedBatch``.
@@ -58,11 +59,12 @@ _CONST_STD = 1e-12
 
 
 class Dataset:
-    """Immutable ordered dataset, stored as one read-only array per column.
+    """Immutable ordered dataset, stored as one read-only attribute per column.
 
     ``images`` ``[n, C, H, W]``, ``features`` ``[n, N]`` and ``labels``
-    ``[n]`` line up row for row with ``ids``.  The dataset takes the
-    arrays over without copying and marks them read-only.  Every dataset,
+    ``[n]`` line up row for row with ``ids``, a tuple of strings.  The
+    dataset takes the arrays over without copying and marks them
+    read-only.  Every dataset,
     a :meth:`subset` or a :func:`zscore_apply` result too, is validated
     when it is built, so its batches are :class:`CheckedBatch`, which
     models do not re-scan for non-finite values.
@@ -70,7 +72,7 @@ class Dataset:
 
     def __init__(self, ids: Sequence[str], images: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, n_classes: int, provenance: Mapping | None = None):
-        ids = list(ids)
+        ids = tuple(ids)
         if images.ndim != 4:
             raise ShapeError(f"image_shape must be [C,H,W], got {list(images.shape[1:])}")
         if features.ndim != 2 or labels.ndim != 1 \
@@ -87,32 +89,19 @@ class Dataset:
             raise DataError(f"sample {ids[i]}: label {labels[i]} outside [0, {n_classes})")
         for column in (images, features, labels):
             column.flags.writeable = False
-        self._ids = ids
-        self._images, self._features, self._labels = images, features, labels
+        self.ids, self.images, self.features, self.labels = ids, images, features, labels
         self.image_shape = images.shape[1:]
         self.n_features = features.shape[1]
         self.n_classes = int(n_classes)
         self.provenance = dict(provenance or {})
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def ids(self) -> list[str]:
-        return list(self._ids)
-
-    def images(self) -> np.ndarray:
-        return self._images
-
-    def features(self) -> np.ndarray:
-        return self._features
-
-    def labels(self) -> np.ndarray:
-        return self._labels
+        return len(self.ids)
 
     def subset(self, indices: Iterable[int], provenance_note: Mapping | None = None) -> "Dataset":
         idx = np.fromiter(indices, dtype=np.intp)
-        return Dataset([self._ids[i] for i in idx], self._images[idx], self._features[idx],
-                       self._labels[idx], self.n_classes,
+        return Dataset([self.ids[i] for i in idx], self.images[idx], self.features[idx],
+                       self.labels[idx], self.n_classes,
                        {**self.provenance, **(provenance_note or {})})
 
     def batches(self, size: int, order: np.ndarray | None = None
@@ -124,8 +113,8 @@ class Dataset:
         """
         for start in range(0, len(self), size):
             rows = slice(start, start + size) if order is None else order[start:start + size]
-            yield (CheckedBatch(self._images[rows], _own=True),
-                   CheckedBatch(self._features[rows], _own=True), self._labels[rows])
+            yield (CheckedBatch(self.images[rows]), CheckedBatch(self.features[rows]),
+                   self.labels[rows])
 
 
 class CheckedBatch(Tensor):
@@ -201,7 +190,7 @@ class Normalizer:
 
 def zscore_fit(train: Dataset) -> Normalizer:
     """Fit per-feature mean and population standard deviation on ``train``."""
-    feats = train.features()
+    feats = train.features
     with np.errstate(over="ignore", invalid="ignore"):  # finite values can overflow both
         mean = feats.mean(axis=0)
         std = feats.std(axis=0)
@@ -219,8 +208,8 @@ def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
     and features the transform overflowed raise ``DataError``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        features = norm.transform(ds.features())
-    return Dataset(ds.ids(), ds.images(), features, ds.labels(), ds.n_classes,
+        features = norm.transform(ds.features)
+    return Dataset(ds.ids, ds.images, features, ds.labels, ds.n_classes,
                    {**ds.provenance, "normalized": True})
 
 
@@ -359,16 +348,16 @@ def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) 
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
-    write_atomic(out / "images.bin", np.ascontiguousarray(ds.images(), dtype="<f8"))
+    write_atomic(out / "images.bin", np.ascontiguousarray(ds.images, dtype="<f8"))
 
     feat_lines = ["id," + ",".join(f"f{j}" for j in range(ds.n_features))]
     # repr of a Python float is the shortest string that parses back to
     # the same 64-bit value, which is exactly the round trip we need.
-    for sid, row in zip(ds.ids(), ds.features()):
+    for sid, row in zip(ds.ids, ds.features):
         feat_lines.append(sid + "," + ",".join(map(repr, row.tolist())))
     write_atomic(out / "features.csv", ("\n".join(feat_lines) + "\n").encode("utf-8"))
 
-    label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids(), ds.labels().tolist())]
+    label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids, ds.labels.tolist())]
     write_atomic(out / "labels.csv", ("\n".join(label_lines) + "\n").encode("utf-8"))
 
     manifest = {
@@ -442,7 +431,10 @@ def load_dataset(manifest_path) -> Dataset:
             if os.fstat(fh.fileno()).st_size else b""
     if len(pixels) != expected:
         raise FormatError(f"images payload holds {len(pixels)} bytes, manifest implies {expected}")
-    images = np.frombuffer(pixels, dtype="<f8").reshape((n, *image_shape))
+    try:  # only a 0-sample set gets here with more pixels per image than NumPy can index
+        images = np.frombuffer(pixels, dtype="<f8").reshape((n, *image_shape))
+    except ValueError as exc:
+        raise FormatError(f"{path}: manifest image_shape {list(image_shape)}: {exc}") from None
 
     ids, features = _read_features(base / files["features"], n, n_features)
     label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)
@@ -450,8 +442,8 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError("labels.csv sample ids do not match features.csv")
     try:
         labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
-    except ValueError as exc:
-        raise FormatError(f"labels.csv: non-integer label: {exc}") from None
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
+        raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
     try:
         return Dataset(ids, images, features, labels, n_classes, provenance)
     except DataError as exc:  # a class count, value or label the columns refuse
@@ -548,7 +540,7 @@ def split(ds: Dataset, train_fraction: float, seed: int,
         perm = rng.permutation(n)
         train_idx, test_idx = np.sort(perm[:target]), np.sort(perm[target:])
     else:
-        labels = ds.labels()
+        labels = ds.labels
         classes = sorted(int(c) for c in np.unique(labels))
         counts = {c: int((labels == c).sum()) for c in classes}
         for c in classes:

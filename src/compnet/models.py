@@ -23,6 +23,7 @@ loop can pull gradients for every parameter.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -75,10 +76,9 @@ def scored_batches(fn: Callable, dataset) -> list:
         return [fn(*batch) for batch in dataset.batches(EVAL_BATCH)]
     from .forkpool import ordered_results  # see its module docstring
 
-    def score_run(start: int, stop: int) -> list:
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
-            return [fn(*batch) for batch in
-                    itertools.islice(dataset.batches(EVAL_BATCH), start, stop)]
+    def score_run(start: int, stop: int) -> list:  # forked: inherits the caller's errstate
+        return [fn(*batch) for batch in
+                itertools.islice(dataset.batches(EVAL_BATCH), start, stop)]
 
     cuts = [n_batches * i // workers for i in range(workers + 1)]
     with ordered_results(score_run, list(zip(cuts, cuts[1:])), workers) as runs:
@@ -134,14 +134,9 @@ class ModelConfig(DictConfig):
 
 @dataclass
 class Model:
-    """A built network: config and named parameters."""
+    """A built network: config and named parameters, in plan order (:func:`param_shapes`)."""
     config: ModelConfig
     params: dict[str, np.ndarray]
-
-    @property
-    def param_order(self) -> list[str]:
-        """Parameter names in creation order, the order checkpoints use."""
-        return list(self.params)
 
     @property
     def param_count(self) -> int:
@@ -149,7 +144,7 @@ class Model:
 
     def set_params(self, new_params: Mapping[str, np.ndarray]) -> None:
         """Replace parameter values in place; shapes are the caller's to keep."""
-        for name in self.param_order:
+        for name in self.params:
             self.params[name] = np.asarray(new_params[name], dtype=np.float64)
 
 
@@ -203,25 +198,35 @@ def _layer_plan(cfg: ModelConfig) -> list[_Layer]:
     return plan
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape in Python ints, in plan order: conv stages, then the
+    dense stack, then the output layer, each layer's weight before its bias."""
+    shapes = {}
+    for layer in _layer_plan(cfg):
+        if layer.params:
+            weight, bias = layer.params
+            shapes[weight] = layer.shape
+            shapes[bias] = (layer.shape[0 if layer.op == "conv" else 1],)
+    return shapes
+
+
 def build_model(cfg: ModelConfig) -> Model:
     """Initialize a model from the seeded scheme: uniform Glorot weights, zero biases.
 
-    Parameters are drawn in plan order (conv stages, then the dense
-    stack, then the output layer), so a given ``(config, seed)`` always
-    yields bit-identical parameters.
+    Weights are drawn in the order of :func:`param_shapes`, so a given
+    ``(config, seed)`` always yields bit-identical parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     params: dict[str, np.ndarray] = {}
-    for layer in _layer_plan(cfg):
-        if not layer.params:
-            continue
-        # fan_in + fan_out is size/shape[0] + size/shape[1] both for conv
-        # kernels [F, C, kh, kw] and for dense weights [p, q].
-        size = int(np.prod(layer.shape))
-        s = float(np.sqrt(6.0 / (size // layer.shape[0] + size // layer.shape[1])))
-        weight, bias = layer.params
-        params[weight] = rng.uniform(-s, s, size=layer.shape)
-        params[bias] = np.zeros(layer.shape[0 if layer.op == "conv" else 1])
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 1:  # a bias
+            params[name] = np.zeros(shape)
+        else:
+            # fan_in + fan_out is size/shape[0] + size/shape[1] both for conv
+            # kernels [F, C, kh, kw] and for dense weights [p, q].
+            size = math.prod(shape)
+            s = float(np.sqrt(6.0 / (size // shape[0] + size // shape[1])))
+            params[name] = rng.uniform(-s, s, size=shape)
     return Model(config=cfg, params=params)
 
 
@@ -286,13 +291,12 @@ def tracked_forward(model: Model, tape: Tape, images: Tensor,
     step can look up each parameter's gradient by node id.
     """
     _check_inputs(model, images, features)
-    watched = {name: tape.watch(Tensor(model.params[name], _own=True))
-               for name in model.param_order}
+    watched = {name: tape.watch(Tensor(p)) for name, p in model.params.items()}
     return _run_plan(model, watched, images, features), watched
 
 
 def _plain_params(model: Model) -> dict[str, Tensor]:
-    return {name: Tensor(model.params[name], _own=True) for name in model.param_order}
+    return {name: Tensor(p) for name, p in model.params.items()}
 
 
 def forward(model: Model, images: Tensor, features: Tensor | None) -> Tensor:

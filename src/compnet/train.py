@@ -20,6 +20,7 @@ Checkpoint layout (little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,10 +93,7 @@ class OptimState:
 
 
 def init_optim_state(model: Model) -> OptimState:
-    return OptimState(
-        velocities={name: np.zeros_like(model.params[name])
-                    for name in model.param_order},
-        epoch=0)
+    return OptimState(velocities={name: np.zeros_like(p) for name, p in model.params.items()})
 
 
 def sgd_momentum_step(params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
@@ -137,7 +135,7 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
             raise NumericError(
                 f"loss diverged at epoch {state.epoch}, batch {b}")
         grads_by_node = backward(loss)
-        grads = {name: grads_by_node[t.node_id].data for name, t in watched.items()}
+        grads = {name: grads_by_node[t.node_id] for name, t in watched.items()}
         sgd_momentum_step(model.params, grads, state,
                           cfg.learning_rate, cfg.momentum)
         loss_sum += loss_value * len(labels)
@@ -206,10 +204,9 @@ def fit(model: Model, train: Dataset, test: Dataset | None,
     return history
 
 
-def _param_table(model: Model) -> list[dict]:
+def _param_table(shapes: Mapping[str, tuple[int, ...]]) -> list[dict]:
     """The checkpoint header's ``params``: each parameter's name and shape, in order."""
-    return [{"name": name, "shape": list(model.params[name].shape)}
-            for name in model.param_order]
+    return [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
 
 
 def checkpoint_save(model: Model, opt_state: OptimState, path,
@@ -219,7 +216,7 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     header = {
         "model_config": model.config.to_dict(),
         "train_config": train_config.to_dict() if train_config else None,
-        "params": _param_table(model),
+        "params": _param_table({name: p.shape for name, p in model.params.items()}),
         "epoch": opt_state.epoch,
         "extra": dict(extra) if extra else {},
     }
@@ -227,7 +224,7 @@ def checkpoint_save(model: Model, opt_state: OptimState, path,
     chunks = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
               header_bytes]
     for arrays in (model.params, opt_state.velocities):
-        chunks.extend(arrays[name].astype("<f8").tobytes() for name in model.param_order)
+        chunks.extend(arrays[name].astype("<f8").tobytes() for name in model.params)
     write_atomic(Path(path), b"".join(chunks))
     return Path(path)
 
@@ -257,25 +254,23 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
         config = ModelConfig.from_dict(header["model_config"])
     except ConfigError as exc:
         raise FormatError(f"{path}: checkpoint model_config is invalid: {exc}") from None
-    model = models_mod.build_model(config)
+    shapes = models_mod.param_shapes(config)  # Python ints: checked before any allocation
     # As JSON text, so that a shape of 2.0 or true differs from 2 and 1.
     if json.dumps(header.get("params"), sort_keys=True) != \
-            json.dumps(_param_table(model), sort_keys=True):
+            json.dumps(_param_table(shapes), sort_keys=True):
         raise FormatError(f"{path}: checkpoint params do not match the model "
                           f"built from its config")
+    needed = 16 * sum(math.prod(shape) for shape in shapes.values())
     payload = blob[16 + header_len:]
-    if len(payload) != 16 * model.param_count:
-        raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
-                          f"model needs {16 * model.param_count}")
+    if len(payload) != needed:
+        raise FormatError(f"{path}: payload holds {len(payload)} bytes, model needs {needed}")
     values = np.frombuffer(payload, dtype="<f8")
-    arrays, offset = [], 0
-    for kind in ("parameter", "velocity"):
-        for name, like in model.params.items():
-            arr = values[offset:offset + like.size].astype(np.float64).reshape(like.shape)
-            if not np.isfinite(arr).all():
+    params, velocities, offset = {}, {}, 0
+    for kind, table in (("parameter", params), ("velocity", velocities)):
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            table[name] = values[offset:offset + size].astype(np.float64).reshape(shape)
+            if not np.isfinite(table[name]).all():
                 raise FormatError(f"{path}: {kind} {name} holds non-finite values")
-            arrays.append(arr)
-            offset += like.size
-    velocities = dict(zip(model.param_order, arrays[len(model.params):]))
-    model.set_params(dict(zip(model.param_order, arrays)))
-    return model, OptimState(velocities=velocities, epoch=header["epoch"]), extra
+            offset += size
+    return Model(config, params), OptimState(velocities, header["epoch"]), extra

@@ -142,8 +142,8 @@ def _model_grad_worst(kind, rng):
     base = {name: p.copy() for name, p in model.params.items()}
 
     worst = 0.0
-    for name in model.param_order:
-        analytic = grads[watched[name].node_id].data.ravel()
+    for name in model.params:
+        analytic = grads[watched[name].node_id].ravel()
         flat = base[name].ravel()
         numeric = np.empty_like(flat)
         for i in range(flat.size):
@@ -346,8 +346,8 @@ def test_checkpoint_round_trip_and_resume_are_bit_exact(tmp_path):
     cn.fit(model, train_ds, test_ds,
            cn.TrainConfig(**{**cfg.to_dict(), "epochs": 3}), state)
 
-    images = ad.from_array(test_ds.images())
-    features = ad.from_array(test_ds.features())
+    images = ad.from_array(test_ds.images)
+    features = ad.from_array(test_ds.features)
     before = cn.forward(model, images, features).data.tobytes()
     path = tmp_path / "mid.cmpn"
     cn.checkpoint_save(model, state, path, train_config=cfg)
@@ -360,7 +360,7 @@ def test_checkpoint_round_trip_and_resume_are_bit_exact(tmp_path):
     straight = cn.build_model(tiny_model_config("compnet", seed=13))
     cn.fit(straight, train_ds, test_ds, cfg)
     identical = all(np.array_equal(straight.params[n], loaded.params[n])
-                    for n in straight.param_order)
+                    for n in straight.params)
     assert identical, "resumed parameters differ from uninterrupted training"
     print("PASS checkpoints: reload predicts bit-identically and a resumed "
           "run matches uninterrupted training bit-exactly")
@@ -399,28 +399,28 @@ def test_data_round_trip_normalization_and_split(tmp_path):
     second = tmp_path / "second"
     cn.save_dataset(ds, first)
     loaded = cn.load_dataset(first)
-    assert loaded.ids() == ds.ids()
-    assert np.array_equal(loaded.images(), ds.images())
-    assert np.array_equal(loaded.features(), ds.features())
-    assert np.array_equal(loaded.labels(), ds.labels())
+    assert loaded.ids == ds.ids
+    assert np.array_equal(loaded.images, ds.images)
+    assert np.array_equal(loaded.features, ds.features)
+    assert np.array_equal(loaded.labels, ds.labels)
     cn.save_dataset(loaded, second)
     for name in ("images.bin", "features.csv", "labels.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
     norm = cn.zscore_fit(ds)
-    feats = cn.zscore_apply(norm, ds).features()
+    feats = cn.zscore_apply(norm, ds).features
     live = ~norm.constant_mask
     mean_err = float(np.max(np.abs(feats.mean(axis=0)[live])))
     std_err = float(np.max(np.abs(feats.std(axis=0)[live] - 1.0)))
     assert mean_err <= 1e-9 and std_err <= 1e-9
 
-    labels = ds.labels()
+    labels = ds.labels
     train_ds, test_ds = cn.split(ds, 0.75, seed=4, stratified=True)
-    assert sorted(train_ds.ids() + test_ds.ids()) == sorted(ds.ids())
+    assert sorted(train_ds.ids + test_ds.ids) == sorted(ds.ids)
     worst_dev = 0
     for k in range(2):
         total = int((labels == k).sum())
-        in_train = int((train_ds.labels() == k).sum())
+        in_train = int((train_ds.labels == k).sum())
         dev = abs(in_train - round(0.75 * total))
         worst_dev = max(worst_dev, dev)
     assert worst_dev <= 1

@@ -26,6 +26,12 @@ def test_from_array_copies():
     assert t.data[0, 0] == 1.0
 
 
+def test_tensor_adopts_its_array_and_makes_it_read_only():
+    a = np.array([[1.0, 2.0]])
+    t = Tensor(a)
+    assert t.data is a and not a.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # reshape
 
@@ -86,14 +92,22 @@ def test_grad_of_sum_of_squares():
     x = tape.watch(from_array([1, -2, 3]))
     loss = reduce_sum(mul(x, x))
     grads = backward(loss)
-    assert np.array_equal(grads[x.node_id].data, [2, -4, 6])
+    assert np.array_equal(grads[x.node_id], [2, -4, 6])
 
 
 def test_grad_of_plain_sum_is_ones():
     tape = Tape()
     x = tape.watch(from_array(np.random.default_rng(2).normal(size=(2, 3))))
     grads = backward(reduce_sum(x))
-    assert np.array_equal(grads[x.node_id].data, np.ones((2, 3)))
+    assert np.array_equal(grads[x.node_id], np.ones((2, 3)))
+
+
+def test_backward_returns_plain_arrays_shaped_like_their_nodes():
+    tape = Tape()
+    x = tape.watch(from_array(np.ones((2, 3))))
+    grads = backward(reduce_sum(reshape(x, [3, 2])))
+    assert all(type(g) is np.ndarray for g in grads.values())
+    assert grads[x.node_id].shape == (2, 3)
 
 
 def test_untouched_leaf_gets_zero_grad():
@@ -101,7 +115,7 @@ def test_untouched_leaf_gets_zero_grad():
     x = tape.watch(from_array([1.0, 2.0]))
     y = tape.watch(from_array([3.0, 4.0]))
     grads = backward(reduce_sum(mul(x, x)))
-    assert not grads[y.node_id].data.any()
+    assert not grads[y.node_id].any()
 
 
 def test_backward_rejects_non_scalar_loss():
@@ -164,3 +178,18 @@ def test_grad_check_composite_graph():
     point = from_array(rng.normal(size=(2, 1, 8, 8)))
     report = grad_check(f, point, step=1e-5, tol=1e-6)
     assert report.passed, f"max rel err {report.max_rel_err}"
+
+
+@pytest.mark.parametrize("fn,point,kwargs,error,message", [
+    (reduce_sum, [1.0], {"step": 0.0}, cn.ConfigError, "positive step and tol"),
+    (reduce_sum, [1.0], {"tol": -1e-6}, cn.ConfigError, "positive step and tol"),
+    (lambda x: mul(x, x), [1.0, 2.0], {}, ShapeError, "must return a scalar"),
+    (lambda x: reduce_sum(mul(x, x)), [1e200], {}, cn.NumericError, "at the test point"),
+    # x*x is 1e308 at the point and overflows at x + step.
+    (lambda x: reduce_sum(mul(x, x)), [1e154], {"step": 1e154}, cn.NumericError,
+     "at coordinate 0")],
+    ids=["zero-step", "negative-tol", "vector-valued", "infinite-at-point",
+         "infinite-at-a-bump"])
+def test_grad_check_refuses_what_it_cannot_check(fn, point, kwargs, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        grad_check(fn, from_array(point), **kwargs)

@@ -334,10 +334,10 @@ def test_a_feature_whose_statistics_overflow_fails_the_train_run(
         tiny_config, tmp_path, capsys, f0):
     # Every value is finite; only the normalizer fitted on them is not.
     ds = cn.generate_synthetic(cn.SynthSpec(n_samples=200, image_shape=(1, 12, 12), seed=2))
-    features = ds.features().copy()
+    features = ds.features.copy()
     features[:, 0] = f0
     data = tmp_path / "ds"
-    cn.save_dataset(cn.Dataset(ds.ids(), ds.images(), features, ds.labels(), ds.n_classes),
+    cn.save_dataset(cn.Dataset(ds.ids, ds.images, features, ds.labels, ds.n_classes),
                     data)
     out = tmp_path / "run"
     capsys.readouterr()
@@ -475,19 +475,24 @@ def test_malformed_checkpoint_header_is_a_format_error(
     {"conv_filters": ["x"]}, {"seed": "x"}, {"kernel_size": True},
     {"n_classes": 2.0}, {"n_features": 16.0}, {"learned_width": 32.0},
     {"image_shape": [1.0, 12.0, 12.0]}, {"conv_filters": [2.0]},
-    {"dense_hidden": [2.0]}],
+    {"dense_hidden": [2.0]}, {"dense_hidden": [10**18]}],
     ids=["filters-text", "seed-text", "kernel-bool", "classes-float",
          "features-float", "learned-width-float", "image-shape-floats",
-         "filters-floats", "hidden-floats"])
+         "filters-floats", "hidden-floats", "hidden-past-any-memory"])
 def test_invalid_checkpoint_model_config_is_a_format_error(
-        trained_run, small_dataset_dir, tmp_path, override):
+        trained_run, small_dataset_dir, tmp_path, capsys, override):
+    # A header that describes a model too large to allocate is refused from
+    # its sizes alone, before any parameter array exists.
     ckpt = copy_with_header(
         trained_run, tmp_path / "run",
         lambda h: {**h, "model_config": {**h["model_config"], **override}})
-    assert main(["eval", "--checkpoint", str(ckpt),
-                 "--data", str(small_dataset_dir)]) == 3
-    assert main(["importance", "--checkpoint", str(ckpt), "--data",
-                 str(small_dataset_dir), "--out", str(tmp_path / "imp.csv")]) == 3
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", str(ckpt), "--data", str(small_dataset_dir)],
+                 ["importance", "--checkpoint", str(ckpt), "--data",
+                  str(small_dataset_dir), "--out", str(tmp_path / "imp.csv")]):
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_eval_rejects_a_negative_checkpoint_split_seed(
@@ -999,10 +1004,10 @@ def test_a_sample_that_overflows_in_the_second_child_fails_scoring_with_one_erro
     # conv, while ordinary pixels still score finite.
     run = shutil.copytree(trained_run, tmp_path / "run")
     overwrite_payload(run / "checkpoint.cmpn", [(i, 10.0) for i in CONV0_KERNELS])
-    images = scoring_dataset.images().copy()
+    images = scoring_dataset.images.copy()
     images[12 * models.EVAL_BATCH + 5, 0, 6, 6] = 1e308  # batch 12 of 16
     ds = scoring_dataset
-    cn.save_dataset(cn.Dataset(ds.ids(), images, ds.features(), ds.labels(), ds.n_classes),
+    cn.save_dataset(cn.Dataset(ds.ids, images, ds.features, ds.labels, ds.n_classes),
                     tmp_path / "data")
     for jobs in (1, 2):
         _, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
@@ -1200,6 +1205,11 @@ def with_label_out_of_range(raw):
     return b"\n".join([header, first.rsplit(b",", 1)[0] + b",2", rest])
 
 
+def with_label_past_int64(raw):
+    header, first, rest = raw.split(b"\n", 2)
+    return b"\n".join([header, first.rsplit(b",", 1)[0] + b",99999999999999999999", rest])
+
+
 def with_tiny_std(raw):
     # (x - mean) / std overflows the double range.
     norm = json.loads(raw)
@@ -1257,6 +1267,7 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     *((t, c) for t in ("features", "labels") for c in (with_ff_byte, with_oversize_field)),
     ("images", with_nan_first_pixel), ("images", with_inf_last_pixel),
     ("manifest", with_one_class), ("labels", with_label_out_of_range),
+    ("labels", with_label_past_int64),
     ("normalizer-values", with_tiny_std), ("normalizer-values", with_zero_std),
     ("checkpoint", with_version_2), ("checkpoint", with_header_past_the_end),
     ("manifest", with_format_version_2), ("manifest", with_empty_image_shape),
@@ -1308,7 +1319,7 @@ def test_a_rejected_setting_ends_in_exit_2_and_one_error_line(
                 "--out", str(tmp_path / "out")]
 
     if case == "one-sample-class":
-        labels = small_dataset.labels().tolist()
+        labels = small_dataset.labels.tolist()
         keep = [i for i, y in enumerate(labels) if y == 0] + [labels.index(1)]
         cn.save_dataset(small_dataset.subset(keep), tmp_path / "ds")
     if case == "short-normalizer":

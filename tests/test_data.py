@@ -18,6 +18,7 @@ from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
                      ShapeError, SynthSpec, generate_synthetic, load_dataset,
                      render_template, save_dataset, split, zscore_apply,
                      zscore_fit)
+from compnet.cli import main
 from compnet.data import read_json_object
 from conftest import CSV_CELLS
 
@@ -39,15 +40,15 @@ def make_dataset(n=4, shape=(1, 4, 4), n_features=3, n_classes=2, labels=None):
 
 def test_dataset_stacks_and_caches():
     ds = make_dataset(5)
-    assert ds.images().shape == (5, 1, 4, 4)
-    assert ds.features().shape == (5, 3)
-    assert np.array_equal(ds.labels(), [0, 1, 0, 1, 0])
-    assert ds.images() is ds.images()
+    assert ds.images.shape == (5, 1, 4, 4)
+    assert ds.features.shape == (5, 3)
+    assert np.array_equal(ds.labels, [0, 1, 0, 1, 0])
+    assert ds.images is ds.images
 
 
 def test_dataset_rejects_shape_and_label_mismatches():
     ds = make_dataset(3)
-    ids, images, features, labels = ds.ids(), ds.images(), ds.features(), ds.labels()
+    ids, images, features, labels = ds.ids, ds.images, ds.features, ds.labels
     with pytest.raises(ShapeError):
         Dataset(ids, images[0], features, labels, 2)  # image column not [n, C, H, W]
     with pytest.raises(ShapeError):
@@ -59,8 +60,8 @@ def test_dataset_rejects_shape_and_label_mismatches():
 @pytest.mark.parametrize("column", ["ids", "images", "features", "labels"])
 def test_dataset_rejects_columns_of_different_lengths(column):
     ds = make_dataset(3)
-    columns = {"ids": ds.ids(), "images": ds.images(), "features": ds.features(),
-               "labels": ds.labels()}
+    columns = {"ids": ds.ids, "images": ds.images, "features": ds.features,
+               "labels": ds.labels}
     columns[column] = columns[column][:2]
     with pytest.raises(ShapeError, match="columns disagree"):
         Dataset(n_classes=2, **columns)
@@ -76,7 +77,7 @@ def test_sample_rejects_non_finite():
 def test_the_finite_check_warns_of_nothing_when_a_column_sum_is_not_finite():
     big = np.array([[1e308], [1e308]])  # finite values whose sum overflows
     ds = Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), big, np.array([0, 1]), 2)
-    assert ds.features().tolist() == big.tolist()
+    assert ds.features.tolist() == big.tolist()
     opposite = np.array([[np.inf], [-np.inf]])  # a sum of NaN
     with pytest.raises(DataError, match="sample a: non-finite"):
         Dataset(["a", "b"], np.zeros((2, 1, 2, 2)), opposite, np.array([0, 1]), 2)
@@ -88,18 +89,18 @@ def test_batches_follow_order_and_keep_the_short_last_batch():
     got = list(ds.batches(2, order))
     assert [len(labels) for _, _, labels in got] == [2, 2, 1]
     for (images, features, labels), rows in zip(got, ([3, 0], [4, 1], [2])):
-        assert np.array_equal(images.data, ds.images()[rows])
-        assert np.array_equal(features.data, ds.features()[rows])
-        assert np.array_equal(labels, ds.labels()[rows])
+        assert np.array_equal(images.data, ds.images[rows])
+        assert np.array_equal(features.data, ds.features[rows])
+        assert np.array_equal(labels, ds.labels[rows])
     in_order = list(ds.batches(3))
     assert [labels.tolist() for _, _, labels in in_order] == [[0, 1, 0], [1, 0]]
-    assert np.array_equal(in_order[1][0].data, ds.images()[3:])
+    assert np.array_equal(in_order[1][0].data, ds.images[3:])
 
 
 def test_subset_preserves_order_and_metadata():
     ds = make_dataset(6)
     sub = ds.subset([4, 1])
-    assert sub.ids() == ["s4", "s1"]
+    assert sub.ids == ("s4", "s1")
     assert sub.n_features == ds.n_features
 
 
@@ -133,13 +134,13 @@ def test_generator_is_seed_deterministic():
     spec = SynthSpec(n_samples=20, image_shape=(1, 12, 12), seed=3)
     a = generate_synthetic(spec)
     b = generate_synthetic(spec)
-    assert np.array_equal(a.images(), b.images())
-    assert np.array_equal(a.features(), b.features())
-    assert np.array_equal(a.labels(), b.labels())
-    assert a.ids() == b.ids()
+    assert np.array_equal(a.images, b.images)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
+    assert a.ids == b.ids
     c = generate_synthetic(SynthSpec(n_samples=20, image_shape=(1, 12, 12),
                                      seed=4))
-    assert not np.array_equal(a.images(), c.images())
+    assert not np.array_equal(a.images, c.images)
 
 
 def test_noise_free_fully_reliable_data_is_separable():
@@ -147,8 +148,8 @@ def test_noise_free_fully_reliable_data_is_separable():
                      image_reliability=1.0, feature_reliability=1.0, seed=2)
     ds = generate_synthetic(spec)
     templates = [render_template(k, spec.image_shape) for k in (0, 1)]
-    informative = ds.features()[:, :spec.n_informative]
-    for img, feats, label in zip(ds.images(), informative, ds.labels()):
+    informative = ds.features[:, :spec.n_informative]
+    for img, feats, label in zip(ds.images, informative, ds.labels):
         # image alone: the noise-free image is exactly the class template
         assert np.array_equal(img, templates[label])
         # features alone: every informative feature mean is signed by class
@@ -227,7 +228,7 @@ def test_generator_information_content_by_monte_carlo():
 def test_generated_class_balance_is_roughly_even():
     ds = generate_synthetic(SynthSpec(n_samples=400, image_shape=(1, 12, 12),
                                       seed=6))
-    counts = np.bincount(ds.labels(), minlength=2)
+    counts = np.bincount(ds.labels, minlength=2)
     assert abs(int(counts[0]) - int(counts[1])) < 80
 
 
@@ -249,10 +250,10 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
                                       seed=9))
     save_dataset(ds, tmp_path / "d")
     back = load_dataset(tmp_path / "d")
-    assert np.array_equal(ds.images(), back.images())
-    assert np.array_equal(ds.features(), back.features())
-    assert np.array_equal(ds.labels(), back.labels())
-    assert ds.ids() == back.ids()
+    assert np.array_equal(ds.images, back.images)
+    assert np.array_equal(ds.features, back.features)
+    assert np.array_equal(ds.labels, back.labels)
+    assert ds.ids == back.ids
     assert back.provenance["kind"] == "synthetic"
 
 
@@ -354,21 +355,37 @@ def test_load_of_a_zero_sample_directory_is_an_empty_dataset(tmp_path):
     assert (root / "features.csv").read_text() == "id,f0,f1,f2\n"
     assert (root / "labels.csv").read_text() == "id,label\n"
     back = load_dataset(root)
-    assert len(back) == 0 and back.ids() == []
-    assert back.images().shape == (0, 1, 4, 4)
-    assert back.features().shape == (0, 3) and back.labels().shape == (0,)
+    assert len(back) == 0 and back.ids == ()
+    assert back.images.shape == (0, 1, 4, 4)
+    assert back.features.shape == (0, 3) and back.labels.shape == (0,)
+
+
+def test_a_zero_sample_manifest_past_numpys_dimension_limit_is_a_format_error(
+        tmp_path, capsys):
+    empty = Dataset([], np.empty((0, 1, 4, 4)), np.empty((0, 3)),
+                    np.empty(0, dtype=np.int64), 2)
+    manifest = save_dataset(empty, tmp_path / "d")
+    meta = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**meta, "image_shape": [1, 10**30, 1]}), encoding="utf-8")
+    with pytest.raises(FormatError, match="image_shape"):
+        load_dataset(manifest)
+    capsys.readouterr()
+    assert main(["train", "--data", str(manifest.parent), "--model", "compnet",
+                 "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_a_loaded_dataset_survives_a_rewrite_of_its_directory(tmp_path):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     ds = load_dataset(root)
-    loaded = ds.images().tobytes()
+    loaded = ds.images.tobytes()
     other = generate_synthetic(SynthSpec(n_samples=5, image_shape=(1, 6, 6), seed=3))
     save_dataset(other, root)
-    assert ds.images().tobytes() == loaded
-    assert load_dataset(root).images().tobytes() == other.images().tobytes() != loaded
+    assert ds.images.tobytes() == loaded
+    assert load_dataset(root).images.tobytes() == other.images.tobytes() != loaded
     with pytest.raises(ValueError):
-        ds.images()[0, 0, 0, 0] = 1.0
+        ds.images[0, 0, 0, 0] = 1.0
 
 
 def _edit_csv_cell(path, row, col, value):
@@ -411,7 +428,7 @@ def _load_outcome(root):
         ds = load_dataset(root)
     except Exception as exc:
         return type(exc), str(exc)
-    return ds.ids(), ds.features(), ds.labels()
+    return ds.ids, ds.features, ds.labels
 
 
 def _assert_loads_as_the_per_cell_reader(root):
@@ -442,9 +459,9 @@ def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch
         return read_csv_rows(path, *args)
     monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
     back = load_dataset(root)
-    assert back.ids() == ds.ids()
-    assert back.features().tobytes() == ds.features().tobytes()
-    assert back.labels().tolist() == ds.labels().tolist()
+    assert back.ids == ds.ids
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tolist() == ds.labels.tolist()
 
 
 def _set_cell(value, row=2, col=1):
@@ -512,7 +529,7 @@ def test_zscore_hand_example():
     norm = zscore_fit(ds)
     assert norm.mean[0] == 2.0
     assert abs(norm.std[0] - math.sqrt(2.0 / 3.0)) <= 1e-15
-    out = zscore_apply(norm, ds).features()
+    out = zscore_apply(norm, ds).features
     expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / math.sqrt(2.0 / 3.0)
     assert np.max(np.abs(out[:, 0] - expected)) <= 1e-12
     # constant column is masked, not divided by ~0
@@ -521,29 +538,29 @@ def test_zscore_hand_example():
 
 def test_zscore_self_normalization():
     ds = make_dataset(50, n_features=4)
-    out = zscore_apply(zscore_fit(ds), ds).features()
+    out = zscore_apply(zscore_fit(ds), ds).features
     assert np.max(np.abs(out.mean(axis=0))) <= 1e-9
     assert np.max(np.abs(out.std(axis=0) - 1.0)) <= 1e-9
 
 
 def test_zscore_uses_only_fit_statistics():
     train = make_dataset(20)
-    shifted = Dataset(train.ids(), train.images(), train.features() + 10.0,
-                      train.labels(), train.n_classes)
+    shifted = Dataset(train.ids, train.images, train.features + 10.0,
+                      train.labels, train.n_classes)
     norm_train = zscore_fit(train)
-    both = Dataset(train.ids() + shifted.ids(),
-                   np.concatenate([train.images(), shifted.images()]),
-                   np.concatenate([train.features(), shifted.features()]),
-                   np.concatenate([train.labels(), shifted.labels()]), train.n_classes)
+    both = Dataset(train.ids + shifted.ids,
+                   np.concatenate([train.images, shifted.images]),
+                   np.concatenate([train.features, shifted.features]),
+                   np.concatenate([train.labels, shifted.labels]), train.n_classes)
     norm_both = zscore_fit(both)
     assert not np.array_equal(norm_train.mean, norm_both.mean)
-    out = zscore_apply(norm_train, shifted).features()
+    out = zscore_apply(norm_train, shifted).features
     assert out.mean() > 1.0  # shifted data stays shifted under train stats
 
 
 def test_zscore_apply_rejects_features_the_transform_overflows():
     ds = make_dataset(2, n_features=1)
-    ds = Dataset(ds.ids(), ds.images(), np.array([[1e300], [0.0]]), ds.labels(), 2)
+    ds = Dataset(ds.ids, ds.images, np.array([[1e300], [0.0]]), ds.labels, 2)
     norm = Normalizer(mean=[0.0], std=[1e-11], constant_mask=[False])
     with pytest.raises(DataError, match="sample s0: non-finite values"):
         zscore_apply(norm, ds)
@@ -610,7 +627,7 @@ def test_split_stratified_counts():
     train, test = split(ds, 0.75, seed=0, stratified=True)
     assert len(train) == 75 and len(test) == 25
     for side, total in ((train, 75), (test, 25)):
-        counts = np.bincount(side.labels(), minlength=2)
+        counts = np.bincount(side.labels, minlength=2)
         # both classes within half a sample of an even share of the side
         assert abs(int(counts[0]) - total / 2) <= 0.5
         assert abs(int(counts[1]) - total / 2) <= 0.5
@@ -620,19 +637,19 @@ def test_split_is_seed_deterministic_and_disjoint():
     ds = make_dataset(40)
     a_train, a_test = split(ds, 0.6, seed=5, stratified=True)
     b_train, b_test = split(ds, 0.6, seed=5, stratified=True)
-    assert a_train.ids() == b_train.ids()
-    assert a_test.ids() == b_test.ids()
-    assert set(a_train.ids()) | set(a_test.ids()) == set(ds.ids())
-    assert not set(a_train.ids()) & set(a_test.ids())
+    assert a_train.ids == b_train.ids
+    assert a_test.ids == b_test.ids
+    assert set(a_train.ids) | set(a_test.ids) == set(ds.ids)
+    assert not set(a_train.ids) & set(a_test.ids)
     c_train, _ = split(ds, 0.6, seed=6, stratified=True)
-    assert c_train.ids() != a_train.ids()
+    assert c_train.ids != a_train.ids
 
 
 def test_split_proportions_within_one_count():
     ds = make_dataset(200, labels=[0 if i < 94 else 1 for i in range(200)])
     train, test = split(ds, 0.75, seed=1, stratified=True)
     assert len(train) == 150
-    counts = np.bincount(train.labels(), minlength=2)
+    counts = np.bincount(train.labels, minlength=2)
     assert abs(int(counts[0]) - 0.75 * 94) <= 1
     assert abs(int(counts[1]) - 0.75 * 106) <= 1
     assert len(test) == 50
@@ -644,15 +661,15 @@ def test_split_keeps_a_two_sample_class_on_both_sides_past_the_rounded_size():
     ds = make_dataset(100, labels=[0] * 2 + [1] * 98)
     train, test = split(ds, 0.1, seed=0, stratified=True)
     assert (len(train), len(test)) == (11, 89)
-    assert np.bincount(train.labels()).tolist() == [1, 10]
-    assert np.bincount(test.labels()).tolist() == [1, 88]
+    assert np.bincount(train.labels).tolist() == [1, 10]
+    assert np.bincount(test.labels).tolist() == [1, 88]
 
 
 def test_split_unstratified_still_partitions():
     ds = make_dataset(30)
     train, test = split(ds, 0.5, seed=2, stratified=False)
     assert len(train) == 15 and len(test) == 15
-    assert set(train.ids()) | set(test.ids()) == set(ds.ids())
+    assert set(train.ids) | set(test.ids) == set(ds.ids)
 
 
 def test_split_rejects_degenerate_fractions():

@@ -68,7 +68,7 @@ def test_conv2d_input_gradient_matches_naive_loops(x_shape, k_shape):
     g = rng.normal(size=out.shape)
     grads = backward(reduce_sum(cn.mul(out, from_array(g))))
     expected = conv2d_input_grad_ref(g, kernels, x_shape[2:])
-    assert np.max(np.abs(grads[xt.node_id].data - expected)) <= 1e-12
+    assert np.max(np.abs(grads[xt.node_id] - expected)) <= 1e-12
 
 
 def test_conv2d_bias_shifts_each_filter():
@@ -111,7 +111,7 @@ def test_maxpool_constant_ties_route_gradient_top_left():
     grads = backward(reduce_sum(out))
     expected = np.zeros((1, 1, 4, 4))
     expected[0, 0, 0::2, 0::2] = 1.0  # top-left corner of every 2x2 window
-    assert np.array_equal(grads[x.node_id].data, expected)
+    assert np.array_equal(grads[x.node_id], expected)
 
 
 def test_maxpool_matches_naive_loops():
@@ -136,7 +136,7 @@ def test_maxpool_ties_route_gradient_to_the_first_maximum():
     expected = maxpool2d_grad_ref(x, g)
     assert expected[0, 0, 0, 1] == 1.0  # [1, 5, 5, 5] routes to (0, 1)
     assert expected[0, 0, 1, 2] == 2.0  # [2, 2, 7, 7] routes to (1, 0)
-    assert np.array_equal(grads[xt.node_id].data, expected)
+    assert np.array_equal(grads[xt.node_id], expected)
 
 
 def test_maxpool_gradient_matches_loop_reference_on_ties():
@@ -146,7 +146,7 @@ def test_maxpool_gradient_matches_loop_reference_on_ties():
     tape = Tape()
     xt = tape.watch(from_array(x))
     grads = backward(reduce_sum(cn.mul(cn.maxpool2d(xt), from_array(g))))
-    assert np.array_equal(grads[xt.node_id].data, maxpool2d_grad_ref(x, g))
+    assert np.array_equal(grads[xt.node_id], maxpool2d_grad_ref(x, g))
 
 
 def test_maxpool_reads_conv_output_layout_in_place():
@@ -164,11 +164,11 @@ def test_maxpool_reads_conv_output_layout_in_place():
     results = []
     for data in (conv_out.data, np.ascontiguousarray(conv_out.data)):
         tape = Tape()
-        xt = tape.watch(Tensor(data, _own=True))
+        xt = tape.watch(Tensor(data))
         assert xt.data.flags.c_contiguous == (data is not conv_out.data)
         out = cn.maxpool2d(xt)
         grads = backward(reduce_sum(cn.mul(out, from_array(g))))
-        results.append((out.data, grads[xt.node_id].data))
+        results.append((out.data, grads[xt.node_id]))
     (out_view, grad_view), (out_copy, grad_copy) = results
     assert out_view.tobytes() == out_copy.tobytes() == maxpool2d_ref(conv_out.data).tobytes()
     expected = maxpool2d_grad_ref(np.ascontiguousarray(conv_out.data), g)
@@ -190,7 +190,7 @@ def test_pool_first_routes_a_leaky_relu_rounding_tie_to_the_true_maximum():
             out = cn.leaky_relu(cn.maxpool2d(xt), 0.01)
         else:
             out = cn.maxpool2d(cn.leaky_relu(xt, 0.01))
-        grads[order] = (out.data, backward(reduce_sum(out))[xt.node_id].data)
+        grads[order] = (out.data, backward(reduce_sum(out))[xt.node_id])
     assert grads["pool_first"][0].tobytes() == grads["relu_first"][0].tobytes()
     # The trunk pools first: the gradient reaches index 1, the true maximum.
     assert np.array_equal(grads["pool_first"][1].reshape(4), [0.0, 0.01, 0.0, 0.0])
@@ -246,7 +246,7 @@ def test_leaky_relu_gradient_including_origin():
     x = tape.watch(from_array([-1.0, 0.0, 2.0]))
     grads = backward(reduce_sum(cn.leaky_relu(x)))
     # The kink at exactly 0 takes the positive side's derivative.
-    assert np.array_equal(grads[x.node_id].data, [0.01, 1.0, 1.0])
+    assert np.array_equal(grads[x.node_id], [0.01, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("slope", [0.01, 0.5, 0.999])
@@ -276,8 +276,8 @@ def test_concat_columns_order_and_gradient():
     assert np.array_equal(out.data, [[1, 2, 9], [3, 4, 8]])
     weights = from_array(np.array([[1.0, 10.0, 100.0], [1.0, 10.0, 100.0]]))
     grads = backward(reduce_sum(cn.mul(out, weights)))
-    assert np.array_equal(grads[a.node_id].data, [[1, 10], [1, 10]])
-    assert np.array_equal(grads[b.node_id].data, [[100], [100]])
+    assert np.array_equal(grads[a.node_id], [[1, 10], [1, 10]])
+    assert np.array_equal(grads[b.node_id], [[100], [100]])
 
 
 def test_concat_columns_batch_mismatch():

@@ -87,10 +87,10 @@ def test_large_configuration_parameter_count():
     assert model.param_count == conv0 + conv1 + dense0 + out == 1_571_972
 
 
-def test_param_order_per_variant():
+def test_params_are_in_plan_order_per_variant():
     for kind in FUSION_KINDS:
         model = build_model(tiny_cfg(n_classes=3, dense_hidden=(3, 2), fusion_kind=kind))
-        assert model.param_order == [
+        assert list(model.params) == [
             "conv0.kernels", "conv0.bias", "dense0.weights", "dense0.bias",
             "dense1.weights", "dense1.bias", "out.weights", "out.bias"]
 
@@ -102,10 +102,10 @@ def test_build_is_seed_deterministic():
     a = build_model(tiny_cfg(seed=3))
     b = build_model(tiny_cfg(seed=3))
     c = build_model(tiny_cfg(seed=4))
-    for name in a.param_order:
+    for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
     assert any(not np.array_equal(a.params[n], c.params[n])
-               for n in a.param_order)
+               for n in a.params)
 
 
 def test_biases_start_at_zero_and_weights_are_bounded():
@@ -313,9 +313,9 @@ def test_pool_first_forward_and_gradients_equal_relu_then_pool():
             ref_logits, _ = _relu_then_pool_forward(model, ref_watched, images, features)
             ref_grads = backward(cn.cross_entropy(ref_logits, labels))
             assert logits.data.tobytes() == ref_logits.data.tobytes(), (kind, name)
-            for n in model.param_order:
-                assert (grads[watched[n].node_id].data.tobytes()
-                        == ref_grads[ref_watched[n].node_id].data.tobytes()), (kind, name, n)
+            for n in model.params:
+                assert (grads[watched[n].node_id].tobytes()
+                        == ref_grads[ref_watched[n].node_id].tobytes()), (kind, name, n)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def test_extract_requires_compnet_variant():
 
 def test_trained_weight_matrices_vary_per_sample(bench):
     run = bench.result.results[("compnet", 1)]
-    images = from_array(bench.dataset.images()[:60])
+    images = from_array(bench.dataset.images[:60])
     mats = extract_weight_matrices(run.model, images).data
     n = mats.shape[0]
     identical = sum(

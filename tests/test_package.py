@@ -53,7 +53,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` definitions that no source reads as a name or attribute."""
+    """``_name`` definitions at module level or in a module-level class body
+    (private methods too) that no source reads as a name or attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -64,7 +65,8 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(n.attr)
     unread = []
     for name, tree in trees.items():
-        for node in tree.body:
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for node in (n for body in scopes for n in body):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -83,6 +85,7 @@ def test_no_private_helper_is_left_unread():
                for path in sorted(package.glob("*.py"))}
     assert _unread_private_names(sources) == []
     assert _unread_private_names({
-        "a.py": "_USED = 1\ndef _dead(): pass\nclass _Kept: pass\n",
-        "b.py": "from a import _USED\nx: '_Kept' = _USED\n",
-    }) == ["a.py: _dead (line 2)"]
+        "a.py": "_USED = 1\ndef _dead(): pass\nclass _Kept:\n"
+                "    def _called(self): pass\n    def _orphan(self): pass\n",
+        "b.py": "from a import _USED\nx: '_Kept' = _USED\nx._called()\n",
+    }) == ["a.py: _dead (line 2)", "a.py: _orphan (line 5)"]
