@@ -9,8 +9,7 @@ deterministic training loop with bit-exact checkpoints
 (:mod:`compnet.train`), and a command-line interface (:mod:`compnet.cli`).
 """
 
-from .autodiff import (GradCheckReport, Tape, Tensor, backward, from_array,
-                       grad_check, mul, reduce_sum, reshape)
+from .autodiff import Tape, Tensor, backward, reshape
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
@@ -20,8 +19,7 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d,
                      cross_entropy, dense, fusion_weight_matrix, leaky_relu,
                      maxpool2d)
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
-                     extract_weight_matrices, feature_importance, forward,
-                     predict)
+                     extract_weight_matrices, feature_importance, forward)
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
@@ -29,8 +27,7 @@ from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GradCheckReport", "Tape", "Tensor", "backward", "from_array",
-    "grad_check", "mul", "reduce_sum", "reshape",
+    "Tape", "Tensor", "backward", "reshape",
     "Dataset", "Normalizer", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",
@@ -40,7 +37,7 @@ __all__ = [
     "cross_entropy", "dense", "fusion_weight_matrix", "leaky_relu",
     "maxpool2d",
     "ImportanceReport", "Model", "ModelConfig", "build_model",
-    "extract_weight_matrices", "feature_importance", "forward", "predict",
+    "extract_weight_matrices", "feature_importance", "forward",
     "EpochRecord", "Metrics", "OptimState", "TrainConfig",
     "checkpoint_load", "checkpoint_save", "evaluate", "fit",
     "init_optim_state", "sgd_momentum_step", "train_epoch",

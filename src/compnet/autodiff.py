@@ -7,9 +7,8 @@ that records each operation together with a backward rule; ``backward``
 walks the record once in reverse and returns a gradient for every tracked
 node.  Tensors are immutable once built, so they can be shared freely.
 
-Determinism contract: ``reduce_sum`` accumulates strictly left-to-right
-over the flat data, and every other operation uses a fixed evaluation
-order, so re-running the same graph on the same inputs is bit-identical.
+Determinism contract: every operation uses a fixed evaluation order, so
+re-running the same graph on the same inputs is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError, ShapeError, TapeError
+from .exceptions import ShapeError, TapeError
 
 Shape = tuple[int, ...]
 
@@ -30,8 +29,7 @@ class Tensor:
     the tensor is a plain value and operations on it are not recorded.
     ``Tensor(data)`` adopts ``data`` as a float64 array without copying it
     (a float64 ndarray keeps its memory layout: conv2d's output stays a
-    transposed view of its gemm result) and marks that array read-only;
-    :func:`from_array` is the constructor that copies.
+    transposed view of its gemm result) and marks that array read-only.
     """
 
     __slots__ = ("data", "node_id", "_tape")
@@ -57,10 +55,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        tracked = f", node={self.node_id}" if self.grad_tracked else ""
-        return f"Tensor(shape={list(self.shape)}{tracked})"
 
 
 @dataclass
@@ -127,23 +121,6 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
     return tape._record(data, inputs, backward)
 
 
-def from_array(a) -> Tensor:
-    """Copy any array-like, row-major, into an untracked tensor."""
-    return Tensor(np.array(a, dtype=np.float64, order="C"))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two tensors of the same shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {list(a.shape)} and {list(b.shape)} differ")
-    out = a.data * b.data
-
-    def backward(g):
-        return g * b.data, g * a.data
-
-    return wrap_result(out, (a, b), backward)
-
-
 def reshape(t: Tensor, new_shape: Sequence[int]) -> Tensor:
     """Reinterpret the flat row-major data under a new shape."""
     dims = tuple(new_shape)
@@ -154,19 +131,6 @@ def reshape(t: Tensor, new_shape: Sequence[int]) -> Tensor:
 
     def backward(g):
         return (g.reshape(t.data.shape),)
-
-    return wrap_result(out, (t,), backward)
-
-
-def reduce_sum(t: Tensor) -> Tensor:
-    """Sum of all elements, accumulated strictly left-to-right."""
-    total = 0.0
-    for v in t.data.ravel():
-        total += v
-    out = np.asarray(total, dtype=np.float64)
-
-    def backward(g):
-        return (np.full(t.shape, float(g)),)
 
     return wrap_result(out, (t,), backward)
 
@@ -198,51 +162,3 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         if leaf not in grads:
             grads[leaf] = np.zeros(shape)
     return grads
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing reverse-mode against central differences."""
-    max_rel_err: float
-    passed: bool
-
-
-def grad_check(fn: Callable[[Tensor], Tensor], point: Tensor,
-               step: float = 1e-5, tol: float = 1e-6) -> GradCheckReport:
-    """Check the tape gradient of ``fn`` at ``point`` per coordinate.
-
-    ``fn`` must map a tensor to a scalar tensor and be deterministic.  The
-    numeric side is the central difference (f(x+h*e_i) - f(x-h*e_i))/(2h);
-    relative error is |a-n| / max(1e-12, |a|, |n|).
-    """
-    if step <= 0 or tol <= 0:
-        raise ConfigError("grad_check needs positive step and tol")
-    tape = Tape()
-    x = tape.watch(point)
-    out = fn(x)
-    if out.size != 1:
-        raise ShapeError("grad_check target must return a scalar")
-    if not np.isfinite(out.data).all():
-        raise NumericError("function value is not finite at the test point")
-    analytic = backward(out)[x.node_id].ravel()
-
-    flat = point.data.ravel()
-    numeric = np.empty_like(analytic)
-    for i in range(flat.size):
-        for sign in (+1.0, -1.0):
-            bumped = flat.copy()
-            bumped[i] += sign * step
-            val = fn(Tensor(bumped.reshape(point.shape))).item()
-            if not np.isfinite(val):
-                raise NumericError(
-                    f"function value is not finite at coordinate {i}")
-            if sign > 0:
-                hi = val
-            else:
-                lo = val
-        numeric[i] = (hi - lo) / (2.0 * step)
-
-    denom = np.maximum(1e-12, np.maximum(np.abs(analytic), np.abs(numeric)))
-    rel = np.abs(analytic - numeric) / denom
-    max_rel = float(rel.max()) if rel.size else 0.0
-    return GradCheckReport(max_rel_err=max_rel, passed=max_rel <= tol)

@@ -28,7 +28,8 @@ inode a loaded dataset maps untouched.  Replace a dataset's files that
 way: truncating ``images.bin`` in place while a process reads it can kill
 that process with SIGBUS.
 
-``features.csv`` is read once as text.  When ``csv.reader`` could only
+``features.csv``'s header line must hold ``n_features + 1`` fields; then
+the file is read once as text.  When ``csv.reader`` could only
 split it at its commas and ``\\n`` line ends (no quotes, ``\\r`` or NUL, no
 over-long line, the expected header, ``n`` body lines of the expected
 width), the ids come from splitting the lines and the features from
@@ -256,6 +257,11 @@ class SynthSpec(DictConfig):
                     f"got {len(self.class_balance)}")
             if min(self.class_balance) <= 0 or abs(sum(self.class_balance) - 1.0) > 1e-9:
                 raise ConfigError("class_balance must be positive and sum to 1")
+        # images and features, and the two templates they are drawn from
+        pixels = math.prod(self.image_shape)
+        n_bytes = 8 * (self.n_samples * (pixels + self.n_features) + 2 * pixels)
+        if n_bytes > np.iinfo(np.intp).max:
+            raise ConfigError(f"the generated arrays need {n_bytes} bytes, past NumPy's limit")
 
 
 def render_template(class_index: int, image_shape: Sequence[int]) -> np.ndarray:
@@ -457,6 +463,14 @@ def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.n
     or non-ASCII digits) and rounds it to the same doubles; what it
     refuses, the per-cell reader judges.
     """
+    # The expected header has n_features commas on line 1.  newline="" ends
+    # that line at "\r" too, so no more than it is read; latin-1 decodes any byte.
+    with open(path, encoding="latin-1", newline="") as fh:
+        first = fh.readline()
+    width = first.count(",") + 1 if first else 0
+    if width != n_features + 1:
+        raise FormatError(f"{path.name}: header has {width} fields, "
+                          f"manifest n_features {n_features} needs {n_features + 1}")
     header = ["id"] + [f"f{j}" for j in range(n_features)]
     lines = _plain_csv_lines(path, header, n)
     if lines is not None:

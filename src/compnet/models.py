@@ -129,7 +129,10 @@ class ModelConfig(DictConfig):
             raise ConfigError(
                 "concat variant injects features after the first hidden dense "
                 "layer and therefore needs a non-empty dense_hidden")
-        _layer_plan(self)  # raises ConfigError if the conv/pool chain is impossible
+        # param_shapes raises ConfigError if the conv/pool chain is impossible
+        n_bytes = 8 * sum(math.prod(shape) for shape in param_shapes(self).values())
+        if n_bytes > np.iinfo(np.intp).max:
+            raise ConfigError(f"the parameters need {n_bytes} bytes, past NumPy's limit")
 
 
 @dataclass
@@ -137,15 +140,6 @@ class Model:
     """A built network: config and named parameters, in plan order (:func:`param_shapes`)."""
     config: ModelConfig
     params: dict[str, np.ndarray]
-
-    @property
-    def param_count(self) -> int:
-        return sum(int(p.size) for p in self.params.values())
-
-    def set_params(self, new_params: Mapping[str, np.ndarray]) -> None:
-        """Replace parameter values in place; shapes are the caller's to keep."""
-        for name in self.params:
-            self.params[name] = np.asarray(new_params[name], dtype=np.float64)
 
 
 class _Layer(NamedTuple):
@@ -303,12 +297,6 @@ def forward(model: Model, images: Tensor, features: Tensor | None) -> Tensor:
     """Logits ``[B, n_classes]`` for a batch; no gradient recording."""
     _check_inputs(model, images, features)
     return _run_plan(model, _plain_params(model), images, features)
-
-
-def predict(model: Model, images: Tensor, features: Tensor | None) -> list[int]:
-    """Per-sample argmax class; ties resolve to the lowest class index."""
-    logits = forward(model, images, features)
-    return [int(i) for i in np.argmax(logits.data, axis=1)]
 
 
 def extract_weight_matrices(model: Model, images: Tensor) -> Tensor:

@@ -12,13 +12,13 @@ import time
 import numpy as np
 
 import compnet as cn
-from compnet import autodiff as ad
 from compnet.cli import main
 from compnet.layers import (ConvParams, DenseParams, concat_columns, conv2d,
                             cross_entropy, dense, fusion_weight_matrix,
                             leaky_relu, maxpool2d)
 from compnet.models import tracked_forward
 from conftest import BENCH_SEEDS, INFORMATIVE, NUISANCE, TINY_CLI_CONFIG
+from gradcheck import from_array, grad_check, mul, reduce_sum
 from naive_ref import conv2d_ref, dense_ref, fusion_ref, maxpool2d_ref
 
 GRAD_STEP = 1e-5
@@ -40,7 +40,7 @@ def max_rel_err(analytic, numeric):
 # 1. gradients: every layer and every model variant against central differences
 
 def _weighted_sum(out, weights):
-    return ad.reduce_sum(ad.mul(out, ad.from_array(weights)))
+    return reduce_sum(mul(out, from_array(weights)))
 
 
 def _layer_grad_cases(rng):
@@ -69,68 +69,68 @@ def _layer_grad_cases(rng):
 
     return [
         ("conv2d/x",
-         lambda t: _weighted_sum(conv2d(t, ConvParams(ad.from_array(kernels),
-                                                      ad.from_array(cbias))),
+         lambda t: _weighted_sum(conv2d(t, ConvParams(from_array(kernels),
+                                                      from_array(cbias))),
                                  w_conv),
-         ad.from_array(x_conv)),
+         from_array(x_conv)),
         ("conv2d/kernels",
-         lambda t: _weighted_sum(conv2d(ad.from_array(x_conv),
-                                        ConvParams(t, ad.from_array(cbias))),
+         lambda t: _weighted_sum(conv2d(from_array(x_conv),
+                                        ConvParams(t, from_array(cbias))),
                                  w_conv),
-         ad.from_array(kernels)),
+         from_array(kernels)),
         ("conv2d/bias",
-         lambda t: _weighted_sum(conv2d(ad.from_array(x_conv),
-                                        ConvParams(ad.from_array(kernels), t)),
+         lambda t: _weighted_sum(conv2d(from_array(x_conv),
+                                        ConvParams(from_array(kernels), t)),
                                  w_conv),
-         ad.from_array(cbias)),
+         from_array(cbias)),
         ("maxpool2d/x",
          lambda t: _weighted_sum(maxpool2d(t), w_pool),
-         ad.from_array(x_pool)),
+         from_array(x_pool)),
         ("dense/x",
-         lambda t: _weighted_sum(dense(t, DenseParams(ad.from_array(w_mat),
-                                                      ad.from_array(dbias))),
+         lambda t: _weighted_sum(dense(t, DenseParams(from_array(w_mat),
+                                                      from_array(dbias))),
                                  w_dense),
-         ad.from_array(x_dense)),
+         from_array(x_dense)),
         ("dense/weights",
-         lambda t: _weighted_sum(dense(ad.from_array(x_dense),
-                                       DenseParams(t, ad.from_array(dbias))),
+         lambda t: _weighted_sum(dense(from_array(x_dense),
+                                       DenseParams(t, from_array(dbias))),
                                  w_dense),
-         ad.from_array(w_mat)),
+         from_array(w_mat)),
         ("dense/bias",
-         lambda t: _weighted_sum(dense(ad.from_array(x_dense),
-                                       DenseParams(ad.from_array(w_mat), t)),
+         lambda t: _weighted_sum(dense(from_array(x_dense),
+                                       DenseParams(from_array(w_mat), t)),
                                  w_dense),
-         ad.from_array(dbias)),
+         from_array(dbias)),
         ("leaky_relu/x",
          lambda t: _weighted_sum(leaky_relu(t, 0.01), w_dense),
-         ad.from_array(x_leaky)),
+         from_array(x_leaky)),
         ("concat_columns/a",
-         lambda t: _weighted_sum(concat_columns(t, ad.from_array(cols_b)),
+         lambda t: _weighted_sum(concat_columns(t, from_array(cols_b)),
                                  w_cols),
-         ad.from_array(cols_a)),
+         from_array(cols_a)),
         ("concat_columns/b",
-         lambda t: _weighted_sum(concat_columns(ad.from_array(cols_a), t),
+         lambda t: _weighted_sum(concat_columns(from_array(cols_a), t),
                                  w_cols),
-         ad.from_array(cols_b)),
+         from_array(cols_b)),
         ("fusion/learned",
          lambda t: _weighted_sum(fusion_weight_matrix(
-             t, n_classes, ad.from_array(designed)), w_fused),
-         ad.from_array(learned)),
+             t, n_classes, from_array(designed)), w_fused),
+         from_array(learned)),
         ("fusion/designed",
          lambda t: _weighted_sum(fusion_weight_matrix(
-             ad.from_array(learned), n_classes, t), w_fused),
-         ad.from_array(designed)),
+             from_array(learned), n_classes, t), w_fused),
+         from_array(designed)),
         ("cross_entropy/logits",
          lambda t: cross_entropy(t, labels),
-         ad.from_array(logits)),
+         from_array(logits)),
     ]
 
 
 def _model_grad_worst(kind, rng):
     """Worst relative error of tape gradients over all parameters of a model."""
     model = cn.build_model(tiny_model_config(kind))
-    images = ad.from_array(rng.normal(size=(3, 1, 8, 8)))
-    features = ad.from_array(rng.normal(size=(3, 4)))
+    images = from_array(rng.normal(size=(3, 1, 8, 8)))
+    features = from_array(rng.normal(size=(3, 4)))
     labels = np.array([0, 1, 0])
 
     def loss_value():
@@ -151,10 +151,10 @@ def _model_grad_worst(kind, rng):
             for sign in (+1.0, -1.0):
                 bumped = base[name].copy()
                 bumped.ravel()[i] += sign * GRAD_STEP
-                model.set_params({**base, name: bumped})
+                model.params.update({**base, name: bumped})
                 probes.append(loss_value())
             numeric[i] = (probes[0] - probes[1]) / (2 * GRAD_STEP)
-        model.set_params(base)
+        model.params.update(base)
         worst = max(worst, max_rel_err(analytic, numeric))
     return worst
 
@@ -164,7 +164,7 @@ def test_gradients_match_central_differences_for_layers_and_models():
     rng = np.random.default_rng(42)
     worst_layer = 0.0
     for name, fn, point in _layer_grad_cases(rng):
-        report = cn.grad_check(fn, point, step=GRAD_STEP, tol=GRAD_TOL)
+        report = grad_check(fn, point, step=GRAD_STEP, tol=GRAD_TOL)
         assert report.passed, f"{name}: max rel err {report.max_rel_err:.3e}"
         worst_layer = max(worst_layer, report.max_rel_err)
     worst_model = 0.0
@@ -190,8 +190,8 @@ def test_fusion_layer_matches_reshape_dot_reference():
         batch = int(rng.integers(1, 5))
         learned = rng.normal(size=(batch, n_classes * n_features))
         designed = rng.normal(size=(batch, n_features))
-        got = fusion_weight_matrix(ad.from_array(learned), n_classes,
-                                   ad.from_array(designed)).data
+        got = fusion_weight_matrix(from_array(learned), n_classes,
+                                   from_array(designed)).data
         want = fusion_ref(learned, n_classes, n_features, designed)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-12
@@ -203,19 +203,19 @@ def test_fusion_layer_matches_reshape_dot_reference():
     for j in range(4):
         one_hot = np.zeros((2, 4))
         one_hot[:, j] = 1.0
-        got = fusion_weight_matrix(ad.from_array(learned), n_classes,
-                                   ad.from_array(one_hot)).data
+        got = fusion_weight_matrix(from_array(learned), n_classes,
+                                   from_array(one_hot)).data
         assert np.array_equal(got, matrices[:, :, j])
 
     # linearity in the designed features
     d1 = rng.normal(size=(2, 4))
     d2 = rng.normal(size=(2, 4))
-    combo = fusion_weight_matrix(ad.from_array(learned), n_classes,
-                                 ad.from_array(2.5 * d1 - 0.5 * d2)).data
-    parts = (2.5 * fusion_weight_matrix(ad.from_array(learned), n_classes,
-                                        ad.from_array(d1)).data
-             - 0.5 * fusion_weight_matrix(ad.from_array(learned), n_classes,
-                                          ad.from_array(d2)).data)
+    combo = fusion_weight_matrix(from_array(learned), n_classes,
+                                 from_array(2.5 * d1 - 0.5 * d2)).data
+    parts = (2.5 * fusion_weight_matrix(from_array(learned), n_classes,
+                                        from_array(d1)).data
+             - 0.5 * fusion_weight_matrix(from_array(learned), n_classes,
+                                          from_array(d2)).data)
     lin_err = float(np.max(np.abs(combo - parts)))
     assert lin_err <= 1e-12
     print(f"PASS fusion oracle: 1000 instances max err {worst:.2e}, "
@@ -238,8 +238,8 @@ def test_conv_pool_dense_match_naive_loop_references():
         x = rng.normal(size=(b, c, h, w))
         kernels = rng.normal(size=(f, c, k, k))
         bias = rng.normal(size=f)
-        got = conv2d(ad.from_array(x),
-                     ConvParams(ad.from_array(kernels), ad.from_array(bias))).data
+        got = conv2d(from_array(x),
+                     ConvParams(from_array(kernels), from_array(bias))).data
         worst["conv"] = max(worst["conv"], float(np.max(np.abs(
             got - conv2d_ref(x, kernels, bias)))))
     for _ in range(500):
@@ -248,7 +248,7 @@ def test_conv_pool_dense_match_naive_loop_references():
         h = int(rng.choice([2, 4, 6, 8]))
         w = int(rng.choice([2, 4, 6, 8]))
         x = rng.normal(size=(b, c, h, w))
-        got = maxpool2d(ad.from_array(x)).data
+        got = maxpool2d(from_array(x)).data
         worst["pool"] = max(worst["pool"], float(np.max(np.abs(
             got - maxpool2d_ref(x)))))
     for _ in range(500):
@@ -258,8 +258,8 @@ def test_conv_pool_dense_match_naive_loop_references():
         x = rng.normal(size=(b, p))
         weights = rng.normal(size=(p, q))
         bias = rng.normal(size=q)
-        got = dense(ad.from_array(x),
-                    DenseParams(ad.from_array(weights), ad.from_array(bias))).data
+        got = dense(from_array(x),
+                    DenseParams(from_array(weights), from_array(bias))).data
         worst["dense"] = max(worst["dense"], float(np.max(np.abs(
             got - dense_ref(x, weights, bias)))))
     assert max(worst.values()) <= 1e-12
@@ -274,12 +274,12 @@ def test_conv_pool_dense_match_naive_loop_references():
 def test_prediction_invariant_to_positive_feature_scaling(bench):
     model = bench.result.results[("compnet", 1)].model
     rng = np.random.default_rng(2024)
-    images = ad.from_array(rng.normal(0.0, 5.0, size=(200, 1, 32, 32)))
+    images = from_array(rng.normal(0.0, 5.0, size=(200, 1, 32, 32)))
     features = rng.normal(size=(200, 16))
-    baseline = cn.predict(model, images, ad.from_array(features))
+    baseline = np.argmax(cn.forward(model, images, from_array(features)).data, axis=1)
     for alpha in (0.5, 2.0, 10.0):
-        scaled = cn.predict(model, images, ad.from_array(alpha * features))
-        assert scaled == baseline, f"alpha={alpha} changed predictions"
+        scaled = np.argmax(cn.forward(model, images, from_array(alpha * features)).data, axis=1)
+        assert np.array_equal(scaled, baseline), f"alpha={alpha} changed predictions"
     print("PASS scale invariance: 200 inputs, alpha in {0.5, 2, 10}, "
           "predictions unchanged")
 
@@ -346,8 +346,8 @@ def test_checkpoint_round_trip_and_resume_are_bit_exact(tmp_path):
     cn.fit(model, train_ds, test_ds,
            cn.TrainConfig(**{**cfg.to_dict(), "epochs": 3}), state)
 
-    images = ad.from_array(test_ds.images)
-    features = ad.from_array(test_ds.features)
+    images = from_array(test_ds.images)
+    features = from_array(test_ds.features)
     before = cn.forward(model, images, features).data.tobytes()
     path = tmp_path / "mid.cmpn"
     cn.checkpoint_save(model, state, path, train_config=cfg)

@@ -1,4 +1,5 @@
-"""Tensor construction, tape mechanics, operator gradients, and grad_check."""
+"""Tensor construction, tape mechanics, operator gradients, and the test-side
+grad_check that the gradient gate runs."""
 
 import math
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 import compnet as cn
-from compnet import (DataError, ShapeError, TapeError, Tensor, Tape, backward,
-                     from_array, grad_check, mul, reduce_sum, reshape)
+from compnet import ShapeError, TapeError, Tensor, Tape, backward, reshape
+from gradcheck import from_array, grad_check, mul, reduce_sum
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,15 @@ def test_backward_returns_plain_arrays_shaped_like_their_nodes():
     grads = backward(reduce_sum(reshape(x, [3, 2])))
     assert all(type(g) is np.ndarray for g in grads.values())
     assert grads[x.node_id].shape == (2, 3)
+
+
+def test_backward_skips_an_entry_the_loss_does_not_reach():
+    tape = Tape()
+    x = tape.watch(from_array([[1.0, 2.0], [3.0, 4.0]]))
+    unused = reshape(x, [4])
+    grads = backward(reduce_sum(mul(x, x)))
+    assert np.array_equal(grads[x.node_id], [[2.0, 4.0], [6.0, 8.0]])
+    assert unused.node_id not in grads
 
 
 def test_untouched_leaf_gets_zero_grad():

@@ -1235,6 +1235,11 @@ def with_format_version_2(raw):
     return json.dumps({**json.loads(raw), "format_version": 2}).encode("utf-8")
 
 
+def with_n_features_past_the_file(raw):
+    # Refused on the header line's field count, before a header is built.
+    return json.dumps({**json.loads(raw), "n_features": 10**18}).encode("utf-8")
+
+
 def with_empty_image_shape(raw):
     manifest = json.loads(raw)
     shape = [0, *manifest["image_shape"][1:]]
@@ -1271,6 +1276,7 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     ("normalizer-values", with_tiny_std), ("normalizer-values", with_zero_std),
     ("checkpoint", with_version_2), ("checkpoint", with_header_past_the_end),
     ("manifest", with_format_version_2), ("manifest", with_empty_image_shape),
+    ("manifest", with_n_features_past_the_file),
     ("config", with_model_number), ("config", with_other_image_shape)])
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
@@ -1305,7 +1311,11 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
     ("one-balance-entry", "class_balance needs 2 entries"),
     ("balance-sum", "class_balance must be positive and sum to 1"),
     ("one-sample-class", "stratified split needs >= 2 samples per class"),
-    ("short-normalizer", "normalizer fitted on 15 features")])
+    ("short-normalizer", "normalizer fitted on 15 features"),
+    ("dense-past-numpy", "past NumPy's limit"),
+    ("samples-past-numpy", "past NumPy's limit"),
+    ("features-past-numpy", "past NumPy's limit"),
+    ("image-past-numpy", "past NumPy's limit")])
 def test_a_rejected_setting_ends_in_exit_2_and_one_error_line(
         small_dataset, small_dataset_dir, trained_run, tmp_path, capsys, case, message):
     def train(ds=small_dataset_dir, **model):
@@ -1334,6 +1344,10 @@ def test_a_rejected_setting_ends_in_exit_2_and_one_error_line(
                              "compnet,concat", "--seeds", ",", "--out", str(tmp_path / "out")],
         "no-conv-filters": lambda: train(conv_filters=[]),
         "leaky-slope": lambda: train(leaky_slope=1.5),
+        "dense-past-numpy": lambda: train(dense_hidden=[10**18]),
+        "samples-past-numpy": lambda: generate(n_samples=10**18),
+        "features-past-numpy": lambda: generate(n_features=10**18),
+        "image-past-numpy": lambda: generate(image_shape=[1, 10**12, 10**12]),
         "pixel-noise": lambda: generate(pixel_noise=-1),
         "one-balance-entry": lambda: generate(class_balance=[1.0]),
         "balance-sum": lambda: generate(class_balance=[0.3, 0.3]),

@@ -9,7 +9,8 @@ import pytest
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
                      NumericError, ShapeError, Tape, Tensor,
-                     backward, from_array, reduce_sum)
+                     backward)
+from gradcheck import from_array, grad_check, mul, reduce_sum
 from naive_ref import (conv2d_input_grad_ref, conv2d_ref, dense_ref, fusion_ref,
                        maxpool2d_grad_ref, maxpool2d_ref)
 
@@ -66,7 +67,7 @@ def test_conv2d_input_gradient_matches_naive_loops(x_shape, k_shape):
     xt = tape.watch(from_array(x))
     out = cn.conv2d(xt, ConvParams(from_array(kernels), from_array(np.zeros(k_shape[0]))))
     g = rng.normal(size=out.shape)
-    grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+    grads = backward(reduce_sum(mul(out, from_array(g))))
     expected = conv2d_input_grad_ref(g, kernels, x_shape[2:])
     assert np.max(np.abs(grads[xt.node_id] - expected)) <= 1e-12
 
@@ -132,7 +133,7 @@ def test_maxpool_ties_route_gradient_to_the_first_maximum():
     out = cn.maxpool2d(xt)
     assert np.array_equal(out.data, [[[[5, 7], [3, 4]]]])
     g = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
-    grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+    grads = backward(reduce_sum(mul(out, from_array(g))))
     expected = maxpool2d_grad_ref(x, g)
     assert expected[0, 0, 0, 1] == 1.0  # [1, 5, 5, 5] routes to (0, 1)
     assert expected[0, 0, 1, 2] == 2.0  # [2, 2, 7, 7] routes to (1, 0)
@@ -145,7 +146,7 @@ def test_maxpool_gradient_matches_loop_reference_on_ties():
     g = rng.normal(size=(3, 2, 3, 4))
     tape = Tape()
     xt = tape.watch(from_array(x))
-    grads = backward(reduce_sum(cn.mul(cn.maxpool2d(xt), from_array(g))))
+    grads = backward(reduce_sum(mul(cn.maxpool2d(xt), from_array(g))))
     assert np.array_equal(grads[xt.node_id], maxpool2d_grad_ref(x, g))
 
 
@@ -167,7 +168,7 @@ def test_maxpool_reads_conv_output_layout_in_place():
         xt = tape.watch(Tensor(data))
         assert xt.data.flags.c_contiguous == (data is not conv_out.data)
         out = cn.maxpool2d(xt)
-        grads = backward(reduce_sum(cn.mul(out, from_array(g))))
+        grads = backward(reduce_sum(mul(out, from_array(g))))
         results.append((out.data, grads[xt.node_id]))
     (out_view, grad_view), (out_copy, grad_copy) = results
     assert out_view.tobytes() == out_copy.tobytes() == maxpool2d_ref(conv_out.data).tobytes()
@@ -275,7 +276,7 @@ def test_concat_columns_order_and_gradient():
     out = cn.concat_columns(a, b)
     assert np.array_equal(out.data, [[1, 2, 9], [3, 4, 8]])
     weights = from_array(np.array([[1.0, 10.0, 100.0], [1.0, 10.0, 100.0]]))
-    grads = backward(reduce_sum(cn.mul(out, weights)))
+    grads = backward(reduce_sum(mul(out, weights)))
     assert np.array_equal(grads[a.node_id], [[1, 10], [1, 10]])
     assert np.array_equal(grads[b.node_id], [[100], [100]])
 
@@ -315,12 +316,12 @@ def test_fusion_gradients_match_finite_differences():
     learned0 = rng.normal(size=(2, 6))
     designed0 = rng.normal(size=(2, 3))
 
-    rep_l = cn.grad_check(
+    rep_l = grad_check(
         lambda L: reduce_sum(cn.fusion_weight_matrix(L, 2,
                                                      from_array(designed0))),
         from_array(learned0), step=1e-5, tol=1e-6)
     assert rep_l.passed
-    rep_d = cn.grad_check(
+    rep_d = grad_check(
         lambda D: reduce_sum(cn.fusion_weight_matrix(from_array(learned0),
                                                      2, D)),
         from_array(designed0), step=1e-5, tol=1e-6)
@@ -362,9 +363,9 @@ def test_cross_entropy_matches_direct_formula():
 def test_cross_entropy_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     labels = rng.integers(0, 3, size=4)
-    rep = cn.grad_check(lambda z: cn.cross_entropy(z, labels),
-                        from_array(rng.normal(size=(4, 3))),
-                        step=1e-5, tol=1e-6)
+    rep = grad_check(lambda z: cn.cross_entropy(z, labels),
+                     from_array(rng.normal(size=(4, 3))),
+                     step=1e-5, tol=1e-6)
     assert rep.passed
 
 
@@ -390,7 +391,7 @@ def test_cross_entropy_rejects_non_finite_logits():
 def test_untracked_trunk_ops_record_no_tape_entry():
     tape = Tape()
     watched = tape.watch(from_array([1.0]))
-    cn.mul(watched, watched)
+    mul(watched, watched)
     before = len(tape._entries)
     rng = np.random.default_rng(8)
     x = from_array(rng.normal(size=(2, 1, 6, 6)))

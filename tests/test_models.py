@@ -1,16 +1,19 @@
 """Model construction, the three variant graphs, prediction, weight-matrix
 extraction, and feature importance."""
 
+import os
+
 import numpy as np
 import pytest
 
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
-                     ModelConfig, ShapeError, Tape, Tensor,
+                     ModelConfig, ShapeError, Tape,
                      VariantError, backward, build_model, extract_weight_matrices,
-                     feature_importance, forward, from_array, models, predict)
+                     feature_importance, forward, models)
 from compnet.models import FUSION_KINDS, tracked_forward
 from conftest import INFORMATIVE
+from gradcheck import from_array
 
 
 def tiny_cfg(**overrides):
@@ -70,7 +73,8 @@ def test_tiny_parameter_count_matches_hand_sum():
     conv = 2 * 1 * 3 * 3 + 2          # kernels + biases
     flat = 2 * 3 * 3                  # 8 -> conv 6 -> pool 3
     out = flat * 8 + 8                # straight to the learned vector
-    assert model.param_count == conv + out == 172
+    n_params = sum(p.size for p in model.params.values())
+    assert n_params == conv + out == 172
 
 
 def test_large_configuration_parameter_count():
@@ -84,7 +88,8 @@ def test_large_configuration_parameter_count():
     flat = 30 * 14 * 14               # 71 -> 66 -> 33 -> 28 -> 14
     dense0 = flat * 256 + 256
     out = 256 * 128 + 128
-    assert model.param_count == conv0 + conv1 + dense0 + out == 1_571_972
+    n_params = sum(p.size for p in model.params.values())
+    assert n_params == conv0 + conv1 + dense0 + out == 1_571_972
 
 
 def test_params_are_in_plan_order_per_variant():
@@ -129,7 +134,7 @@ def _random_inputs(cfg, batch=3, seed=0):
 
 def test_zero_parameters_give_uniform_probabilities():
     model = build_model(tiny_cfg())
-    model.set_params({n: np.zeros_like(p) for n, p in model.params.items()})
+    model.params.update({n: np.zeros_like(p) for n, p in model.params.items()})
     images, features = _random_inputs(model.config)
     logits = forward(model, images, features)
     assert not logits.data.any()
@@ -282,8 +287,8 @@ def test_pool_first_forward_and_gradients_equal_relu_then_pool():
         model = build_model(two_stage_cfg(fusion_kind=kind, seed=4))
         cfg = model.config
         # Non-zero biases, so zero images do not pin every conv output at 0.
-        model.set_params({n: rng.normal(scale=0.1, size=v.shape) if n.endswith(".bias")
-                          else v for n, v in model.params.items()})
+        model.params.update({n: rng.normal(scale=0.1, size=v.shape) if n.endswith(".bias")
+                             else v for n, v in model.params.items()})
         for name, data in batches.items():
             images = from_array(data)
             features = from_array(rng.normal(size=(shape[0], cfg.n_features)))
@@ -319,7 +324,20 @@ def test_pool_first_forward_and_gradients_equal_relu_then_pool():
 
 
 # ---------------------------------------------------------------------------
+# worker count
+
+def test_default_jobs_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert models.default_jobs() == min(2, os.cpu_count() or 1)
+
+
+# ---------------------------------------------------------------------------
 # predict
+
+def predict(model, images, features):
+    """Per-sample argmax class; ties go to the lowest class index, as in ``evaluate``."""
+    return np.argmax(forward(model, images, features).data, axis=1).tolist()
+
 
 def test_predict_argmax_and_tie_rule():
     model = build_model(tiny_cfg())
@@ -328,7 +346,7 @@ def test_predict_argmax_and_tie_rule():
     params = {n: np.zeros_like(p) for n, p in model.params.items()}
     params["out.bias"] = np.array([0.2, 0.0, 0.0, 0.0,
                                    0.9, 0.0, 0.0, 0.0])
-    model.set_params(params)
+    model.params.update(params)
     images, _ = _random_inputs(model.config, batch=2)
     e0 = from_array(np.tile([1.0, 0, 0, 0], (2, 1)))
     assert predict(model, images, e0) == [1, 1]  # scores [0.2, 0.9]
@@ -350,7 +368,7 @@ def test_predict_invariant_to_feature_scaling():
 
 def test_extract_zero_model_gives_zero_matrices():
     model = build_model(tiny_cfg())
-    model.set_params({n: np.zeros_like(p) for n, p in model.params.items()})
+    model.params.update({n: np.zeros_like(p) for n, p in model.params.items()})
     images, _ = _random_inputs(model.config)
     mats = extract_weight_matrices(model, images)
     assert mats.shape == (3, 2, 4)
@@ -393,7 +411,7 @@ def _constant_matrix_model(bias_rows):
     model = build_model(cfg)
     params = {n: np.zeros_like(p) for n, p in model.params.items()}
     params["out.bias"] = np.asarray(bias_rows, dtype=float).reshape(-1)
-    model.set_params(params)
+    model.params.update(params)
     return model
 
 

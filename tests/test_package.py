@@ -1,5 +1,6 @@
-"""The package's export list, no module importing what it does not use, and
-no private helper that nothing in the package reads."""
+"""The package's export list, no module importing what it does not use, no
+private helper that nothing in the package reads, and no public definition
+that the program never reads."""
 
 import ast
 from pathlib import Path
@@ -52,17 +53,24 @@ def test_no_module_imports_a_name_it_never_uses():
                            "raise FormatError('x')\n") == ["DataError (line 1)"]
 
 
-def _unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``_name`` definitions at module level or in a module-level class body
-    (private methods too) that no source reads as a name or attribute."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _read_names(trees) -> set[str]:
+    """Every name that ``trees`` read as a name or an attribute; importing a
+    name does not read it."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in _nodes(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``_name`` definitions at module level or in a module-level class body
+    (private methods too) that no source reads as a name or attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees.values())
     unread = []
     for name, tree in trees.items():
         scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
@@ -86,6 +94,47 @@ def test_no_private_helper_is_left_unread():
     assert _unread_private_names(sources) == []
     assert _unread_private_names({
         "a.py": "_USED = 1\ndef _dead(): pass\nclass _Kept:\n"
-                "    def _called(self): pass\n    def _orphan(self): pass\n",
+                "    def _called(self): pass\n    def _orphan(self): pass\n"
+                "def _reexported(): pass\n",
         "b.py": "from a import _USED\nx: '_Kept' = _USED\nx._called()\n",
-    }) == ["a.py: _dead (line 2)", "a.py: _orphan (line 5)"]
+        # __init__.py is exempt from the unused-import check; a re-export is no read
+        "__init__.py": "from .a import _reexported\n",
+    }) == ["a.py: _dead (line 2)", "a.py: _reexported (line 6)", "a.py: _orphan (line 5)"]
+
+
+def _unread_public_names(defined: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Public functions and classes at module level in ``defined``, and public
+    methods in their module-level class bodies, that no source in ``readers``
+    reads or imports by name; dunder methods are exempt."""
+    trees = [ast.parse(source) for source in readers.values()]
+    read = _read_names(trees) | {alias.name for tree in trees for n in _nodes(tree)
+                                 if isinstance(n, ast.ImportFrom) for alias in n.names}
+    unread = []
+    for name, source in defined.items():
+        tree = ast.parse(source)
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        unread += [f"{name}: {node.name} (line {node.lineno})"
+                   for node in (n for body in scopes for n in body)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in read]
+    return unread
+
+
+def test_every_public_definition_is_read_by_the_program():
+    # The program is the package and the benchmark that drives it; the tests
+    # and __init__.py's re-exports do not count as readers.
+    package = Path(compnet.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    defined = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    readers = {**defined, **{f"perfbench/{path.name}": path.read_text(encoding="utf-8")
+                             for path in sorted(perfbench.glob("*.py"))}}
+    assert _unread_public_names(defined, readers) == []
+    sources = {
+        "a.py": "def used(): pass\ndef dead(): pass\nclass Kept:\n"
+                "    def __repr__(self): pass\n    def called(self): pass\n"
+                "    def orphan(self): pass\nclass Imported: pass\n",
+        "b.py": "from a import Imported\nused()\nKept().called()\n",
+    }
+    assert _unread_public_names({"a.py": sources["a.py"]}, sources) == [
+        "a.py: dead (line 2)", "a.py: orphan (line 6)"]

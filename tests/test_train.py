@@ -12,9 +12,10 @@ import compnet as cn
 from compnet import (ConfigError, DataError, Dataset, FormatError,
                      ModelConfig, NumericError, OptimState, SynthSpec,
                      TrainConfig, build_model, checkpoint_load,
-                     checkpoint_save, evaluate, fit, from_array,
+                     checkpoint_save, evaluate, fit,
                      generate_synthetic, init_optim_state, sgd_momentum_step,
                      train_epoch)
+from gradcheck import from_array
 
 
 def tiny_model(seed=0, **overrides):
@@ -191,7 +192,7 @@ def test_training_on_empty_dataset_fails():
 
 def test_evaluate_counts_correct_predictions():
     model = tiny_model()
-    model.set_params({n: np.zeros_like(p) for n, p in model.params.items()})
+    model.params.update({n: np.zeros_like(p) for n, p in model.params.items()})
     ds = tiny_dataset(n=3, labels=[0, 0, 1])
     # Zero parameters give zero logits: argmax is class 0 everywhere.
     metrics = evaluate(model, ds)
