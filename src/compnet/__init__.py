@@ -21,7 +21,7 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d,
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
                      extract_weight_matrices, feature_importance, forward)
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
-                    checkpoint_load, checkpoint_save, evaluate, fit,
+                    checkpoint_load, checkpoint_save, epochs, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "ImportanceReport", "Model", "ModelConfig", "build_model",
     "extract_weight_matrices", "feature_importance", "forward",
     "EpochRecord", "Metrics", "OptimState", "TrainConfig",
-    "checkpoint_load", "checkpoint_save", "evaluate", "fit",
+    "checkpoint_load", "checkpoint_save", "epochs", "evaluate", "fit",
     "init_optim_state", "sgd_momentum_step", "train_epoch",
     "__version__",
 ]

@@ -7,7 +7,8 @@ byte-identical files.
 
 Exit codes: 0 success; otherwise the ``exit_code`` of the error's class
 (2 usage, configuration, or data errors; 3 file-format errors; 4 numeric
-failures during training), and 3 for I/O errors.
+failures during training), and 3 for I/O errors and for running out of
+memory, as for a ``compare`` child killed for memory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .exceptions import CompnetError, ConfigError, FormatError
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
                      feature_importance)
 from .train import (EpochRecord, OptimState, TrainConfig, checkpoint_load,
-                    checkpoint_save, evaluate, fit, init_optim_state)
+                    checkpoint_save, epochs, evaluate, fit, init_optim_state)
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +99,47 @@ def _resolve_configs(config: Mapping, ds: Dataset, fusion_kind: str, *, seed: in
 
 @dataclass
 class RunResult:
-    """Everything one training run leaves behind, before any file is written."""
+    """Everything one training run leaves behind, before any file is written.
+
+    ``history`` holds a record per epoch after ``train``, and only the
+    final epoch's record after :func:`run_training`.
+    """
     model: Model
     opt_state: OptimState
     history: list[EpochRecord]
     normalizer: Normalizer
 
 
-def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 split_settings: SplitSettings) -> RunResult:
-    """Split, normalize on the training side only, build, and fit."""
+def _start_run(ds: Dataset, model_cfg: ModelConfig, split_settings: SplitSettings
+               ) -> tuple[RunResult, Dataset, Dataset]:
+    """Split, normalize on the training side only, and build: a run with no
+    history yet, and its normalized training and test splits."""
     train_ds, test_ds = split(ds, split_settings.train_fraction,
                               split_settings.seed, split_settings.stratified)
     norm = zscore_fit(train_ds)
     train_n = zscore_apply(norm, train_ds)
     test_n = zscore_apply(norm, test_ds)
     model = build_model(model_cfg)
-    state = init_optim_state(model)
-    history = fit(model, train_n, test_n, train_cfg, state)
-    return RunResult(model=model, opt_state=state, history=history, normalizer=norm)
+    run = RunResult(model=model, opt_state=init_optim_state(model), history=[],
+                    normalizer=norm)
+    return run, train_n, test_n
+
+
+def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                 split_settings: SplitSettings) -> RunResult:
+    """One of ``compare``'s runs: train, then score the training split once.
+
+    The test split is evaluated on the ``eval_every`` cadence, which only
+    ``patience`` reads, and at the last epoch.  ``history`` is the final
+    epoch's record alone; it equals the last record ``train`` writes for
+    the same configs, and the parameters and velocities are the same bytes.
+    """
+    run, train_n, test_n = _start_run(ds, model_cfg, split_settings)
+    *_, (epoch, running, test_eval) = epochs(run.model, train_n, test_n, train_cfg,
+                                             run.opt_state)
+    run.history.append(EpochRecord(epoch=epoch, train=evaluate(run.model, train_n),
+                                   running=running, test=test_eval))
+    return run
 
 
 def history_csv(history: list[EpochRecord]) -> str:
@@ -141,7 +164,7 @@ class ComparisonResult:
     ``improvements`` maps each non-compnet kind to compnet's mean test
     accuracy advantage in percentage points (present when compnet ran).
     ``results`` maps each (model kind, seed) to its run's trained model
-    and history.
+    and the final epoch's record.
     """
     rows: list[dict]
     means: dict[str, dict[str, float]]
@@ -241,7 +264,8 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.data)
     model_cfg, train_cfg, split_settings = _resolve_configs(
         config, ds, args.model, seed=args.seed, epochs=args.epochs)
-    result = run_training(ds, model_cfg, train_cfg, split_settings)
+    result, train_n, test_n = _start_run(ds, model_cfg, split_settings)
+    result.history += fit(result.model, train_n, test_n, train_cfg, result.opt_state)
 
     out = Path(args.out)
     # A checkpoint is written last, so one left from an earlier run must go
@@ -324,7 +348,7 @@ def cmd_compare(args) -> int:
     flushed: list[dict] = []
     try:
         result = run_comparison(ds, config, kinds, seeds, on_row=flushed.append)
-    except (CompnetError, OSError):
+    except (CompnetError, OSError, MemoryError):
         # A failed run aborts the comparison but keeps the completed rows;
         # main maps the error to its exit code.
         write_atomic(out_csv, comparison_csv(flushed, {}).encode("utf-8"))
@@ -409,8 +433,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CompnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CompnetError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, CompnetError) else 3
 
 

@@ -24,7 +24,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -170,38 +170,50 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)
 
 
+def epochs(model: Model, train: Dataset, test: Dataset | None,
+           cfg: TrainConfig, state: OptimState) -> Iterator[tuple[int, Metrics, Metrics | None]]:
+    """Train one epoch per step, yielding ``(epoch, running, test)`` after each.
+
+    ``epoch`` counts completed epochs (1-based); ``test`` is the test-set
+    evaluation on the cadence of ``eval_every`` and at ``cfg.epochs``, else
+    ``None``.  The loop continues from ``state.epoch`` and, with ``patience``
+    set, stops once test accuracy has failed to improve over that many
+    consecutive evaluations of this generator.  The training set is never
+    scored here: the caller scores it after the epochs it reports.
+    """
+    test_accs: list[float] = []
+    while state.epoch < cfg.epochs:
+        # A diverging run ends in the NumericError of the finite checks on
+        # logits, loss and gradients; NumPy's overflow warnings on the way
+        # there would only repeat it on stderr.  No yield inside: errstate is
+        # a context variable, and the consumer would run under it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = train_epoch(model, train, cfg, state)
+        test_eval = None
+        if test is not None and (state.epoch % cfg.eval_every == 0
+                                 or state.epoch == cfg.epochs):
+            test_eval = evaluate(model, test)
+        yield state.epoch, running, test_eval
+        if cfg.patience is not None and test_eval is not None:
+            test_accs.append(test_eval.accuracy)
+            if max(test_accs[-cfg.patience:]) <= max(test_accs[:-cfg.patience], default=-1.0):
+                return
+
+
 def fit(model: Model, train: Dataset, test: Dataset | None,
         cfg: TrainConfig, state: OptimState | None = None) -> list[EpochRecord]:
-    """Run ``cfg.epochs`` epochs, evaluating on the cadence of ``eval_every``.
+    """:func:`epochs`, with the training set scored after every epoch.
 
     Returns this call's records, one per epoch.  Test data is only ever
     evaluated, never trained on.  Pass the ``state`` from a loaded
     checkpoint to resume, ``history += fit(..., state)``: the loop
     continues from ``state.epoch`` and reproduces an uninterrupted run
-    bit-exactly.  With ``patience`` set, training stops early once test
-    accuracy has failed to improve over that many consecutive
-    evaluations of this call.
+    bit-exactly.
     """
     state = state if state is not None else init_optim_state(model)
-    history: list[EpochRecord] = []
-    # A diverging run ends in the NumericError of the finite checks on
-    # logits, loss and gradients; NumPy's overflow warnings on the way there
-    # would only repeat it on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while state.epoch < cfg.epochs:
-            running = train_epoch(model, train, cfg, state)
-            epoch = state.epoch  # completed epochs, 1-based row number
-            train_eval = evaluate(model, train)
-            test_eval = None
-            if test is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-                test_eval = evaluate(model, test)
-            history.append(EpochRecord(epoch=epoch, train=train_eval,
-                                       running=running, test=test_eval))
-            if cfg.patience is not None and test_eval is not None:
-                accs = [rec.test.accuracy for rec in history if rec.test is not None]
-                if max(accs[-cfg.patience:]) <= max(accs[:-cfg.patience], default=-1.0):
-                    break
-    return history
+    return [EpochRecord(epoch=epoch, train=evaluate(model, train), running=running,
+                        test=test_eval)
+            for epoch, running, test_eval in epochs(model, train, test, cfg, state)]
 
 
 def _param_table(shapes: Mapping[str, tuple[int, ...]]) -> list[dict]:

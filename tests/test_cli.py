@@ -305,8 +305,9 @@ def test_train_rejects_a_bool_learning_rate_without_writing_a_checkpoint(
     assert not (out / "checkpoint.cmpn").exists()
 
 
-def test_diverging_train_prints_only_its_error_line(tmp_path):
-    # NumPy's overflow warnings used to reach stderr ahead of the error.
+def assert_diverges_with_one_error_line(tmp_path, *argv):
+    """Run ``compnet *argv`` in a new interpreter at learning rate 1e6 on the
+    dataset pinned above: exit 4, and stderr is one ``error:`` line."""
     data = tmp_path / "ds"
     assert main(["generate", "--out", str(data), "--seed", "4",
                  "--n-samples", "400"]) == 0
@@ -314,16 +315,61 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
         "model": {"conv_filters": [2], "kernel_size": 5, "dense_hidden": [3, 2]},
         "train": {"epochs": 3, "batch_size": 64, "learning_rate": 1e6},
         "split": {"train_fraction": 0.75, "stratified": True}})
-    out = tmp_path / "run"
     env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-m", "compnet.cli", "train", "--config", config,
-         "--data", str(data), "--model", "compnet", "--out", str(out)],
+        [sys.executable, "-m", "compnet.cli", *argv, "--config", config, "--data", str(data)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 4
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_diverging_train_prints_only_its_error_line(tmp_path):
+    # NumPy's overflow warnings used to reach stderr ahead of the error.
+    out = tmp_path / "run"
+    assert_diverges_with_one_error_line(tmp_path, "train", "--model", "compnet",
+                                        "--out", str(out))
     assert not (out / "checkpoint.cmpn").exists()
+
+
+def test_a_diverging_compare_exits_4_with_one_error_line_and_only_the_header(tmp_path):
+    # compare's runs score their training split only after the last epoch,
+    # so the per-batch finite checks on logits, loss and gradients must
+    # stop this one.
+    out = tmp_path / "cmp"
+    assert_diverges_with_one_error_line(tmp_path, "compare", "--models",
+                                        "compnet,image_only,concat", "--seeds", "1,2",
+                                        "--out", str(out))
+    assert (out / "compare.csv").read_text(encoding="utf-8") == \
+           "model,seed,train_acc,test_acc,gap\n"
+
+
+@pytest.mark.parametrize("command,jobs", [("train", 1), ("compare", 1), ("compare", 2)])
+def test_a_model_past_memory_ends_in_exit_3_and_one_error_line(
+        tmp_path, capfd, monkeypatch, command, jobs):
+    # About 4e18 bytes of parameters: within NumPy's index limit, so the
+    # config passes, but past any address space, so malloc refuses the
+    # first weight matrix at once and nothing is allocated.
+    data = tmp_path / "ds"
+    cn.save_dataset(cn.generate_synthetic(
+        cn.SynthSpec(n_samples=40, image_shape=(1, 8, 8), seed=1)), data)
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["model"]["dense_hidden"] = [10**16]
+    path = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--model", "compnet"],
+            "compare": ["compare", "--models", "compnet,concat", "--seeds", "1"]}[command]
+    monkeypatch.setattr(models, "default_jobs", lambda: jobs)
+    capfd.readouterr()
+    assert main(argv + ["--config", path, "--data", str(data), "--out", str(out)]) == 3
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+    if command == "train":
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert (out / "compare.csv").read_text(encoding="utf-8") == \
+               "model,seed,train_acc,test_acc,gap\n"
+        assert_no_child_processes()
 
 
 @pytest.mark.parametrize("f0", [
@@ -738,6 +784,37 @@ def test_compare_in_process_and_on_workers_give_the_same_bytes_and_parameters(
             assert mine.opt_state.velocities[name].tobytes() == \
                    theirs.opt_state.velocities[name].tobytes()
         assert mine.history == theirs.history
+
+
+@pytest.mark.parametrize("patience", [None, 1])
+def test_a_compare_run_ends_with_the_last_record_and_bytes_of_train(
+        small_dataset, patience):
+    # compare scores the training split once, after the last epoch; train
+    # scores it after every epoch.  Both must end in the same place, an
+    # early stop included.
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"]["patience"] = patience
+    kinds, seed = ["compnet", "image_only", "concat"], 2  # patience 1 stops every kind at epoch 2
+    result = cli.run_comparison(small_dataset, config, kinds, [seed])
+    for kind in kinds:
+        model_cfg, train_cfg, settings = cli._resolve_configs(
+            config, small_dataset, kind, seed=seed, split_seed=seed)
+        train_ds, test_ds = cn.split(small_dataset, settings.train_fraction,
+                                     settings.seed, settings.stratified)
+        norm = cn.zscore_fit(train_ds)
+        model = cn.build_model(model_cfg)
+        state = cn.init_optim_state(model)
+        history = cn.fit(model, cn.zscore_apply(norm, train_ds),
+                         cn.zscore_apply(norm, test_ds), train_cfg, state)
+        run = result.results[(kind, seed)]
+        assert run.history == [history[-1]], kind
+        if patience is not None:
+            assert history[-1].epoch < train_cfg.epochs, kind
+        for name, value in model.params.items():
+            assert run.model.params[name].tobytes() == value.tobytes()
+            assert run.opt_state.velocities[name].tobytes() == \
+                   state.velocities[name].tobytes()
+        assert run.opt_state.epoch == state.epoch
 
 
 def test_compare_first_failing_run_in_serial_order_decides(

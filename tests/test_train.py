@@ -12,7 +12,7 @@ import compnet as cn
 from compnet import (ConfigError, DataError, Dataset, FormatError,
                      ModelConfig, NumericError, OptimState, SynthSpec,
                      TrainConfig, build_model, checkpoint_load,
-                     checkpoint_save, evaluate, fit,
+                     checkpoint_save, epochs, evaluate, fit,
                      generate_synthetic, init_optim_state, sgd_momentum_step,
                      train_epoch)
 from gradcheck import from_array
@@ -155,6 +155,19 @@ def test_history_length_and_cadence():
     evaluated = [rec.epoch for rec in history if rec.test is not None]
     assert evaluated == [3, 6, 7]  # cadence plus the final epoch
     assert [rec.epoch for rec in history] == list(range(1, 8))
+
+
+def test_the_epoch_generator_leaves_the_consumers_errstate_as_it_was():
+    # NumPy's errstate is a context variable: a yield inside it would hand
+    # its "ignore" to the code that consumes the epochs.
+    model = tiny_model()
+    before = np.geterr()
+    assert before["over"] != "ignore" and before["invalid"] != "ignore"
+    steps = epochs(model, tiny_dataset(), tiny_dataset(n=6, seed=2),
+                   TrainConfig(epochs=2, batch_size=4), init_optim_state(model))
+    assert next(steps)[0] == 1
+    assert np.geterr() == before
+    steps.close()
 
 
 def test_early_stopping_with_patience():
