@@ -186,10 +186,11 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     process).  Either way ``rows``, ``results`` and the ``on_row`` calls
     come in the serial order, seeds outer and kinds inner, and the first
     run in that order that fails raises its exception after ``on_row``
-    has seen exactly the rows before it; no run starts once a failure
-    has come in.  No child outlives the call.  A ``ConfigError`` for
-    repeated kinds or seeds, for an empty ``seeds``, or from any run's
-    configs comes before any run.
+    has seen exactly the rows before it; a ``CompnetError`` keeps its
+    class and gains the run's kind and seed before its message.  No run
+    starts once a failure has come in, and no child outlives the call.
+    A ``ConfigError`` for repeated kinds or seeds, for an empty
+    ``seeds``, or from any run's configs comes before any run.
     """
     kinds, seeds = list(model_kinds), [int(seed) for seed in seeds]
     if len(set(kinds)) != len(kinds):
@@ -206,7 +207,11 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     # Children get ``runs`` through fork, and look up run_training when they call it.
     with ordered_results(lambda seed, kind: run_training(ds, *runs[seed, kind]),
                          list(runs), min(models_mod.default_jobs(), len(runs))) as finished:
-        for (seed, kind), result in zip(runs, finished):
+        for seed, kind in runs:
+            try:
+                result = next(finished)
+            except CompnetError as exc:  # the same class keeps the exit code
+                raise type(exc)(f"{kind} seed {seed}: {exc}") from exc
             last = result.history[-1]
             row = {
                 "model": kind,
@@ -318,7 +323,10 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"normalizer not found at {norm_path}; refusing to evaluate "
             f"unnormalized designed features")
-    norm = Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
+    try:
+        norm = Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
+    except ConfigError as exc:
+        raise FormatError(f"{norm_path}: {exc}") from None
 
     metrics = evaluate(model, zscore_apply(norm, chosen))
     out_path = Path(args.checkpoint).parent / "metrics.json"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 import types
 import typing
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +24,7 @@ _SCALARS = {  # annotation -> (accepted types, what the error says is needed)
     float: ((int, float, np.integer, np.floating), "a finite number"),
     bool: ((bool, np.bool_), "true or false"),
     str: ((str,), "text"),
+    dict: ((dict,), "an object"),
 }
 
 
@@ -86,11 +87,12 @@ class DictConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping):
-        """Build from a parsed JSON object; any bad key or value is a ``ConfigError``."""
+        """Build from a parsed JSON object; an unknown, missing or bad key is a ``ConfigError``."""
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(extra)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:  # a required field is missing
-            raise ConfigError(f"bad {cls.__name__}: {exc}") from None
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"missing {cls.__name__} keys: {missing}")
+        return cls(**d)

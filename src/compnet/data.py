@@ -45,14 +45,14 @@ import json
 import math
 import mmap
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
-from .config import DictConfig, check_type, require_min
+from .config import DictConfig, require_min
 from .exceptions import CompnetError, ConfigError, DataError, FormatError, ShapeError
 
 FORMAT_VERSION = 1
@@ -142,51 +142,32 @@ def _check_finite(ids: Sequence[str], *columns: np.ndarray) -> None:
 
 
 @dataclass
-class Normalizer:
+class Normalizer(DictConfig):
     """Per-feature centering and scaling fitted on a training split.
 
     Features whose population standard deviation is below 1e-12 are
     flagged constant and always map to 0.
     """
-    mean: np.ndarray
-    std: np.ndarray
-    constant_mask: np.ndarray
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+    constant_mask: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        self.constant_mask = np.asarray(self.constant_mask, dtype=bool)
-        if not (self.mean.shape == self.std.shape == self.constant_mask.shape) \
-                or self.mean.ndim != 1:
-            raise ShapeError("normalizer fields must be matching vectors")
-        if (self.std < 0).any():
-            raise DataError("normalizer std must be non-negative")
+        super().__post_init__()
+        if not len(self.mean) == len(self.std) == len(self.constant_mask):
+            raise ConfigError("normalizer fields must be matching vectors")
+        if min(self.std, default=0.0) < 0:
+            raise ConfigError("normalizer std must be non-negative")
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        if features.ndim != 2 or features.shape[1] != self.mean.shape[0]:
+        if features.ndim != 2 or features.shape[1] != len(self.mean):
             raise ShapeError(
-                f"normalizer fitted on {self.mean.shape[0]} features, "
+                f"normalizer fitted on {len(self.mean)} features, "
                 f"got matrix {list(features.shape)}")
-        safe_std = np.where(self.constant_mask, 1.0, self.std)
-        out = (features - self.mean) / safe_std
-        return np.where(self.constant_mask, 0.0, out)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "std": [float(v) for v in self.std],
-            "constant_mask": [bool(v) for v in self.constant_mask],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Normalizer":
-        try:
-            return cls(mean=check_type("mean", d["mean"], tuple[float, ...]),
-                       std=check_type("std", d["std"], tuple[float, ...]),
-                       constant_mask=check_type("constant_mask", d["constant_mask"],
-                                                tuple[bool, ...]))
-        except (KeyError, TypeError, ConfigError, ShapeError, DataError) as exc:
-            raise FormatError(f"normalizer json is malformed: {exc!r}") from None
+        constant = np.array(self.constant_mask, dtype=bool)
+        safe_std = np.where(constant, 1.0, np.array(self.std, dtype=np.float64))
+        out = (features - np.array(self.mean, dtype=np.float64)) / safe_std
+        return np.where(constant, 0.0, out)
 
 
 def zscore_fit(train: Dataset) -> Normalizer:
@@ -198,7 +179,8 @@ def zscore_fit(train: Dataset) -> Normalizer:
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise DataError(f"feature f{bad[0]}: mean or std over the training split is not finite")
-    return Normalizer(mean=mean, std=std, constant_mask=std < _CONST_STD)
+    return Normalizer(mean=mean.tolist(), std=std.tolist(),
+                      constant_mask=(std < _CONST_STD).tolist())
 
 
 def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
@@ -351,6 +333,27 @@ def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) 
     return parsed
 
 
+@dataclass
+class Manifest(DictConfig):
+    """``manifest.json``: a dataset directory's counts, shapes, files and provenance."""
+    format_version: int
+    n_samples: int
+    image_shape: tuple[int, int, int]
+    n_features: int
+    n_classes: int
+    files: dict
+    name: str = "dataset"
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        require_min(self, image_shape=1)
+        if self.format_version != FORMAT_VERSION:
+            raise ConfigError(f"unsupported format_version {self.format_version}")
+        if not all(isinstance(self.files.get(k), str) for k in ("images", "features", "labels")):
+            raise ConfigError("files must name images, features and labels")
+
+
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory; returns the manifest path."""
     out = Path(out_dir)
@@ -366,18 +369,11 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids, ds.labels.tolist())]
     write_atomic(out / "labels.csv", ("\n".join(label_lines) + "\n").encode("utf-8"))
 
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "name": ds.provenance.get("name", ds.provenance.get("kind", "dataset")),
-        "n_samples": len(ds),
-        "image_shape": list(ds.image_shape),
-        "n_features": ds.n_features,
-        "n_classes": ds.n_classes,
-        "files": {"images": "images.bin", "features": "features.csv",
-                  "labels": "labels.csv"},
-        "provenance": ds.provenance,
-    }
-    payload = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8") + b"\n"
+    manifest = Manifest(
+        FORMAT_VERSION, len(ds), ds.image_shape, ds.n_features, ds.n_classes,
+        {"images": "images.bin", "features": "features.csv", "labels": "labels.csv"},
+        ds.provenance.get("name", ds.provenance.get("kind", "dataset")), ds.provenance)
+    payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True).encode("utf-8") + b"\n"
     manifest_path = out / "manifest.json"
     write_atomic(manifest_path, payload)
     return manifest_path
@@ -405,30 +401,11 @@ def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    manifest = read_json_object(path.read_bytes(), path)
-    for key in ("format_version", "n_samples", "image_shape", "n_features",
-                "n_classes", "files"):
-        if key not in manifest:
-            raise FormatError(f"{path}: manifest missing key {key!r}")
     try:
-        version, n, n_features, n_classes = (
-            check_type(key, manifest[key], int)
-            for key in ("format_version", "n_samples", "n_features", "n_classes"))
-        image_shape = check_type("image_shape", manifest["image_shape"], tuple[int, int, int])
+        manifest = Manifest.from_dict(read_json_object(path.read_bytes(), path))
     except ConfigError as exc:
-        raise FormatError(f"{path}: manifest {exc}") from None
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format_version {version!r}")
-    files = manifest["files"]
-    if not isinstance(files, dict) or not all(
-            isinstance(files.get(k), str) for k in ("images", "features", "labels")):
-        raise FormatError(f"{path}: manifest files must name images, features and labels")
-    provenance = manifest.get("provenance", {})
-    if min(image_shape) < 1:
-        raise FormatError(f"{path}: manifest image_shape must be [C,H,W] >= 1, "
-                          f"got {list(image_shape)}")
-    if not isinstance(provenance, dict):
-        raise FormatError(f"{path}: manifest provenance must be an object")
+        raise FormatError(f"{path}: {exc}") from None
+    n, image_shape, files = manifest.n_samples, manifest.image_shape, manifest.files
     base = path.parent
 
     expected = 8 * n * math.prod(image_shape)  # Python ints: no int64 wrap
@@ -442,7 +419,7 @@ def load_dataset(manifest_path) -> Dataset:
     except ValueError as exc:
         raise FormatError(f"{path}: manifest image_shape {list(image_shape)}: {exc}") from None
 
-    ids, features = _read_features(base / files["features"], n, n_features)
+    ids, features = _read_features(base / files["features"], n, manifest.n_features)
     label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)
     if label_ids != ids:
         raise FormatError("labels.csv sample ids do not match features.csv")
@@ -451,7 +428,7 @@ def load_dataset(manifest_path) -> Dataset:
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
         raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
     try:
-        return Dataset(ids, images, features, labels, n_classes, provenance)
+        return Dataset(ids, images, features, labels, manifest.n_classes, manifest.provenance)
     except DataError as exc:  # a class count, value or label the columns refuse
         raise FormatError(f"{base}: {exc}") from None
 

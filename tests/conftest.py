@@ -71,6 +71,20 @@ TINY_CLI_CONFIG = {
     "split": {"train_fraction": 0.75, "stratified": True},
 }
 
+# Normalizer dicts that fail its field rule or its own checks: a list, a
+# length mismatch, scalars, a negative std, text, a non-bool flag, NaN, a
+# missing key and an unknown key.
+MALFORMED_NORMALIZERS = (
+    [0.0, 1.0],
+    {"mean": [0.0], "std": [1.0, 2.0], "constant_mask": [False]},
+    {"mean": 0.0, "std": 1.0, "constant_mask": False},
+    {"mean": [0.0], "std": [-1.0], "constant_mask": [False]},
+    {"mean": ["0.5"], "std": [1.0], "constant_mask": [False]},
+    {"mean": [0.0], "std": [1.0], "constant_mask": ["no"]},
+    {"mean": [float("nan")], "std": [1.0], "constant_mask": [False]},
+    {"mean": [0.0], "std": [1.0]},
+    {"mean": [0.0], "std": [1.0], "constant_mask": [False], "scale": [1.0]})
+
 
 # Plain text, float reprs (``nan`` and ``inf`` among them) and integers
 # past Python's 4,300-digit parsing limit.

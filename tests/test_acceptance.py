@@ -409,7 +409,7 @@ def test_data_round_trip_normalization_and_split(tmp_path):
 
     norm = cn.zscore_fit(ds)
     feats = cn.zscore_apply(norm, ds).features
-    live = ~norm.constant_mask
+    live = ~np.array(norm.constant_mask)
     mean_err = float(np.max(np.abs(feats.mean(axis=0)[live])))
     std_err = float(np.max(np.abs(feats.std(axis=0)[live] - 1.0)))
     assert mean_err <= 1e-9 and std_err <= 1e-9

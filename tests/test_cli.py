@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import compnet as cn
 from compnet import cli, forkpool, models
 from compnet.cli import SplitSettings, main
-from conftest import CSV_CELLS, TINY_CLI_CONFIG
+from conftest import CSV_CELLS, MALFORMED_NORMALIZERS, TINY_CLI_CONFIG
 
 
 def write_json(path, payload):
@@ -307,7 +307,7 @@ def test_train_rejects_a_bool_learning_rate_without_writing_a_checkpoint(
 
 def assert_diverges_with_one_error_line(tmp_path, *argv):
     """Run ``compnet *argv`` in a new interpreter at learning rate 1e6 on the
-    dataset pinned above: exit 4, and stderr is one ``error:`` line."""
+    dataset pinned above: exit 4, and stderr is one ``error:`` line, returned."""
     data = tmp_path / "ds"
     assert main(["generate", "--out", str(data), "--seed", "4",
                  "--n-samples", "400"]) == 0
@@ -322,6 +322,7 @@ def assert_diverges_with_one_error_line(tmp_path, *argv):
     assert proc.returncode == 4
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
 
 
 def test_diverging_train_prints_only_its_error_line(tmp_path):
@@ -335,11 +336,12 @@ def test_diverging_train_prints_only_its_error_line(tmp_path):
 def test_a_diverging_compare_exits_4_with_one_error_line_and_only_the_header(tmp_path):
     # compare's runs score their training split only after the last epoch,
     # so the per-batch finite checks on logits, loss and gradients must
-    # stop this one.
+    # stop this one.  The error line names the run that failed.
     out = tmp_path / "cmp"
-    assert_diverges_with_one_error_line(tmp_path, "compare", "--models",
-                                        "compnet,image_only,concat", "--seeds", "1,2",
-                                        "--out", str(out))
+    line = assert_diverges_with_one_error_line(tmp_path, "compare", "--models",
+                                               "compnet,image_only,concat", "--seeds", "1,2",
+                                               "--out", str(out))
+    assert line == "error: compnet seed 1: cross_entropy received non-finite logits"
     assert (out / "compare.csv").read_text(encoding="utf-8") == \
            "model,seed,train_acc,test_acc,gap\n"
 
@@ -1323,6 +1325,10 @@ def with_empty_image_shape(raw):
     return json.dumps({**manifest, "image_shape": shape}).encode("utf-8")
 
 
+def with_unknown_key(raw):
+    return json.dumps({**json.loads(raw), "unknown": 1}).encode("utf-8")
+
+
 def with_model_number(raw):
     return json.dumps({**json.loads(raw), "model": 5}).encode("utf-8")
 
@@ -1354,6 +1360,7 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     ("checkpoint", with_version_2), ("checkpoint", with_header_past_the_end),
     ("manifest", with_format_version_2), ("manifest", with_empty_image_shape),
     ("manifest", with_n_features_past_the_file),
+    ("manifest", with_unknown_key), ("normalizer", with_unknown_key),
     ("config", with_model_number), ("config", with_other_image_shape)])
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
@@ -1377,6 +1384,39 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("name,key,record", [
+    ("ds/manifest.json", "n_samples", "Manifest"),
+    ("run/normalizer.json", "std", "Normalizer")])
+def test_a_record_missing_a_required_key_names_the_key(
+        trained_run, small_dataset_dir, tmp_path, capsys, name, key, record):
+    shutil.copytree(trained_run, tmp_path / "run")
+    shutil.copytree(small_dataset_dir, tmp_path / "ds")
+    payload = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+    del payload[key]
+    write_json(tmp_path / name, payload)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.cmpn"),
+                 "--data", str(tmp_path / "ds")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") \
+        and lines[0].endswith(f"missing {record} keys: [{key!r}]"), lines
+
+
+def test_a_malformed_normalizer_json_ends_in_exit_3_and_one_error_line(
+        trained_run, small_dataset_dir, tmp_path, capsys):
+    # A Normalizer's ConfigError is a corrupt normalizer.json at eval.
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    (run / "metrics.json").unlink(missing_ok=True)
+    for payload in MALFORMED_NORMALIZERS:
+        write_json(run / "normalizer.json", payload)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.cmpn"),
+                     "--data", str(small_dataset_dir)]) == 3, payload
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (payload, lines)
+    assert not (run / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("case,message", [

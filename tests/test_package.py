@@ -1,6 +1,6 @@
 """The package's export list, no module importing what it does not use, no
-private helper that nothing in the package reads, and no public definition
-that the program never reads."""
+private helper that nothing in the package reads, no public definition
+that the program never reads, and field types stated only in annotations."""
 
 import ast
 from pathlib import Path
@@ -138,3 +138,25 @@ def test_every_public_definition_is_read_by_the_program():
     }
     assert _unread_public_names({"a.py": sources["a.py"]}, sources) == [
         "a.py: dead (line 2)", "a.py: orphan (line 6)"]
+
+
+def _check_type_importers(sources: dict[str, str]) -> list[str]:
+    """Modules other than ``config.py`` that import ``check_type``."""
+    return [f"{name} (line {node.lineno})" for name, source in sources.items()
+            if name != "config.py" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "check_type" for alias in node.names)]
+
+
+def test_field_types_live_only_in_annotations():
+    # A record whose fields are DictConfig annotations needs no check_type
+    # call of its own; importing it elsewhere is how a hand-written check returns.
+    package = Path(compnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _check_type_importers(sources) == []
+    assert _check_type_importers({
+        "config.py": "def check_type(): pass\n",
+        "a.py": "from .config import DictConfig\n",
+        "b.py": "import json\nfrom .config import DictConfig, check_type\n",
+    }) == ["b.py (line 2)"]
