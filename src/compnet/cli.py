@@ -25,13 +25,18 @@ import numpy as np
 from . import models as models_mod
 from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
-                   load_dataset, read_json_object, save_dataset, split,
-                   write_atomic, zscore_apply, zscore_fit)
+                   load_dataset, map_images, read_json_object, read_tables,
+                   save_dataset, split, write_atomic, zscore_apply, zscore_fit)
 from .exceptions import CompnetError, ConfigError, FormatError
 from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
-                     feature_importance)
+                     importance_report, pathway_batches)
 from .train import (EpochRecord, OptimState, TrainConfig, checkpoint_load,
-                    checkpoint_save, epochs, evaluate, fit, init_optim_state)
+                    checkpoint_save, epochs, evaluate, evaluate_pathway, fit,
+                    init_optim_state)
+
+# The commands score through importance_report, on the pass they start before
+# reading the tables; perfbench's tracer wraps this name, so it stays.
+feature_importance = models_mod.feature_importance
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +191,9 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
     process).  Either way ``rows``, ``results`` and the ``on_row`` calls
     come in the serial order, seeds outer and kinds inner, and the first
     run in that order that fails raises its exception after ``on_row``
-    has seen exactly the rows before it; a ``CompnetError`` keeps its
-    class and gains the run's kind and seed before its message.  No run
+    has seen exactly the rows before it; its ``CompnetError``,
+    ``MemoryError`` or dead child's ``ChildProcessError`` gains the run's
+    kind and seed before its message and keeps its exit code.  No run
     starts once a failure has come in, and no child outlives the call.
     A ``ConfigError`` for repeated kinds or seeds, for an empty
     ``seeds``, or from any run's configs comes before any run.
@@ -210,8 +216,11 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
         for seed, kind in runs:
             try:
                 result = next(finished)
-            except CompnetError as exc:  # the same class keeps the exit code
-                raise type(exc)(f"{kind} seed {seed}: {exc}") from exc
+            except (CompnetError, MemoryError, ChildProcessError) as exc:
+                # The same class keeps the exit code.  NumPy builds its
+                # MemoryError's message from a shape, so that one becomes plain.
+                error = MemoryError if isinstance(exc, MemoryError) else type(exc)
+                raise error(f"{kind} seed {seed}: {exc}") from exc
             last = result.history[-1]
             row = {
                 "model": kind,
@@ -292,8 +301,7 @@ def cmd_train(args) -> int:
 
 
 def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
-    if which == "all":
-        return ds
+    """The ``train`` or ``test`` side of the split the checkpoint records."""
     settings = extra.get("split")
     if not settings:
         raise ConfigError(
@@ -310,25 +318,36 @@ def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
     return train_ds if which == "train" else test_ds
 
 
-def cmd_eval(args) -> int:
-    model, _, extra = checkpoint_load(args.checkpoint)
-    ds = load_dataset(args.data)
-    chosen = _select_split(ds, args.split, extra)
-
+def _read_normalizer(checkpoint, extra: Mapping) -> Normalizer:
+    """The normalizer the checkpoint names, from the checkpoint's directory."""
     norm_file = extra.get("normalizer_file", "normalizer.json")
     if not isinstance(norm_file, str) or Path(norm_file).name != norm_file:
         raise FormatError(f"checkpoint normalizer_file must be a file name, got {norm_file!r}")
-    norm_path = Path(args.checkpoint).parent / norm_file
+    norm_path = Path(checkpoint).parent / norm_file
     if not norm_path.exists():
         raise ConfigError(
             f"normalizer not found at {norm_path}; refusing to evaluate "
             f"unnormalized designed features")
     try:
-        norm = Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
+        return Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
     except ConfigError as exc:
         raise FormatError(f"{norm_path}: {exc}") from None
 
-    metrics = evaluate(model, zscore_apply(norm, chosen))
+
+def cmd_eval(args) -> int:
+    model, _, extra = checkpoint_load(args.checkpoint)
+    if args.split == "all":
+        # The children run the image pathway while this process reads the
+        # tables; every load error is raised before any child result is read.
+        mapped = map_images(args.data)
+        with pathway_batches(model, mapped.images) as learned:
+            ds = read_tables(mapped)
+            norm = _read_normalizer(args.checkpoint, extra)
+            metrics = evaluate_pathway(model, zscore_apply(norm, ds), learned)
+    else:
+        chosen = _select_split(load_dataset(args.data), args.split, extra)
+        norm = _read_normalizer(args.checkpoint, extra)
+        metrics = evaluate(model, zscore_apply(norm, chosen))
     out_path = Path(args.checkpoint).parent / "metrics.json"
     payload = {"split": args.split, "loss": metrics.loss,
                "accuracy": metrics.accuracy, "n": metrics.n}
@@ -373,8 +392,9 @@ def cmd_compare(args) -> int:
 
 def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
-    ds = load_dataset(args.data)
-    report = feature_importance(model, ds)
+    mapped = map_images(args.data)  # as in cmd_eval: the children start before the tables
+    with pathway_batches(model, mapped.images) as learned:
+        report = importance_report(model, read_tables(mapped), learned)
     lines = ["class,feature_index,mean_abs_weight,rank"]
     for k, j in np.ndindex(report.importance.shape):
         lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{report.rank_of[k, j]}")

@@ -22,6 +22,13 @@ On-disk layout (one directory per dataset):
 * ``features.csv``  — ``id,f0..f{N-1}`` rows, floats printed exactly.
 * ``labels.csv``    — ``id,label`` rows.
 
+Loading is two steps with the same errors as one: ``map_images`` reads
+the manifest and maps ``images.bin``, and ``read_tables`` reads the two
+CSV files and builds the checked ``Dataset``, so a caller can start work
+on the images in between (``compnet eval`` and ``compnet importance``
+start the image pathway on forked children there).  ``load_dataset`` is
+the two in a row.
+
 Everything round-trips bit-exactly.  ``save_dataset`` writes each file
 to a temporary name and renames it over the old one, which leaves the
 inode a loaded dataset maps untouched.  Replace a dataset's files that
@@ -47,7 +54,7 @@ import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,7 +126,9 @@ class Dataset:
 
 
 class CheckedBatch(Tensor):
-    """Rows of a ``Dataset`` column, which the dataset has checked to be finite."""
+    """Rows of a ``Dataset`` column, which the dataset has checked to be finite,
+    or of mapped images that the ``Dataset`` built from them checks before any
+    result computed from these rows is read (``models.pathway_batches``)."""
 
     __slots__ = ()
 
@@ -383,20 +392,29 @@ def load_dataset(manifest_path) -> Dataset:
     """Read a dataset directory back; inverse of :func:`save_dataset`.
 
     ``manifest_path`` may be the manifest file or its directory.  Any
-    inconsistency in the files is a :class:`FormatError`.
+    inconsistency in the files is a :class:`FormatError`.  The load is
+    :func:`map_images`, then :func:`read_tables`.
+    """
+    return read_tables(map_images(manifest_path))
 
-    ``images.bin`` is mapped read-only, not copied, and stays mapped while
-    the dataset or any view of its images lives.  Replace the files by
+
+class MappedImages(NamedTuple):
+    """A dataset directory whose manifest is read and ``images.bin`` mapped,
+    its tables not yet: the images are unchecked until :func:`read_tables`."""
+    base: Path
+    manifest: Manifest
+    images: np.ndarray
+
+
+def map_images(manifest_path) -> MappedImages:
+    """Read the manifest and map ``images.bin`` read-only as ``[n, C, H, W]``.
+
+    ``images.bin`` is mapped, not copied, and stays mapped while the
+    dataset or any view of its images lives.  Replace the files by
     writing new ones and renaming them, as :func:`save_dataset` does;
     truncating ``images.bin`` in place under a running reader can end it
     with SIGBUS.  An empty ``images.bin`` cannot be mapped and loads as an
     empty array.
-
-    ``labels.csv`` goes through the per-cell reader, which is the
-    definition and raises the errors.  A ``features.csv`` that
-    :func:`_plain_csv_lines` accepts is split without ``csv.reader`` and
-    parsed by NumPy's C parser, to the same ids and bits; any other file,
-    or a cell the C parser refuses, goes to the per-cell reader too.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -405,11 +423,9 @@ def load_dataset(manifest_path) -> Dataset:
         manifest = Manifest.from_dict(read_json_object(path.read_bytes(), path))
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    n, image_shape, files = manifest.n_samples, manifest.image_shape, manifest.files
-    base = path.parent
-
+    n, image_shape = manifest.n_samples, manifest.image_shape
     expected = 8 * n * math.prod(image_shape)  # Python ints: no int64 wrap
-    with open(base / files["images"], "rb") as fh:
+    with open(path.parent / manifest.files["images"], "rb") as fh:
         pixels = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) \
             if os.fstat(fh.fileno()).st_size else b""
     if len(pixels) != expected:
@@ -418,7 +434,22 @@ def load_dataset(manifest_path) -> Dataset:
         images = np.frombuffer(pixels, dtype="<f8").reshape((n, *image_shape))
     except ValueError as exc:
         raise FormatError(f"{path}: manifest image_shape {list(image_shape)}: {exc}") from None
+    return MappedImages(path.parent, manifest, images)
 
+
+def read_tables(mapped: MappedImages) -> Dataset:
+    """Read ``features.csv`` and ``labels.csv`` and build the checked dataset.
+
+    ``labels.csv`` goes through the per-cell reader, which is the
+    definition and raises the errors.  A ``features.csv`` that
+    :func:`_plain_csv_lines` accepts is split without ``csv.reader`` and
+    parsed by NumPy's C parser, to the same ids and bits; any other file,
+    or a cell the C parser refuses, goes to the per-cell reader too.
+    Building the ``Dataset`` checks the mapped pixels, so a non-finite one
+    is a :class:`FormatError` here.
+    """
+    base, manifest, images = mapped
+    n, files = manifest.n_samples, manifest.files
     ids, features = _read_features(base / files["features"], n, manifest.n_features)
     label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)
     if label_ids != ids:

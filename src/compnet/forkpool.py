@@ -1,7 +1,7 @@
 """Run independent jobs in forked child processes, results in job order.
 
-``compnet compare`` and long scoring passes (``models.scored_batches``) import
-it only when they fork: ``multiprocessing`` adds about 17 ms to the start of
+``compnet compare`` and long image-pathway passes (``models.pathway_batches``)
+import it only when they fork: ``multiprocessing`` adds about 17 ms to the start of
 every other command.
 """
 
@@ -44,29 +44,19 @@ def _child(parent: int, conn, fn: Callable, job: tuple) -> None:
     conn.send(reply)
 
 
-def _in_order(context, fn: Callable, jobs: Sequence[tuple], workers: int,
+def _in_order(jobs: Sequence[tuple], start: Callable[[], None], waiting: list,
               running: dict) -> Iterator:
-    """Yield the jobs' results in job order, at most ``workers`` at once.
+    """Yield the jobs' results in job order.
 
-    ``running`` maps each live child's pipe to its job index and process.
-    A job that failed, or whose child died, stops the starting of jobs,
-    since every later job would be discarded, and raises once the jobs
-    before it have been yielded.
+    ``start`` starts ``waiting`` jobs while fewer than the allowed number
+    run; ``running`` maps each live child's pipe to its job index and
+    process.  A job that failed, or whose child died, stops the starting
+    of jobs, since every later job would be discarded, and raises once the
+    jobs before it have been yielded.
     """
-    waiting = list(enumerate(jobs))[::-1]  # the next job last
     finished: dict[int, tuple] = {}  # job index -> (result, exception)
     for index in range(len(jobs)):
-        while True:  # keep the children busy while the caller handles results
-            while waiting and len(running) < workers:
-                started, job = waiting.pop()
-                conn, theirs = context.Pipe(duplex=False)
-                with theirs:  # only the child keeps its end, so EOF means it died
-                    proc = context.Process(target=_child, daemon=True,
-                                           args=(os.getpid(), theirs, fn, job))
-                    proc.start()
-                running[conn] = started, proc
-            if index in finished:
-                break
+        while index not in finished:
             for conn in multiprocessing.connection.wait(list(running)):
                 done, proc = running[conn]
                 with contextlib.suppress(EOFError):  # EOF: the child died
@@ -78,6 +68,7 @@ def _in_order(context, fn: Callable, jobs: Sequence[tuple], workers: int,
                     f"the child running job {jobs[done]!r} died (exit code {proc.exitcode})")))
                 if finished[done][1] is not None:
                     waiting.clear()
+            start()  # keep the children busy while the caller handles results
         result, error = finished.pop(index)
         if error is not None:
             raise error
@@ -89,9 +80,11 @@ def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
     """Yield an iterator over ``fn(*job)`` for each job, in job order.
 
     With more than one worker and ``fork`` available, each job runs in its
-    own forked child, at most ``workers`` at once, and children exist only
-    inside the ``with`` block: however it ends, the live ones are killed
-    and reaped.  The first job in job order that fails raises its
+    own forked child, at most ``workers`` at once.  The first ``workers``
+    jobs start when the ``with`` block is entered, so they run while the
+    caller does other work before its first ``next()``.  Children exist
+    only inside the ``with`` block: however it ends, the live ones are
+    killed and reaped.  The first job in job order that fails raises its
     exception; a child that dies fails its job with ``ChildProcessError``.
     Otherwise, and inside any ``multiprocessing`` child, so that no child
     forks children, the jobs run one after another in this process.  Only
@@ -102,9 +95,23 @@ def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
             or "fork" not in multiprocessing.get_all_start_methods():
         yield (fn(*job) for job in jobs)
         return
+    context = multiprocessing.get_context("fork")
+    waiting = list(enumerate(jobs))[::-1]  # the next job last
     running: dict = {}
+
+    def start() -> None:
+        while waiting and len(running) < workers:
+            index, job = waiting.pop()
+            conn, theirs = context.Pipe(duplex=False)
+            with theirs:  # only the child keeps its end, so EOF means it died
+                proc = context.Process(target=_child, daemon=True,
+                                       args=(os.getpid(), theirs, fn, job))
+                proc.start()
+            running[conn] = index, proc
+
     try:
-        yield _in_order(multiprocessing.get_context("fork"), fn, jobs, workers, running)
+        start()
+        yield _in_order(jobs, start, waiting, running)
     finally:
         for conn, (_, proc) in running.items():
             proc.kill()

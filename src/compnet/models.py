@@ -13,7 +13,12 @@ LeakyReLU per stage, then flatten and a dense stack):
 One layer plan (``_layer_plan``) lists a variant's steps in the order
 they run; config validation, parameter initialization and the forward
 pass are all read off it, so the variants differ only in the steps the
-plan holds.
+plan holds.  It splits at the first step that reads the designed
+features: ``image_pathway`` runs the steps before it on the image alone
+(for ``compnet``, up to the class x feature weight matrix), ``head`` the
+rest (none for ``image_only``), and ``forward`` is the head applied to
+the pathway.  A long scoring pass (``pathway_batches``) runs the pathway
+on forked children while the caller reads the dataset's tables.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -22,11 +27,11 @@ loop can pull gradients for every parameter.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,27 +67,35 @@ def default_jobs() -> int:
     return min(2, cpus)
 
 
-def scored_batches(fn: Callable, dataset) -> list:
-    """``fn(images, features, labels)`` for each ``EVAL_BATCH`` batch, in batch order.
+@contextlib.contextmanager
+def pathway_batches(model: Model, images: np.ndarray):
+    """Yield an iterator over :func:`image_pathway`'s output array for each
+    ``EVAL_BATCH`` batch of ``images``, in batch order, or ``None``.
 
     With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2) children,
-    each forked child scores one contiguous run of them; otherwise they run in this
-    process, which never loads ``multiprocessing`` then.  Either way the results, and
-    the first exception in batch order, are the same, and no child outlives the call.
+    each forked child computes one contiguous run of them from the moment the
+    ``with`` block is entered; the first exception in batch order is raised when
+    its batch is reached, and no child outlives the block.  The children scan no
+    pixel for finiteness: the caller checks ``images``, as building a ``Dataset``
+    of them does, before it reads a result.  A shorter pass yields ``None`` and
+    never loads ``multiprocessing``: the caller scores it in this process.
     """
-    n_batches = -(-len(dataset) // EVAL_BATCH)
+    n_batches = -(-len(images) // EVAL_BATCH)
     workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
     if workers < 2:
-        return [fn(*batch) for batch in dataset.batches(EVAL_BATCH)]
+        yield None
+        return
     from .forkpool import ordered_results  # see its module docstring
 
-    def score_run(start: int, stop: int) -> list:  # forked: inherits the caller's errstate
-        return [fn(*batch) for batch in
-                itertools.islice(dataset.batches(EVAL_BATCH), start, stop)]
+    def run(start: int, stop: int) -> list[np.ndarray]:
+        rows = images[start * EVAL_BATCH:stop * EVAL_BATCH]
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
+            return [image_pathway(model, CheckedBatch(rows[i:i + EVAL_BATCH])).data
+                    for i in range(0, len(rows), EVAL_BATCH)]
 
     cuts = [n_batches * i // workers for i in range(workers + 1)]
-    with ordered_results(score_run, list(zip(cuts, cuts[1:])), workers) as runs:
-        return [result for run in runs for result in run]
+    with ordered_results(run, list(zip(cuts, cuts[1:])), workers) as runs:
+        yield (learned for part in runs for learned in part)
 
 
 @dataclass
@@ -225,7 +238,7 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 def _check_images(model: Model, images: Tensor) -> None:
-    """Shape, then finiteness unless the batch came from a checked ``Dataset``."""
+    """Shape, then finiteness unless the batch is a ``CheckedBatch``."""
     cfg = model.config
     if images.data.ndim != 4 or images.shape[1:] != cfg.image_shape:
         raise ShapeError(
@@ -235,31 +248,40 @@ def _check_images(model: Model, images: Tensor) -> None:
         raise DataError("images contain non-finite values")
 
 
-def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None:
+def _check_features(model: Model, batch: int, features: Tensor | None) -> None:
     cfg = model.config
-    _check_images(model, images)
     if features is None:
         if cfg.fusion_kind != "image_only":
             raise ShapeError(f"{cfg.fusion_kind} variant requires designed features")
         return
-    if features.data.ndim != 2 or features.shape != (images.shape[0], cfg.n_features):
+    if features.data.ndim != 2 or features.shape != (batch, cfg.n_features):
         raise ShapeError(
-            f"features must be [{images.shape[0]}, {cfg.n_features}], "
-            f"got {list(features.shape)}")
+            f"features must be [{batch}, {cfg.n_features}], got {list(features.shape)}")
     if not isinstance(features, CheckedBatch) and not np.isfinite(features.data).all():
         raise DataError("features contain non-finite values")
 
 
-def _run_plan(model: Model, p: Mapping[str, Tensor], images: Tensor,
-              features: Tensor | None, stop: str | None = None) -> Tensor:
-    """Apply the layer plan to a batch, returning early at the first ``stop`` step."""
+def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None:
+    _check_images(model, images)
+    _check_features(model, images.shape[0], features)
+
+
+def _halves(cfg: ModelConfig) -> tuple[list[_Layer], list[_Layer]]:
+    """The plan split before its first step that reads the designed features:
+    the image pathway, then the head."""
+    plan = _layer_plan(cfg)
+    cut = next((i for i, layer in enumerate(plan) if layer.op in ("concat", "fusion")),
+               len(plan))
+    return plan[:cut], plan[cut:]
+
+
+def _run_plan(model: Model, p: Mapping[str, Tensor], x: Tensor,
+              features: Tensor | None, steps: list[_Layer]) -> Tensor:
+    """Apply ``steps`` of the layer plan to ``x``."""
     cfg = model.config
-    x = images
     # Each op is read as a module global when it runs, so wrappers patched
     # onto this module (perfbench's tracer) see every call.
-    for layer in _layer_plan(cfg):
-        if layer.op == stop:
-            break
+    for layer in steps:
         if layer.op == "conv":
             x = conv2d(x, ConvParams(*(p[name] for name in layer.params)))
         elif layer.op == "dense":
@@ -286,7 +308,7 @@ def tracked_forward(model: Model, tape: Tape, images: Tensor,
     """
     _check_inputs(model, images, features)
     watched = {name: tape.watch(Tensor(p)) for name, p in model.params.items()}
-    return _run_plan(model, watched, images, features), watched
+    return _run_plan(model, watched, images, features, _layer_plan(model.config)), watched
 
 
 def _plain_params(model: Model) -> dict[str, Tensor]:
@@ -294,25 +316,41 @@ def _plain_params(model: Model) -> dict[str, Tensor]:
 
 
 def forward(model: Model, images: Tensor, features: Tensor | None) -> Tensor:
-    """Logits ``[B, n_classes]`` for a batch; no gradient recording."""
+    """Logits ``[B, n_classes]`` for a batch, :func:`head` applied to
+    :func:`image_pathway`; no gradient recording."""
     _check_inputs(model, images, features)
-    return _run_plan(model, _plain_params(model), images, features)
+    return _run_plan(model, _plain_params(model), images, features,
+                     _layer_plan(model.config))
+
+
+def image_pathway(model: Model, images: Tensor) -> Tensor:
+    """The plan's steps before the first that reads designed features, for a
+    batch: ``[B, n_classes * n_features]`` learned vectors for ``compnet``,
+    the first hidden layer's activations for ``concat``, the logits for
+    ``image_only``.  No gradient recording."""
+    _check_images(model, images)
+    return _run_plan(model, _plain_params(model), images, None, _halves(model.config)[0])
+
+
+def head(model: Model, learned: Tensor, features: Tensor | None) -> Tensor:
+    """Logits from a batch's :func:`image_pathway` output and its designed features."""
+    _check_features(model, learned.shape[0], features)
+    return _run_plan(model, _plain_params(model), learned, features, _halves(model.config)[1])
 
 
 def extract_weight_matrices(model: Model, images: Tensor) -> Tensor:
     """Per-sample learned weight matrices ``[B, n_classes, n_features]``.
 
     Only meaningful for the ``compnet`` variant, whose logits are exactly
-    these matrices applied to the designed features: the plan runs up to
-    its fusion step, and the learned vector is read row-major here as the
-    class x feature matrix, as the fusion itself reads it.
+    these matrices applied to the designed features: its image pathway
+    ends at the fusion step, and the learned vector is read row-major here
+    as the class x feature matrix, as the fusion itself reads it.
     """
     if model.config.fusion_kind != "compnet":
         raise VariantError(
             f"weight matrices exist only for the compnet variant, "
             f"not {model.config.fusion_kind!r}")
-    _check_images(model, images)
-    learned = _run_plan(model, _plain_params(model), images, None, stop="fusion")
+    learned = image_pathway(model, images)
     cfg = model.config
     return ad.reshape(learned, (learned.shape[0], cfg.n_classes, cfg.n_features))
 
@@ -331,28 +369,35 @@ class ImportanceReport:
 
 
 def feature_importance(model: Model, dataset) -> ImportanceReport:
-    """Mean |weight matrix| over a dataset, with per-class feature rankings.
+    """Mean |weight matrix| over a dataset, with per-class feature rankings."""
+    with pathway_batches(model, dataset.images) as learned:
+        return importance_report(model, dataset, learned)
 
-    ``NumericError`` if that mean is not finite, as it can be for a loaded
+
+def importance_report(model: Model, dataset, learned) -> ImportanceReport:
+    """:func:`feature_importance` of ``dataset``, reading each batch's weight
+    matrices from ``learned`` (:func:`pathway_batches` of its images) unless
+    that is ``None``.
+
+    ``NumericError`` if the mean is not finite, as it can be for a loaded
     model whose finite weights overflow.
     """
-    if model.config.fusion_kind != "compnet":
+    cfg = model.config
+    if cfg.fusion_kind != "compnet":
         raise VariantError(
-            f"feature importance requires the compnet variant, "
-            f"not {model.config.fusion_kind!r}")
+            f"feature importance requires the compnet variant, not {cfg.fusion_kind!r}")
     n = len(dataset)
     if n == 0:
         raise DataError("feature importance needs a non-empty dataset")
-    cfg = model.config
     total = np.zeros((cfg.n_classes, cfg.n_features))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        for part in scored_batches(lambda images, *_: np.abs(
-                extract_weight_matrices(model, images).data).sum(axis=0), dataset):
-            total += part
+        for images, *_ in dataset.batches(EVAL_BATCH):
+            weights = (extract_weight_matrices(model, images).data if learned is None
+                       else next(learned).reshape(-1, cfg.n_classes, cfg.n_features))
+            total += np.abs(weights).sum(axis=0)
     importance = total / n
     if not np.isfinite(importance).all():
         raise NumericError("feature importance is not finite")
     ranking = np.argsort(-importance, axis=1, kind="stable")
     return ImportanceReport(importance=importance, ranking=ranking,
                             rank_of=np.argsort(ranking, axis=1))  # each row's inverse
-

@@ -29,7 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import models as models_mod
-from .autodiff import Tape, backward
+from .autodiff import Tape, Tensor, backward
 from .config import DictConfig, require_min
 from .data import Dataset, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError
@@ -145,7 +145,15 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
 
 
 def evaluate(model: Model, ds: Dataset) -> Metrics:
-    """Loss and accuracy over a dataset; parameters untouched.
+    """Loss and accuracy over a dataset; parameters untouched."""
+    with models_mod.pathway_batches(model, ds.images) as learned:
+        return evaluate_pathway(model, ds, learned)
+
+
+def evaluate_pathway(model: Model, ds: Dataset, learned: Iterator | None) -> Metrics:
+    """:func:`evaluate` of ``ds``, applying the model's head to each batch's
+    image-pathway output from ``learned`` (:func:`models.pathway_batches` of its
+    images), or running the whole forward pass when that is ``None``.
 
     ``NumericError`` if the logits or the loss are not finite, as they
     can be for a loaded model whose finite weights overflow.
@@ -153,18 +161,14 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
     n = len(ds)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-
-    def score(images, features, labels) -> tuple[float, int]:
-        logits = models_mod.forward(model, images, features)
-        return (cross_entropy(logits, labels).item() * len(labels),
-                int((np.argmax(logits.data, axis=1) == labels).sum()))
-
     loss_sum = 0.0
     correct = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
-        for batch_loss, batch_correct in models_mod.scored_batches(score, ds):
-            loss_sum += batch_loss
-            correct += batch_correct
+        for images, features, labels in ds.batches(models_mod.EVAL_BATCH):
+            logits = (models_mod.forward(model, images, features) if learned is None
+                      else models_mod.head(model, Tensor(next(learned)), features))
+            loss_sum += cross_entropy(logits, labels).item() * len(labels)
+            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     if not np.isfinite(loss_sum):
         raise NumericError("evaluation loss is not finite")
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)

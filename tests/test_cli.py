@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import signal
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import compnet as cn
 from compnet import cli, forkpool, models
 from compnet.cli import SplitSettings, main
+from compnet.data import write_atomic
 from conftest import CSV_CELLS, MALFORMED_NORMALIZERS, TINY_CLI_CONFIG
 
 
@@ -365,7 +367,8 @@ def test_a_model_past_memory_ends_in_exit_3_and_one_error_line(
     capfd.readouterr()
     assert main(argv + ["--config", path, "--data", str(data), "--out", str(out)]) == 3
     lines = capfd.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+    prefix = "error: " if command == "train" else "error: compnet seed 1: "
+    assert len(lines) == 1 and lines[0].startswith(prefix + "Unable to allocate"), lines
     if command == "train":
         assert not out.exists() or not any(out.iterdir())
     else:
@@ -849,11 +852,11 @@ def test_compare_first_failing_run_in_serial_order_decides(
     assert_no_child_processes()
 
 
-def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch, capfd,
                                             dying, rows_before):
     """Compare compnet, concat and image_only on 2 workers and SIGKILL the
-    child that trains ``dying``: exit 3 within the alarm, with exactly the
-    rows before it written and no child left."""
+    child that trains ``dying``: exit 3 within the alarm and one error line
+    naming the run, with exactly the rows before it written and no child left."""
     real_run = cli.run_training
     test_process = os.getpid()
 
@@ -870,6 +873,7 @@ def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeyp
     out = tmp_path / "cmp"
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
+    capfd.readouterr()
     try:
         code = main(["compare", "--config", compare_config(tmp_path),
                      "--data", str(small_dataset_dir),
@@ -879,22 +883,24 @@ def assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeyp
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 3
+    assert capfd.readouterr().err.splitlines() == [
+        f"error: {dying} seed 1: the child running job (1, {dying!r}) died (exit code -9)"]
     lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
     assert [l.split(",")[:2] for l in lines[1:]] == rows_before
     assert_no_child_processes()
 
 
 def test_compare_fails_in_bounded_time_when_a_worker_dies(
-        small_dataset_dir, tmp_path, monkeypatch):
-    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+        small_dataset_dir, tmp_path, monkeypatch, capfd):
+    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch, capfd,
                                             "concat", [["compnet", "1"]])
 
 
 def test_compare_fails_in_bounded_time_when_the_last_started_worker_dies(
-        small_dataset_dir, tmp_path, monkeypatch):
+        small_dataset_dir, tmp_path, monkeypatch, capfd):
     # No later start drops the parent's last copy of this child's write end,
     # so only closing it at start lets the parent see the child's EOF.
-    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch,
+    assert_compare_fails_when_a_worker_dies(small_dataset_dir, tmp_path, monkeypatch, capfd,
                                             "image_only", [["compnet", "1"], ["concat", "1"]])
 
 
@@ -1063,18 +1069,107 @@ def score_all(run, data_dir, jobs, monkeypatch, capfd):
     return run, outcomes, workers
 
 
+@pytest.fixture(scope="module")
+def trained_runs(trained_run, small_dataset_dir, tmp_path_factory):
+    """``trained_run`` and a concat and an image_only run of the same config and data."""
+    runs = {"compnet": trained_run}
+    config = write_json(tmp_path_factory.mktemp("heads") / "config.json", TINY_CLI_CONFIG)
+    for kind in ("concat", "image_only"):
+        runs[kind] = tmp_path_factory.mktemp(kind) / "run"
+        assert train_small(small_dataset_dir, config, runs[kind], model=kind) == 0
+    return runs
+
+
 def test_scoring_in_process_and_on_children_writes_the_same_bytes(
-        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+        trained_runs, scoring_dataset, tmp_path, monkeypatch, capfd):
+    # On children this process applies the head to their image-pathway output:
+    # the fusion for compnet, concat and the dense stack for concat, nothing
+    # for image_only.
     cn.save_dataset(scoring_dataset, tmp_path / "data")
-    artifacts = []
-    for jobs in (1, 2):
-        run, outcomes, workers = score_all(trained_run, tmp_path / "data", jobs,
-                                           monkeypatch, capfd)
-        assert outcomes == [(0, []), (0, [])]
-        assert workers == ([] if jobs == 1 else [2, 2])
-        artifacts.append([(run / name).read_bytes()
-                          for name in ("metrics.json", "importance.csv")])
-    assert artifacts[0] == artifacts[1]
+    for kind, run in trained_runs.items():
+        importance = [] if kind == "compnet" else [
+            f"error: feature importance requires the compnet variant, not {kind!r}"]
+        artifacts = []
+        for jobs in (1, 2):
+            copy, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
+            assert outcomes == [(0, []), (0 if kind == "compnet" else 2, importance)], kind
+            assert workers == ([] if jobs == 1 else [2, 2])
+            artifacts.append([(copy / name).read_bytes()
+                              for name in ("metrics.json", "importance.csv")
+                              if (copy / name).exists()])
+            shutil.rmtree(copy)
+        assert len(artifacts[0]) == (2 if kind == "compnet" else 1)
+        assert artifacts[0] == artifacts[1], kind
+
+
+def test_the_tables_are_read_while_the_children_run_the_image_pathway(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    real, children = cli.read_tables, []
+
+    def count_children(mapped):
+        children.append(len(multiprocessing.active_children()))
+        return real(mapped)
+
+    monkeypatch.setattr(cli, "read_tables", count_children)
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    _, outcomes, workers = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
+    assert outcomes == [(0, []), (0, [])] and workers == [2, 2]
+    assert children == [2, 2]  # eval's, then importance's
+
+
+def break_features_cell(data):
+    path = data / "features.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[3000].split(",")
+    cells[4] = "abc"
+    lines[3000] = ",".join(cells)
+    write_atomic(path, "\n".join(lines).encode("utf-8"))
+
+
+def break_label_id(data):
+    path = data / "labels.csv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3000] = "zzz," + lines[3000].split(",")[1]
+    write_atomic(path, "\n".join(lines).encode("utf-8"))
+
+
+def break_pixel(data):
+    # A NaN in batch 12 of 16, which the second child reads.
+    path = data / "images.bin"
+    pixels = np.fromfile(path, dtype="<f8")
+    pixels[(12 * models.EVAL_BATCH + 5) * 144] = np.nan
+    write_atomic(path, pixels)
+
+
+@pytest.mark.parametrize("breaks,code,line", [
+    (break_features_cell, 3,
+     "error: features.csv: non-numeric value: could not convert string to float: 'abc'"),
+    (break_label_id, 3, "error: labels.csv sample ids do not match features.csv"),
+    (break_pixel, 3, "error: {data}: sample s003077: non-finite values"),
+], ids=["features-cell", "label-id", "pixel"])
+def test_a_bad_table_or_pixel_ends_a_pass_on_children_as_it_ends_a_load(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd, breaks, code, line):
+    # The children start before the tables are read or the pixels checked; the
+    # load error still wins over every child result, and no child is left.
+    data = tmp_path / "data"
+    cn.save_dataset(scoring_dataset, data)
+    breaks(data)
+    run, outcomes, workers = score_all(trained_run, data, 2, monkeypatch, capfd)
+    line = line.format(data=data)
+    assert outcomes == [(code, [line]), (code, [line])] and workers == [2, 2]
+    assert not (run / "metrics.json").exists() and not (run / "importance.csv").exists()
+
+
+def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    (run / "normalizer.json").unlink()
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    copy, outcomes, workers = score_all(run, tmp_path / "data", 2, monkeypatch, capfd)
+    assert outcomes[0] == (2, [
+        f"error: normalizer not found at {copy / 'normalizer.json'}; "
+        f"refusing to evaluate unnormalized designed features"])
+    assert workers == [2, 2] and not (copy / "metrics.json").exists()
 
 
 def test_a_sample_that_overflows_in_the_second_child_fails_scoring_with_one_error_line(
@@ -1104,13 +1199,27 @@ def test_scoring_fails_with_exit_3_when_a_child_dies(
             os.kill(os.getpid(), signal.SIGKILL)
         pytest.fail("scored in the test process")
 
-    monkeypatch.setattr(models, "forward", die_in_a_child)
-    monkeypatch.setattr(models, "extract_weight_matrices", die_in_a_child)
+    monkeypatch.setattr(models, "image_pathway", die_in_a_child)  # what the children run
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     _, outcomes, workers = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
     assert [code for code, _ in outcomes] == [3, 3] and workers == [2, 2]
     for _, lines in outcomes:
         assert len(lines) == 1 and lines[0].startswith("error: the child running job"), lines
+
+
+def test_ordered_results_starts_its_first_jobs_before_the_first_next(tmp_path):
+    def mark(job):
+        (tmp_path / str(job)).touch()
+        return job
+
+    with forkpool.ordered_results(mark, [(0,), (1,), (2,)], 2) as results:
+        deadline = time.monotonic() + 60
+        while not ((tmp_path / "0").exists() and (tmp_path / "1").exists()):
+            assert time.monotonic() < deadline, "the first two jobs never started"
+            time.sleep(0.01)
+        assert not (tmp_path / "2").exists()  # the third waits for a free child
+        assert list(results) == [0, 1, 2]
+    assert_no_child_processes()
 
 
 def test_ordered_results_inside_a_child_runs_its_jobs_in_that_child():
