@@ -28,13 +28,12 @@ from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, map_images, read_json_object, read_tables,
                    save_dataset, split, write_atomic, zscore_apply, zscore_fit)
 from .exceptions import CompnetError, ConfigError, FormatError
-from .models import (FUSION_KINDS, Model, ModelConfig, build_model,
-                     importance_report, pathway_batches)
-from .train import (EpochRecord, OptimState, TrainConfig, checkpoint_load,
-                    checkpoint_save, epochs, evaluate, evaluate_pathway, fit,
+from .models import FUSION_KINDS, Model, ModelConfig, build_model
+from .train import (EpochRecord, OptimState, TrainConfig, _evaluate_pathway,
+                    checkpoint_load, checkpoint_save, epochs, evaluate, fit,
                     init_optim_state)
 
-# The commands score through importance_report, on the pass they start before
+# The commands score through _importance_report, on the pass they start before
 # reading the tables; perfbench's tracer wraps this name, so it stays.
 feature_importance = models_mod.feature_importance
 
@@ -220,7 +219,7 @@ def run_comparison(ds: Dataset, config: Mapping, model_kinds: Sequence[str],
                 # The same class keeps the exit code.  NumPy builds its
                 # MemoryError's message from a shape, so that one becomes plain.
                 error = MemoryError if isinstance(exc, MemoryError) else type(exc)
-                raise error(f"{kind} seed {seed}: {exc}") from exc
+                raise error(f"{kind} seed {seed}: {str(exc) or 'out of memory'}") from exc
             last = result.history[-1]
             row = {
                 "model": kind,
@@ -340,10 +339,10 @@ def cmd_eval(args) -> int:
         # The children run the image pathway while this process reads the
         # tables; every load error is raised before any child result is read.
         mapped = map_images(args.data)
-        with pathway_batches(model, mapped.images) as learned:
+        with models_mod._pathway_batches(model, mapped.images) as learned:
             ds = read_tables(mapped)
             norm = _read_normalizer(args.checkpoint, extra)
-            metrics = evaluate_pathway(model, zscore_apply(norm, ds), learned)
+            metrics = _evaluate_pathway(model, zscore_apply(norm, ds), learned)
     else:
         chosen = _select_split(load_dataset(args.data), args.split, extra)
         norm = _read_normalizer(args.checkpoint, extra)
@@ -393,8 +392,8 @@ def cmd_compare(args) -> int:
 def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
     mapped = map_images(args.data)  # as in cmd_eval: the children start before the tables
-    with pathway_batches(model, mapped.images) as learned:
-        report = importance_report(model, read_tables(mapped), learned)
+    with models_mod._importance_pass(model, mapped.images) as learned:
+        report = models_mod._importance_report(model, read_tables(mapped), learned)
     lines = ["class,feature_index,mean_abs_weight,rank"]
     for k, j in np.ndindex(report.importance.shape):
         lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{report.rank_of[k, j]}")

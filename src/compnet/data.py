@@ -128,7 +128,7 @@ class Dataset:
 class CheckedBatch(Tensor):
     """Rows of a ``Dataset`` column, which the dataset has checked to be finite,
     or of mapped images that the ``Dataset`` built from them checks before any
-    result computed from these rows is read (``models.pathway_batches``)."""
+    result computed from these rows is read (``models._pathway_batches``)."""
 
     __slots__ = ()
 

@@ -1,6 +1,6 @@
 """Run independent jobs in forked child processes, results in job order.
 
-``compnet compare`` and long image-pathway passes (``models.pathway_batches``)
+``compnet compare`` and long image-pathway passes (``models._pathway_batches``)
 import it only when they fork: ``multiprocessing`` adds about 17 ms to the start of
 every other command.
 """
@@ -44,15 +44,16 @@ def _child(parent: int, conn, fn: Callable, job: tuple) -> None:
     conn.send(reply)
 
 
-def _in_order(jobs: Sequence[tuple], start: Callable[[], None], waiting: list,
+def _in_order(jobs: Sequence[tuple], start: Callable[[int], None], waiting: list,
               running: dict) -> Iterator:
     """Yield the jobs' results in job order.
 
-    ``start`` starts ``waiting`` jobs while fewer than the allowed number
-    run; ``running`` maps each live child's pipe to its job index and
-    process.  A job that failed, or whose child died, stops the starting
-    of jobs, since every later job would be discarded, and raises once the
-    jobs before it have been yielded.
+    ``start(first)`` starts ``waiting`` jobs while fewer than the allowed
+    number run and the window from job ``first`` allows; ``running`` maps
+    each live child's pipe to its job index and process.  A job that
+    failed, or whose child died, stops the starting of jobs, since every
+    later job would be discarded, and raises once the jobs before it have
+    been yielded.
     """
     finished: dict[int, tuple] = {}  # job index -> (result, exception)
     for index in range(len(jobs)):
@@ -68,21 +69,25 @@ def _in_order(jobs: Sequence[tuple], start: Callable[[], None], waiting: list,
                     f"the child running job {jobs[done]!r} died (exit code {proc.exitcode})")))
                 if finished[done][1] is not None:
                     waiting.clear()
-            start()  # keep the children busy while the caller handles results
+            start(index)  # keep the children busy while the caller handles results
         result, error = finished.pop(index)
         if error is not None:
             raise error
+        start(index + 1)  # the caller takes this result, so the window moves on
         yield result
 
 
 @contextlib.contextmanager
-def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
+def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int,
+                    ahead: int | None = None):
     """Yield an iterator over ``fn(*job)`` for each job, in job order.
 
     With more than one worker and ``fork`` available, each job runs in its
     own forked child, at most ``workers`` at once.  The first ``workers``
     jobs start when the ``with`` block is entered, so they run while the
-    caller does other work before its first ``next()``.  Children exist
+    caller does other work before its first ``next()``.  With ``ahead``
+    set, no job starts more than ``ahead`` jobs past the last one yielded,
+    so at most that many results wait in this process.  Children exist
     only inside the ``with`` block: however it ends, the live ones are
     killed and reaped.  The first job in job order that fails raises its
     exception; a child that dies fails its job with ``ChildProcessError``.
@@ -99,8 +104,9 @@ def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
     waiting = list(enumerate(jobs))[::-1]  # the next job last
     running: dict = {}
 
-    def start() -> None:
-        while waiting and len(running) < workers:
+    def start(first: int) -> None:
+        while waiting and len(running) < workers \
+                and (ahead is None or waiting[-1][0] < first + ahead):
             index, job = waiting.pop()
             conn, theirs = context.Pipe(duplex=False)
             with theirs:  # only the child keeps its end, so EOF means it died
@@ -110,7 +116,7 @@ def ordered_results(fn: Callable, jobs: Sequence[tuple], workers: int):
             running[conn] = index, proc
 
     try:
-        start()
+        start(0)
         yield _in_order(jobs, start, waiting, running)
     finally:
         for conn, (_, proc) in running.items():

@@ -17,8 +17,10 @@ plan holds.  It splits at the first step that reads the designed
 features: ``image_pathway`` runs the steps before it on the image alone
 (for ``compnet``, up to the class x feature weight matrix), ``head`` the
 rest (none for ``image_only``), and ``forward`` is the head applied to
-the pathway.  A long scoring pass (``pathway_batches``) runs the pathway
-on forked children while the caller reads the dataset's tables.
+the pathway.  A long scoring pass (``_pathway_batches``) runs the pathway
+on forked children, which ``compnet eval`` and ``compnet importance``
+start before they read the dataset's tables, and the head in this
+process; a short one runs ``forward`` batch by batch.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -31,7 +33,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,11 +48,16 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d, dense,
 FUSION_KINDS = ("compnet", "concat", "image_only")
 # Rows per forward-only pass when scoring or explaining a whole dataset.
 EVAL_BATCH = 256
-# Batches each child must get before a scoring pass forks.  Forking on every evaluate
-# slowed `compnet train` (2,000 samples, 2 epochs) from 0.48 to 0.71 s: a child's first
-# B=256 batch, faulting its heap in afresh, took 13-17 ms against 7 ms.  At 8, every
-# evaluation in the benchmark's and acceptance gate's fits (<= 6 batches) stays in-process.
+# Batches each child must get before a scoring pass forks, and the fewest in one run.
+# Forking on every evaluate slowed `compnet train` (2,000 samples, 2 epochs) from 0.48
+# to 0.71 s: a child's first B=256 batch, faulting its heap in afresh, took 13-17 ms
+# against 7 ms.  At 8, every evaluation in the benchmark's and acceptance gate's fits
+# (<= 6 batches) stays in-process.
 MIN_CHILD_BATCHES = 8
+# Image-pathway output in one child's run of a scoring pass.  The caller holds at most
+# one run per child beyond the one it reads, so a long pass does not hold its whole
+# output; the benchmark's 16,000-sample pass (32 learned columns, 4 MB) is two runs.
+JOB_BYTES = 4 * 2**20
 
 
 def default_jobs() -> int:
@@ -68,17 +75,20 @@ def default_jobs() -> int:
 
 
 @contextlib.contextmanager
-def pathway_batches(model: Model, images: np.ndarray):
+def _pathway_batches(model: Model, images: np.ndarray):
     """Yield an iterator over :func:`image_pathway`'s output array for each
     ``EVAL_BATCH`` batch of ``images``, in batch order, or ``None``.
 
-    With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2) children,
-    each forked child computes one contiguous run of them from the moment the
-    ``with`` block is entered; the first exception in batch order is raised when
-    its batch is reached, and no child outlives the block.  The children scan no
-    pixel for finiteness: the caller checks ``images``, as building a ``Dataset``
-    of them does, before it reads a result.  A shorter pass yields ``None`` and
-    never loads ``multiprocessing``: the caller scores it in this process.
+    With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2)
+    children, forked children compute runs of batches from the moment the
+    ``with`` block is entered, each run at most ``JOB_BYTES`` of output (but
+    ``MIN_CHILD_BATCHES`` batches at least), and at most one run per child
+    ahead of the caller; the first exception in batch order is raised when its
+    batch is reached, and no child outlives the block.  The children scan no
+    pixel for finiteness: the caller checks ``images``, as building a
+    ``Dataset`` of them does, before it reads a result.  A shorter pass yields
+    ``None`` and never loads ``multiprocessing``: the caller scores it in this
+    process, through :func:`forward` or :func:`extract_weight_matrices`.
     """
     n_batches = -(-len(images) // EVAL_BATCH)
     workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
@@ -88,13 +98,16 @@ def pathway_batches(model: Model, images: np.ndarray):
     from .forkpool import ordered_results  # see its module docstring
 
     def run(start: int, stop: int) -> list[np.ndarray]:
-        rows = images[start * EVAL_BATCH:stop * EVAL_BATCH]
         with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
-            return [image_pathway(model, CheckedBatch(rows[i:i + EVAL_BATCH])).data
-                    for i in range(0, len(rows), EVAL_BATCH)]
+            return [image_pathway(model, CheckedBatch(images[i:i + EVAL_BATCH])).data
+                    for i in range(start, stop, EVAL_BATCH)]
 
-    cuts = [n_batches * i // workers for i in range(workers + 1)]
-    with ordered_results(run, list(zip(cuts, cuts[1:])), workers) as runs:
+    width = next(layer.shape[1] for layer in reversed(_halves(model.config)[0])
+                 if layer.op == "dense")
+    per_run = max(MIN_CHILD_BATCHES, min(-(-n_batches // workers),
+                                         JOB_BYTES // (8 * EVAL_BATCH * width)))
+    cuts = list(range(0, len(images), per_run * EVAL_BATCH)) + [len(images)]
+    with ordered_results(run, list(zip(cuts, cuts[1:])), workers, ahead=workers) as runs:
         yield (learned for part in runs for learned in part)
 
 
@@ -370,13 +383,22 @@ class ImportanceReport:
 
 def feature_importance(model: Model, dataset) -> ImportanceReport:
     """Mean |weight matrix| over a dataset, with per-class feature rankings."""
-    with pathway_batches(model, dataset.images) as learned:
-        return importance_report(model, dataset, learned)
+    with _importance_pass(model, dataset.images) as learned:
+        return _importance_report(model, dataset, learned)
 
 
-def importance_report(model: Model, dataset, learned) -> ImportanceReport:
-    """:func:`feature_importance` of ``dataset``, reading each batch's weight
-    matrices from ``learned`` (:func:`pathway_batches` of its images) unless
+def _importance_pass(model: Model, images: np.ndarray):
+    """:func:`_pathway_batches` of ``images`` for a ``compnet`` model; for another
+    variant none, since :func:`_importance_report` refuses it."""
+    if model.config.fusion_kind != "compnet":
+        return contextlib.nullcontext()
+    return _pathway_batches(model, images)
+
+
+def _importance_report(model: Model, dataset, learned: Iterator[np.ndarray] | None
+                       ) -> ImportanceReport:
+    """:func:`feature_importance` of ``dataset``, reading each batch's learned
+    vectors from ``learned`` (:func:`_importance_pass` of its images) unless
     that is ``None``.
 
     ``NumericError`` if the mean is not finite, as it can be for a loaded

@@ -146,13 +146,13 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
 
 def evaluate(model: Model, ds: Dataset) -> Metrics:
     """Loss and accuracy over a dataset; parameters untouched."""
-    with models_mod.pathway_batches(model, ds.images) as learned:
-        return evaluate_pathway(model, ds, learned)
+    with models_mod._pathway_batches(model, ds.images) as learned:
+        return _evaluate_pathway(model, ds, learned)
 
 
-def evaluate_pathway(model: Model, ds: Dataset, learned: Iterator | None) -> Metrics:
+def _evaluate_pathway(model: Model, ds: Dataset, learned: Iterator | None) -> Metrics:
     """:func:`evaluate` of ``ds``, applying the model's head to each batch's
-    image-pathway output from ``learned`` (:func:`models.pathway_batches` of its
+    image-pathway output from ``learned`` (``models._pathway_batches`` of its
     images), or running the whole forward pass when that is ``None``.
 
     ``NumericError`` if the logits or the loss are not finite, as they

@@ -377,6 +377,23 @@ def test_a_model_past_memory_ends_in_exit_3_and_one_error_line(
         assert_no_child_processes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_compare_run_out_of_memory_without_a_message_names_the_run(
+        small_dataset_dir, tmp_path, capfd, monkeypatch, jobs):
+    # Python raises MemoryError() with no message when an object cannot be allocated.
+    def no_memory(cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_model", no_memory)
+    monkeypatch.setattr(models, "default_jobs", lambda: jobs)
+    capfd.readouterr()
+    assert main(["compare", "--models", "compnet,concat", "--seeds", "1",
+                 "--config", compare_config(tmp_path), "--data", str(small_dataset_dir),
+                 "--out", str(tmp_path / "cmp")]) == 3
+    assert capfd.readouterr().err.splitlines() == ["error: compnet seed 1: out of memory"]
+    assert_no_child_processes()
+
+
 @pytest.mark.parametrize("f0", [
     [1e308] * 4 + [0.0] * 196,             # the column sum overflows
     [(-1) ** i * 1e200 for i in range(200)]],  # the mean is 0, the variance overflows
@@ -1051,9 +1068,9 @@ def score_all(run, data_dir, jobs, monkeypatch, capfd):
     run = shutil.copytree(run, data_dir.parent / f"run-{jobs}")
     real, workers = forkpool.ordered_results, []
 
-    def count_workers(fn, runs, n):
+    def count_workers(fn, runs, n, **kwargs):
         workers.append(n)
-        return real(fn, runs, n)
+        return real(fn, runs, n, **kwargs)
 
     monkeypatch.setattr(forkpool, "ordered_results", count_workers)
     monkeypatch.setattr(models, "default_jobs", lambda: jobs)
@@ -1093,7 +1110,8 @@ def test_scoring_in_process_and_on_children_writes_the_same_bytes(
         for jobs in (1, 2):
             copy, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
             assert outcomes == [(0, []), (0 if kind == "compnet" else 2, importance)], kind
-            assert workers == ([] if jobs == 1 else [2, 2])
+            # importance starts no pass for a variant it refuses
+            assert workers == [2] * (0 if jobs == 1 else 2 if kind == "compnet" else 1)
             artifacts.append([(copy / name).read_bytes()
                               for name in ("metrics.json", "importance.csv")
                               if (copy / name).exists()])
@@ -1220,6 +1238,46 @@ def test_ordered_results_starts_its_first_jobs_before_the_first_next(tmp_path):
         assert not (tmp_path / "2").exists()  # the third waits for a free child
         assert list(results) == [0, 1, 2]
     assert_no_child_processes()
+
+
+def test_ordered_results_starts_no_job_past_its_window(tmp_path):
+    # Job 1 finishes while job 0 runs; with two jobs ahead allowed, job 2 waits
+    # for job 0 to be yielded although a child is free.
+    def mark(job):
+        if job == 0:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "1").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # time enough for a free child to start job 2
+            return (tmp_path / "2").exists()
+        (tmp_path / str(job)).touch()
+        return job
+
+    with forkpool.ordered_results(mark, [(0,), (1,), (2,), (3,)], 2, ahead=2) as results:
+        assert list(results) == [False, 1, 2, 3]
+    assert_no_child_processes()
+
+
+def test_a_pass_cut_into_many_runs_writes_the_same_bytes(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    # Runs capped at two batches: eight runs per pass, at most one per child ahead.
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    _, outcomes, _ = score_all(trained_run, tmp_path / "data", 1, monkeypatch, capfd)
+    expected = [(tmp_path / "run-1" / name).read_bytes()
+                for name in ("metrics.json", "importance.csv")]
+    real, passes = forkpool.ordered_results, []
+
+    def count_runs(fn, runs, n, ahead=None):
+        passes.append((len(runs), n, ahead))
+        return real(fn, runs, n, ahead=ahead)
+
+    monkeypatch.setattr(forkpool, "ordered_results", count_runs)
+    monkeypatch.setattr(models, "MIN_CHILD_BATCHES", 2)
+    monkeypatch.setattr(models, "JOB_BYTES", 1)
+    copy, outcomes, _ = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
+    assert outcomes == [(0, []), (0, [])] and passes == [(8, 2, 2), (8, 2, 2)]
+    assert [(copy / name).read_bytes() for name in ("metrics.json", "importance.csv")] \
+        == expected
 
 
 def test_ordered_results_inside_a_child_runs_its_jobs_in_that_child():
