@@ -19,7 +19,7 @@ from .layers import (ConvParams, DenseParams, concat_columns, conv2d,
                      cross_entropy, dense, fusion_weight_matrix, leaky_relu,
                      maxpool2d)
 from .models import (ImportanceReport, Model, ModelConfig, build_model,
-                     extract_weight_matrices, feature_importance, forward)
+                     feature_importance, forward)
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
                     checkpoint_load, checkpoint_save, epochs, evaluate, fit,
                     init_optim_state, sgd_momentum_step, train_epoch)
@@ -37,7 +37,7 @@ __all__ = [
     "cross_entropy", "dense", "fusion_weight_matrix", "leaky_relu",
     "maxpool2d",
     "ImportanceReport", "Model", "ModelConfig", "build_model",
-    "extract_weight_matrices", "feature_importance", "forward",
+    "feature_importance", "forward",
     "EpochRecord", "Metrics", "OptimState", "TrainConfig",
     "checkpoint_load", "checkpoint_save", "epochs", "evaluate", "fit",
     "init_optim_state", "sgd_momentum_step", "train_epoch",

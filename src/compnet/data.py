@@ -52,6 +52,7 @@ import json
 import math
 import mmap
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -319,12 +320,18 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 
 def write_atomic(path: Path, payload: bytes | np.ndarray) -> None:
     """Write ``payload`` (any bytes-like object) to ``path`` through a temporary
-    file, creating parent dirs."""
+    file, creating parent dirs; if the write or the rename fails, the
+    temporary file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) -> dict:
@@ -359,8 +366,10 @@ class Manifest(DictConfig):
         require_min(self, image_shape=1)
         if self.format_version != FORMAT_VERSION:
             raise ConfigError(f"unsupported format_version {self.format_version}")
-        if not all(isinstance(self.files.get(k), str) for k in ("images", "features", "labels")):
-            raise ConfigError("files must name images, features and labels")
+        for key in ("images", "features", "labels"):  # files of the manifest's directory
+            name = self.files.get(key)
+            if not isinstance(name, str) or Path(name).name != name:
+                raise ConfigError(f"files must name {key} by a file name, got {name!r}")
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
@@ -414,7 +423,8 @@ def map_images(manifest_path) -> MappedImages:
     writing new ones and renaming them, as :func:`save_dataset` does;
     truncating ``images.bin`` in place under a running reader can end it
     with SIGBUS.  An empty ``images.bin`` cannot be mapped and loads as an
-    empty array.
+    empty array.  Each file the manifest names must be a regular file in the
+    manifest's directory, else :class:`FormatError` before any is opened.
     """
     path = Path(manifest_path)
     if path.is_dir():
@@ -423,6 +433,10 @@ def map_images(manifest_path) -> MappedImages:
         manifest = Manifest.from_dict(read_json_object(path.read_bytes(), path))
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    for key in ("images", "features", "labels"):  # opening a FIFO or a device can block
+        name = manifest.files[key]
+        if not stat.S_ISREG(os.stat(path.parent / name).st_mode):
+            raise FormatError(f"{path}: {key} file {name!r} is not a regular file")
     n, image_shape = manifest.n_samples, manifest.image_shape
     expected = 8 * n * math.prod(image_shape)  # Python ints: no int64 wrap
     with open(path.parent / manifest.files["images"], "rb") as fh:

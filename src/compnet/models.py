@@ -17,10 +17,11 @@ plan holds.  It splits at the first step that reads the designed
 features: ``image_pathway`` runs the steps before it on the image alone
 (for ``compnet``, up to the class x feature weight matrix), ``head`` the
 rest (none for ``image_only``), and ``forward`` is the head applied to
-the pathway.  A long scoring pass (``_pathway_batches``) runs the pathway
-on forked children, which ``compnet eval`` and ``compnet importance``
-start before they read the dataset's tables, and the head in this
-process; a short one runs ``forward`` batch by batch.
+the pathway.  Every scoring pass runs the pathway through
+``_pathway_batches`` and the head in this process: a long pass runs the
+pathway on forked children, which ``compnet eval`` and ``compnet
+importance`` start before they read the dataset's tables, and a short one
+batch by batch in this process.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -77,31 +78,29 @@ def default_jobs() -> int:
 @contextlib.contextmanager
 def _pathway_batches(model: Model, images: np.ndarray):
     """Yield an iterator over :func:`image_pathway`'s output array for each
-    ``EVAL_BATCH`` batch of ``images``, in batch order, or ``None``.
+    ``EVAL_BATCH`` batch of ``images``, in batch order.
 
     With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2)
     children, forked children compute runs of batches from the moment the
     ``with`` block is entered, each run at most ``JOB_BYTES`` of output (but
     ``MIN_CHILD_BATCHES`` batches at least), and at most one run per child
     ahead of the caller; the first exception in batch order is raised when its
-    batch is reached, and no child outlives the block.  The children scan no
-    pixel for finiteness: the caller checks ``images``, as building a
-    ``Dataset`` of them does, before it reads a result.  A shorter pass yields
-    ``None`` and never loads ``multiprocessing``: the caller scores it in this
-    process, through :func:`forward` or :func:`extract_weight_matrices`.
+    batch is reached, and no child outlives the block.  A shorter pass never
+    loads ``multiprocessing``: this process computes each batch when the
+    caller reads it.  No pixel is scanned for finiteness: the caller checks
+    ``images``, as building a ``Dataset`` of them does, before it reads a result.
     """
-    n_batches = -(-len(images) // EVAL_BATCH)
-    workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
-    if workers < 2:
-        yield None
-        return
-    from .forkpool import ordered_results  # see its module docstring
-
     def run(start: int, stop: int) -> list[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
             return [image_pathway(model, CheckedBatch(images[i:i + EVAL_BATCH])).data
                     for i in range(start, stop, EVAL_BATCH)]
 
+    n_batches = -(-len(images) // EVAL_BATCH)
+    workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
+    if workers < 2:
+        yield (run(i, i + EVAL_BATCH)[0] for i in range(0, len(images), EVAL_BATCH))
+        return
+    from .forkpool import ordered_results  # see its module docstring
     width = next(layer.shape[1] for layer in reversed(_halves(model.config)[0])
                  if layer.op == "dense")
     per_run = max(MIN_CHILD_BATCHES, min(-(-n_batches // workers),
@@ -314,26 +313,27 @@ def _run_plan(model: Model, p: Mapping[str, Tensor], x: Tensor,
 
 def tracked_forward(model: Model, tape: Tape, images: Tensor,
                     features: Tensor | None) -> tuple[Tensor, dict[str, Tensor]]:
-    """Forward pass with every parameter watched on ``tape``.
+    """:func:`forward` with every parameter watched on ``tape``.
 
     Returns the logits and the watched parameter tensors so a training
     step can look up each parameter's gradient by node id.
     """
-    _check_inputs(model, images, features)
     watched = {name: tape.watch(Tensor(p)) for name, p in model.params.items()}
-    return _run_plan(model, watched, images, features, _layer_plan(model.config)), watched
+    return forward(model, images, features, watched), watched
 
 
 def _plain_params(model: Model) -> dict[str, Tensor]:
     return {name: Tensor(p) for name, p in model.params.items()}
 
 
-def forward(model: Model, images: Tensor, features: Tensor | None) -> Tensor:
-    """Logits ``[B, n_classes]`` for a batch, :func:`head` applied to
-    :func:`image_pathway`; no gradient recording."""
+def forward(model: Model, images: Tensor, features: Tensor | None,
+            params: Mapping[str, Tensor] | None = None) -> Tensor:
+    """Logits ``[B, n_classes]`` for a batch: the whole plan, :func:`head`
+    applied to :func:`image_pathway`, over ``params`` (unwatched tensors of
+    the model's own parameters by default)."""
     _check_inputs(model, images, features)
-    return _run_plan(model, _plain_params(model), images, features,
-                     _layer_plan(model.config))
+    return _run_plan(model, _plain_params(model) if params is None else params,
+                     images, features, _layer_plan(model.config))
 
 
 def image_pathway(model: Model, images: Tensor) -> Tensor:
@@ -349,23 +349,6 @@ def head(model: Model, learned: Tensor, features: Tensor | None) -> Tensor:
     """Logits from a batch's :func:`image_pathway` output and its designed features."""
     _check_features(model, learned.shape[0], features)
     return _run_plan(model, _plain_params(model), learned, features, _halves(model.config)[1])
-
-
-def extract_weight_matrices(model: Model, images: Tensor) -> Tensor:
-    """Per-sample learned weight matrices ``[B, n_classes, n_features]``.
-
-    Only meaningful for the ``compnet`` variant, whose logits are exactly
-    these matrices applied to the designed features: its image pathway
-    ends at the fusion step, and the learned vector is read row-major here
-    as the class x feature matrix, as the fusion itself reads it.
-    """
-    if model.config.fusion_kind != "compnet":
-        raise VariantError(
-            f"weight matrices exist only for the compnet variant, "
-            f"not {model.config.fusion_kind!r}")
-    learned = image_pathway(model, images)
-    cfg = model.config
-    return ad.reshape(learned, (learned.shape[0], cfg.n_classes, cfg.n_features))
 
 
 @dataclass
@@ -389,17 +372,16 @@ def feature_importance(model: Model, dataset) -> ImportanceReport:
 
 def _importance_pass(model: Model, images: np.ndarray):
     """:func:`_pathway_batches` of ``images`` for a ``compnet`` model; for another
-    variant none, since :func:`_importance_report` refuses it."""
+    variant no batch, since :func:`_importance_report` refuses it."""
     if model.config.fusion_kind != "compnet":
-        return contextlib.nullcontext()
+        return contextlib.nullcontext(iter(()))
     return _pathway_batches(model, images)
 
 
-def _importance_report(model: Model, dataset, learned: Iterator[np.ndarray] | None
+def _importance_report(model: Model, dataset, learned: Iterator[np.ndarray]
                        ) -> ImportanceReport:
-    """:func:`feature_importance` of ``dataset``, reading each batch's learned
-    vectors from ``learned`` (:func:`_importance_pass` of its images) unless
-    that is ``None``.
+    """:func:`feature_importance` of ``dataset``, reading its learned vectors
+    from ``learned`` (:func:`_importance_pass` of its images), a batch at a time.
 
     ``NumericError`` if the mean is not finite, as it can be for a loaded
     model whose finite weights overflow.
@@ -413,10 +395,8 @@ def _importance_report(model: Model, dataset, learned: Iterator[np.ndarray] | No
         raise DataError("feature importance needs a non-empty dataset")
     total = np.zeros((cfg.n_classes, cfg.n_features))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        for images, *_ in dataset.batches(EVAL_BATCH):
-            weights = (extract_weight_matrices(model, images).data if learned is None
-                       else next(learned).reshape(-1, cfg.n_classes, cfg.n_features))
-            total += np.abs(weights).sum(axis=0)
+        for batch in learned:
+            total += np.abs(batch.reshape(-1, cfg.n_classes, cfg.n_features)).sum(axis=0)
     importance = total / n
     if not np.isfinite(importance).all():
         raise NumericError("feature importance is not finite")

@@ -150,10 +150,10 @@ def evaluate(model: Model, ds: Dataset) -> Metrics:
         return _evaluate_pathway(model, ds, learned)
 
 
-def _evaluate_pathway(model: Model, ds: Dataset, learned: Iterator | None) -> Metrics:
+def _evaluate_pathway(model: Model, ds: Dataset, learned: Iterator[np.ndarray]) -> Metrics:
     """:func:`evaluate` of ``ds``, applying the model's head to each batch's
     image-pathway output from ``learned`` (``models._pathway_batches`` of its
-    images), or running the whole forward pass when that is ``None``.
+    images).
 
     ``NumericError`` if the logits or the loss are not finite, as they
     can be for a loaded model whose finite weights overflow.
@@ -164,9 +164,8 @@ def _evaluate_pathway(model: Model, ds: Dataset, learned: Iterator | None) -> Me
     loss_sum = 0.0
     correct = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
-        for images, features, labels in ds.batches(models_mod.EVAL_BATCH):
-            logits = (models_mod.forward(model, images, features) if learned is None
-                      else models_mod.head(model, Tensor(next(learned)), features))
+        for _, features, labels in ds.batches(models_mod.EVAL_BATCH):
+            logits = models_mod.head(model, Tensor(next(learned)), features)
             loss_sum += cross_entropy(logits, labels).item() * len(labels)
             correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     if not np.isfinite(loss_sum):

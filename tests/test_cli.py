@@ -1135,6 +1135,52 @@ def test_the_tables_are_read_while_the_children_run_the_image_pathway(
     assert children == [2, 2]  # eval's, then importance's
 
 
+def test_a_short_pass_runs_the_image_pathway_once_per_batch_and_never_forward(
+        trained_run, tmp_path, monkeypatch):
+    # A pass too short for the children takes the same route: the image
+    # pathway a batch at a time, then the head.
+    n = 4 * models.EVAL_BATCH + 7
+    cn.save_dataset(cn.generate_synthetic(cn.SynthSpec(
+        n_samples=n, image_shape=(1, 12, 12), seed=12)), tmp_path / "data")
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    ckpt, data = str(run / "checkpoint.cmpn"), str(tmp_path / "data")
+    real_pathway, real_forward = models.image_pathway, models.forward
+    sizes, forwards = [], []
+
+    def count_pathway(model, images):
+        sizes.append(images.shape[0])
+        return real_pathway(model, images)
+
+    def count_forward(model, images, *args):
+        forwards.append(images.shape[0])
+        return real_forward(model, images, *args)
+
+    def command(*argv):
+        assert main([*argv, "--checkpoint", ckpt, "--data", data]) == 0, argv
+        return json.loads((run / "metrics.json").read_text(encoding="utf-8"))["n"] \
+            if argv[0] == "eval" else n
+
+    monkeypatch.setattr(models, "image_pathway", count_pathway)
+    monkeypatch.setattr(models, "forward", count_forward)
+    model, _, _ = cn.checkpoint_load(ckpt)
+    ds = cn.load_dataset(data)
+
+    def importance():
+        models.feature_importance(model, ds)
+        return n
+
+    for score in (lambda: command("eval", "--split", "all"),
+                  lambda: command("eval", "--split", "test"),
+                  lambda: command("importance", "--out", str(run / "importance.csv")),
+                  lambda: cn.evaluate(model, ds).n, importance):
+        sizes.clear()
+        rows = score()
+        assert models.EVAL_BATCH < rows < 2 * models.MIN_CHILD_BATCHES * models.EVAL_BATCH
+        assert sizes == [min(models.EVAL_BATCH, rows - i)
+                         for i in range(0, rows, models.EVAL_BATCH)]
+        assert forwards == []
+
+
 def break_features_cell(data):
     path = data / "features.csv"
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -1322,6 +1368,17 @@ def test_importance_needs_a_weight_matrix_model(
                  "--out", str(tmp_path / "imp.csv")]) == 2
 
 
+def test_importance_into_a_directory_ends_in_exit_3_and_leaves_no_temporary(
+        trained_run, small_dataset_dir, tmp_path, capsys):
+    (tmp_path / "table").mkdir()
+    capsys.readouterr()
+    assert main(["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                 "--data", str(small_dataset_dir), "--out", str(tmp_path / "table")]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["table"]
+    assert not any((tmp_path / "table").iterdir())
+
+
 # ---------------------------------------------------------------------------
 # every JSON input at the boundary
 
@@ -1496,6 +1553,12 @@ def with_unknown_key(raw):
     return json.dumps({**json.loads(raw), "unknown": 1}).encode("utf-8")
 
 
+def with_features_outside_the_directory(raw):
+    manifest = json.loads(raw)
+    manifest["files"]["features"] = "../ds/features.csv"
+    return json.dumps(manifest).encode("utf-8")
+
+
 def with_model_number(raw):
     return json.dumps({**json.loads(raw), "model": 5}).encode("utf-8")
 
@@ -1528,6 +1591,7 @@ RAW_INPUTS = {  # input -> (its file in the case directory, exit code)
     ("manifest", with_format_version_2), ("manifest", with_empty_image_shape),
     ("manifest", with_n_features_past_the_file),
     ("manifest", with_unknown_key), ("normalizer", with_unknown_key),
+    ("manifest", with_features_outside_the_directory),
     ("config", with_model_number), ("config", with_other_image_shape)])
 def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
         trained_run, small_dataset_dir, tmp_path, capsys, target, corrupt):
@@ -1551,6 +1615,28 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("key", ["images", "features", "labels"])
+def test_a_manifest_naming_a_fifo_ends_in_exit_3_and_one_error_line(
+        small_dataset_dir, tiny_config, tmp_path, key):
+    # Opening a FIFO with no writer blocks, so the command runs in a child
+    # interpreter whose timeout fails the test instead of hanging the suite.
+    data = shutil.copytree(small_dataset_dir, tmp_path / "ds")
+    os.mkfifo(data / "fifo")
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][key] = "fifo"
+    write_json(data / "manifest.json", manifest)
+    env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
+    argv = ["train", "--config", tiny_config, "--data", str(data), "--model", "compnet",
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c",
+                           f"import compnet.cli, sys; sys.exit(compnet.cli.main({argv!r}))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"error: {data / 'manifest.json'}: {key} file 'fifo' is not a regular file"]
 
 
 @pytest.mark.parametrize("name,key,record", [

@@ -19,7 +19,7 @@ from compnet import (ConfigError, DataError, Dataset, FormatError, Normalizer,
                      render_template, save_dataset, split, zscore_apply,
                      zscore_fit)
 from compnet.cli import main
-from compnet.data import read_json_object
+from compnet.data import read_json_object, write_atomic
 from conftest import CSV_CELLS, MALFORMED_NORMALIZERS
 
 
@@ -320,16 +320,29 @@ def test_load_missing_manifest_raises_os_error(tmp_path):
     {"image_shape": [1, 4.5, 4]},
     {"format_version": 1.0},
     {"image_shape": [1, 4, 4 + 2 ** 62]},  # 16 pixels per sample if the product wraps
+    {"files": {"images": "images.bin", "features": "../d/features.csv",
+               "labels": "labels.csv"}},
+    {"files": {"images": "images.bin", "features": "features.csv", "labels": ".."}},
 ], ids=["n_features-text", "image_shape-number", "image_shape-2d", "files-number",
         "provenance-number", "n_samples-fractional", "n_samples-text",
         "n_classes-fractional", "n_classes-bool", "image_shape-fractional",
-        "format_version-float", "image_shape-overflow"])
+        "format_version-float", "image_shape-overflow", "files-path", "files-parent"])
 def test_load_rejects_malformed_manifest_fields(tmp_path, edit):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     manifest = json.loads((root / "manifest.json").read_text())
     (root / "manifest.json").write_text(json.dumps({**manifest, **edit}))
     with pytest.raises(FormatError):
         load_dataset(root)
+
+
+def test_write_atomic_removes_its_temporary_when_the_write_fails(tmp_path):
+    # importance into a directory covers a failed rename
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomic(target, object())  # not bytes-like
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert target.read_bytes() == b"old"
 
 
 def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):

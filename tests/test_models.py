@@ -1,5 +1,5 @@
-"""Model construction, the three variant graphs, prediction, weight-matrix
-extraction, and feature importance."""
+"""Model construction, the three variant graphs, prediction, the per-sample
+weight matrices, and feature importance."""
 
 import os
 
@@ -9,8 +9,8 @@ import pytest
 import compnet as cn
 from compnet import (ConfigError, ConvParams, DataError, DenseParams,
                      ModelConfig, ShapeError, Tape,
-                     VariantError, backward, build_model, extract_weight_matrices,
-                     feature_importance, forward, models)
+                     VariantError, backward, build_model, feature_importance,
+                     forward, models)
 from compnet.models import FUSION_KINDS, tracked_forward
 from conftest import INFORMATIVE
 from gradcheck import from_array
@@ -364,37 +364,36 @@ def test_predict_invariant_to_feature_scaling():
 
 
 # ---------------------------------------------------------------------------
-# weight-matrix extraction
+# per-sample weight matrices
+
+def weight_matrices(model, images):
+    """The compnet image pathway's output, read as ``[B, n_classes, n_features]``."""
+    cfg = model.config
+    return models.image_pathway(model, images).data.reshape(-1, cfg.n_classes, cfg.n_features)
+
 
 def test_extract_zero_model_gives_zero_matrices():
     model = build_model(tiny_cfg())
     model.params.update({n: np.zeros_like(p) for n, p in model.params.items()})
     images, _ = _random_inputs(model.config)
-    mats = extract_weight_matrices(model, images)
+    mats = weight_matrices(model, images)
     assert mats.shape == (3, 2, 4)
-    assert not mats.data.any()
+    assert not mats.any()
 
 
 def test_extract_is_consistent_with_forward():
     model = build_model(tiny_cfg(seed=8))
     images, features = _random_inputs(model.config, batch=5, seed=3)
-    mats = extract_weight_matrices(model, images).data
+    mats = weight_matrices(model, images)
     logits = forward(model, images, features).data
     recomputed = np.einsum("bkn,bn->bk", mats, features.data)
     assert np.max(np.abs(logits - recomputed)) <= 1e-12
 
 
-def test_extract_requires_compnet_variant():
-    model = build_model(tiny_cfg(fusion_kind="image_only"))
-    images, _ = _random_inputs(model.config)
-    with pytest.raises(VariantError):
-        extract_weight_matrices(model, images)
-
-
 def test_trained_weight_matrices_vary_per_sample(bench):
     run = bench.result.results[("compnet", 1)]
     images = from_array(bench.dataset.images[:60])
-    mats = extract_weight_matrices(run.model, images).data
+    mats = weight_matrices(run.model, images)
     n = mats.shape[0]
     identical = sum(
         np.array_equal(mats[i], mats[j])
