@@ -24,9 +24,9 @@ import numpy as np
 
 from . import models as models_mod
 from .config import DictConfig, require_min
-from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
-                   load_dataset, map_images, read_json_object, read_tables,
-                   save_dataset, split, write_atomic, zscore_apply, zscore_fit)
+from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic, load_dataset,
+                   map_images, read_input, read_json_object, read_tables, save_dataset,
+                   split, write_atomic, zscore_apply, zscore_fit)
 from .exceptions import CompnetError, ConfigError, FormatError
 from .models import FUSION_KINDS, Model, ModelConfig, build_model
 from .train import (EpochRecord, OptimState, TrainConfig, _evaluate_pathway,
@@ -45,13 +45,9 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _load_config_json(path) -> dict:
-    """Read a user-supplied JSON config; malformed JSON is a config error."""
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    return read_json_object(raw, path, ConfigError)
+def _load_config_json(path, what: str) -> dict:
+    """Read a user-supplied JSON config or spec; any fault in it is a config error."""
+    return read_json_object(read_input(path, what, ConfigError), path, ConfigError)
 
 
 @dataclass
@@ -256,7 +252,7 @@ def comparison_csv(rows: list[dict], means: dict[str, dict[str, float]]) -> str:
 # commands
 
 def cmd_generate(args) -> int:
-    spec_dict = _load_config_json(args.spec) if args.spec else {}
+    spec_dict = _load_config_json(args.spec, "spec file") if args.spec else {}
     if args.n_samples is not None:
         spec_dict["n_samples"] = args.n_samples
     spec_dict.setdefault("n_samples", 2000)
@@ -273,7 +269,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config_json(args.config) if args.config else {}
+    config = _load_config_json(args.config, "config file") if args.config else {}
     ds = load_dataset(args.data)
     model_cfg, train_cfg, split_settings = _resolve_configs(
         config, ds, args.model, seed=args.seed, epochs=args.epochs)
@@ -323,12 +319,9 @@ def _read_normalizer(checkpoint, extra: Mapping) -> Normalizer:
     if not isinstance(norm_file, str) or Path(norm_file).name != norm_file:
         raise FormatError(f"checkpoint normalizer_file must be a file name, got {norm_file!r}")
     norm_path = Path(checkpoint).parent / norm_file
-    if not norm_path.exists():
-        raise ConfigError(
-            f"normalizer not found at {norm_path}; refusing to evaluate "
-            f"unnormalized designed features")
+    raw = read_input(norm_path, "normalizer", ConfigError)  # exit 2: eval needs it
     try:
-        return Normalizer.from_dict(read_json_object(norm_path.read_bytes(), norm_path))
+        return Normalizer.from_dict(read_json_object(raw, norm_path))
     except ConfigError as exc:
         raise FormatError(f"{norm_path}: {exc}") from None
 
@@ -367,7 +360,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("--models needs at least two model kinds")
     if not seeds:
         raise ConfigError("--seeds needs at least one seed")
-    config = _load_config_json(args.config) if args.config else {}
+    config = _load_config_json(args.config, "config file") if args.config else {}
     ds = load_dataset(args.data)
     out_csv = Path(args.out) / "compare.csv"
 

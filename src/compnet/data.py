@@ -27,7 +27,8 @@ the manifest and maps ``images.bin``, and ``read_tables`` reads the two
 CSV files and builds the checked ``Dataset``, so a caller can start work
 on the images in between (``compnet eval`` and ``compnet importance``
 start the image pathway on forked children there).  ``load_dataset`` is
-the two in a row.
+the two in a row.  ``open_input`` opens every file the package reads, and
+refuses one that is missing or not a regular file with the caller's error.
 
 Everything round-trips bit-exactly.  ``save_dataset`` writes each file
 to a temporary name and renames it over the old one, which leaves the
@@ -35,23 +36,24 @@ inode a loaded dataset maps untouched.  Replace a dataset's files that
 way: truncating ``images.bin`` in place while a process reads it can kill
 that process with SIGBUS.
 
-``features.csv``'s header line must hold ``n_features + 1`` fields; then
-the file is read once as text.  When ``csv.reader`` could only
-split it at its commas and ``\\n`` line ends (no quotes, ``\\r`` or NUL, no
-over-long line, the expected header, ``n`` body lines of the expected
-width), the ids come from splitting the lines and the features from
-NumPy's C parser.  Otherwise, or when the C parser refuses a cell, and
-always for ``labels.csv``, the per-cell reader (``csv.reader``, ``float``
+``features.csv`` is read once; its header line must hold ``n_features + 1``
+fields.  When ``csv.reader`` could only split it at its commas and ``\\n`` line
+ends (no quotes, ``\\r`` or NUL, no over-long line, the expected header, ``n``
+body lines of the expected width), the ids come from splitting the lines and the
+features from NumPy's C parser.  Otherwise, or when the C parser refuses a cell,
+and always for ``labels.csv``, the per-cell reader (``csv.reader``, ``float``
 and ``int``) runs: it defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import mmap
 import os
+import re
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -334,6 +336,26 @@ def write_atomic(path: Path, payload: bytes | np.ndarray) -> None:
         raise
 
 
+def open_input(path, what: str, error: type[CompnetError] = FormatError) -> io.BufferedReader:
+    """``path`` opened for binary reading, else ``error`` naming ``what`` if it is
+    missing or not a regular file: opening a FIFO does not wait (``O_NONBLOCK``) and
+    the check is on the open descriptor.  Any other ``OSError`` passes through."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return open(fd, "rb")
+    os.close(fd)
+    raise error(f"{what} is not a regular file: {path}")
+
+
+def read_input(path, what: str, error: type[CompnetError] = FormatError) -> bytes:
+    """The bytes of ``path``, read through :func:`open_input`."""
+    with open_input(path, what, error) as fh:
+        return fh.read()
+
+
 def read_json_object(raw: bytes, what, error: type[CompnetError] = FormatError) -> dict:
     """Parse ``raw`` as a UTF-8 JSON object, raising ``error`` for anything else.
 
@@ -423,23 +445,18 @@ def map_images(manifest_path) -> MappedImages:
     writing new ones and renaming them, as :func:`save_dataset` does;
     truncating ``images.bin`` in place under a running reader can end it
     with SIGBUS.  An empty ``images.bin`` cannot be mapped and loads as an
-    empty array.  Each file the manifest names must be a regular file in the
-    manifest's directory, else :class:`FormatError` before any is opened.
+    empty array.  Both files are opened by :func:`open_input`.
     """
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
     try:
-        manifest = Manifest.from_dict(read_json_object(path.read_bytes(), path))
+        manifest = Manifest.from_dict(read_json_object(read_input(path, "manifest"), path))
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    for key in ("images", "features", "labels"):  # opening a FIFO or a device can block
-        name = manifest.files[key]
-        if not stat.S_ISREG(os.stat(path.parent / name).st_mode):
-            raise FormatError(f"{path}: {key} file {name!r} is not a regular file")
     n, image_shape = manifest.n_samples, manifest.image_shape
     expected = 8 * n * math.prod(image_shape)  # Python ints: no int64 wrap
-    with open(path.parent / manifest.files["images"], "rb") as fh:
+    with open_input(path.parent / manifest.files["images"], "images file") as fh:
         pixels = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) \
             if os.fstat(fh.fileno()).st_size else b""
     if len(pixels) != expected:
@@ -465,7 +482,8 @@ def read_tables(mapped: MappedImages) -> Dataset:
     base, manifest, images = mapped
     n, files = manifest.n_samples, manifest.files
     ids, features = _read_features(base / files["features"], n, manifest.n_features)
-    label_ids, label_rows = _read_csv_rows(base / files["labels"], ["id", "label"], n)
+    label_ids, label_rows = _read_csv_rows(_read_csv_text(base / files["labels"], "labels file"),
+                                           files["labels"], ["id", "label"], n)
     if label_ids != ids:
         raise FormatError("labels.csv sample ids do not match features.csv")
     try:
@@ -485,24 +503,23 @@ def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.n
     or non-ASCII digits) and rounds it to the same doubles; what it
     refuses, the per-cell reader judges.
     """
-    # The expected header has n_features commas on line 1.  newline="" ends
-    # that line at "\r" too, so no more than it is read; latin-1 decodes any byte.
-    with open(path, encoding="latin-1", newline="") as fh:
-        first = fh.readline()
-    width = first.count(",") + 1 if first else 0
+    text = _read_csv_text(path, "features file")
+    # The expected header has n_features commas on line 1, which ends at "\r" too.
+    width = text.count(",", 0, re.match(r"[^\r\n]*", text).end()) + 1 if text else 0
     if width != n_features + 1:
         raise FormatError(f"{path.name}: header has {width} fields, "
                           f"manifest n_features {n_features} needs {n_features + 1}")
     header = ["id"] + [f"f{j}" for j in range(n_features)]
-    lines = _plain_csv_lines(path, header, n)
+    lines = _plain_csv_lines(text, header, n)
     if lines is not None:
+        del text  # the lines alone are held while NumPy parses them
         try:
             features = np.loadtxt(lines, delimiter=",", usecols=range(1, n_features + 1),
                                   comments=None, dtype=np.float64, ndmin=2)
             return [line.partition(",")[0] for line in lines], features
         except ValueError:  # a cell the C parser refuses: the reader below judges it
-            pass
-    ids, rows = _read_csv_rows(path, header, n)
+            text = "\n".join([",".join(header), *lines])  # the same rows
+    ids, rows = _read_csv_rows(text, path.name, header, n)
     try:
         features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
@@ -510,19 +527,21 @@ def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.n
     return ids, features
 
 
-def _plain_csv_lines(path: Path, header: list[str], n: int) -> list[str] | None:
-    """The ``n`` body lines of a CSV file that ``csv.reader`` could only split at
-    its commas and ``\\n`` line ends, else ``None``.
+def _read_csv_text(path: Path, what: str) -> str:
+    try:  # the bytes are freed on return, before the text is split
+        return read_input(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not a UTF-8 CSV file: {exc}") from None
 
-    That is a UTF-8 file with no ``"``, ``\\r`` or NUL, no line longer than
-    the csv field size limit, the expected header, and exactly ``n`` body
-    lines of ``len(header)`` fields each.  ``None`` leaves every judgment
-    to :func:`_read_csv_rows`.
+
+def _plain_csv_lines(text: str, header: list[str], n: int) -> list[str] | None:
+    """The ``n`` body lines of a CSV file's text that ``csv.reader`` could only
+    split at its commas and ``\\n`` line ends, else ``None``.
+
+    That is text with no ``"``, ``\\r`` or NUL, no line longer than the csv
+    field size limit, the expected header, and exactly ``n`` body lines of
+    ``len(header)`` fields each.  ``None`` leaves every judgment to :func:`_read_csv_rows`.
     """
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
     if '"' in text or "\r" in text or "\0" in text or n < 1 or len(header) < 2:
         return None
     lines = text.split("\n")
@@ -536,21 +555,19 @@ def _plain_csv_lines(path: Path, header: list[str], n: int) -> list[str] | None:
     return lines[1:]
 
 
-def _read_csv_rows(path: Path, header: list[str], n: int) -> tuple[list[str], list[list[str]]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path.name}: not a UTF-8 CSV file: {exc}") from None
+def _read_csv_rows(text: str, name: str, header: list[str], n: int) -> tuple[list, list]:
+    try:  # as csv.reader reads the file opened with newline=""
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise FormatError(f"{name}: not a UTF-8 CSV file: {exc}") from None
     if not rows or rows[0] != header:
-        raise FormatError(f"{path.name}: expected header {','.join(header)}")
+        raise FormatError(f"{name}: expected header {','.join(header)}")
     body = rows[1:]
     if len(body) != n:
-        raise FormatError(f"{path.name}: {len(body)} rows, manifest says {n}")
+        raise FormatError(f"{name}: {len(body)} rows, manifest says {n}")
     for row in body:
         if len(row) != len(header):
-            raise FormatError(f"{path.name}: row with {len(row)} fields, "
-                              f"expected {len(header)}")
+            raise FormatError(f"{name}: row with {len(row)} fields, expected {len(header)}")
     return [row[0] for row in body], [row[1:] for row in body]
 
 

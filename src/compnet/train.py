@@ -31,7 +31,7 @@ import numpy as np
 from . import models as models_mod
 from .autodiff import Tape, Tensor, backward
 from .config import DictConfig, require_min
-from .data import Dataset, read_json_object, write_atomic
+from .data import Dataset, read_input, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError
 from .layers import cross_entropy
 from .models import Model, ModelConfig
@@ -251,7 +251,7 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
     file can disagree with the layout above is a :class:`FormatError`, and
     so is a non-finite parameter or velocity, which ``fit`` never saves.
     """
-    blob = Path(path).read_bytes()
+    blob = read_input(path, "checkpoint")
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
     version, header_len = struct.unpack("<IQ", blob[4:16])

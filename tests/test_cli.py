@@ -1230,9 +1230,7 @@ def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
     (run / "normalizer.json").unlink()
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     copy, outcomes, workers = score_all(run, tmp_path / "data", 2, monkeypatch, capfd)
-    assert outcomes[0] == (2, [
-        f"error: normalizer not found at {copy / 'normalizer.json'}; "
-        f"refusing to evaluate unnormalized designed features"])
+    assert outcomes[0] == (2, [f"error: normalizer not found: {copy / 'normalizer.json'}"])
     assert workers == [2, 2] and not (copy / "metrics.json").exists()
 
 
@@ -1617,26 +1615,51 @@ def test_a_corrupt_input_file_ends_in_its_exit_code_and_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+NOT_REGULAR_INPUTS = {  # case -> (exit code, what the error line calls the file)
+    "images": (3, "images file"), "features": (3, "features file"),
+    "labels": (3, "labels file"), "config": (2, "config file"), "spec": (2, "spec file"),
+    "checkpoint": (3, "checkpoint"), "data": (3, "manifest"), "normalizer": (2, "normalizer"),
+    "manifest": (3, "manifest"), "checkpoint-null": (3, "checkpoint"),
+    "config-null": (2, "config file"), "checkpoint-directory": (3, "checkpoint"),
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-@pytest.mark.parametrize("key", ["images", "features", "labels"])
-def test_a_manifest_naming_a_fifo_ends_in_exit_3_and_one_error_line(
-        small_dataset_dir, tiny_config, tmp_path, key):
-    # Opening a FIFO with no writer blocks, so the command runs in a child
-    # interpreter whose timeout fails the test instead of hanging the suite.
+@pytest.mark.parametrize("case", list(NOT_REGULAR_INPUTS))
+def test_an_input_that_is_not_a_regular_file_ends_in_its_exit_code_and_one_error_line(
+        trained_run, small_dataset_dir, tiny_config, tmp_path, case):
+    # A FIFO case names a FIFO without a writer, whose open would block, so
+    # the command runs in a child interpreter whose timeout fails the test
+    # instead of hanging the suite.  Never /dev/zero: a read of it never ends.
+    code, what = NOT_REGULAR_INPUTS[case]
+    run = shutil.copytree(trained_run, tmp_path / "run")
     data = shutil.copytree(small_dataset_dir, tmp_path / "ds")
-    os.mkfifo(data / "fifo")
-    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
-    manifest["files"][key] = "fifo"
-    write_json(data / "manifest.json", manifest)
+    path = {"images": data / "fifo", "features": data / "fifo", "labels": data / "fifo",
+            "normalizer": run / "normalizer.json", "manifest": data / "manifest.json",
+            "checkpoint-null": Path(os.devnull), "config-null": Path(os.devnull),
+            "checkpoint-directory": run}.get(case, tmp_path / "fifo")
+    if case in ("images", "features", "labels"):
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        manifest["files"][case] = "fifo"
+        write_json(data / "manifest.json", manifest)
+    if not case.endswith(("-null", "-directory")):
+        path.unlink(missing_ok=True)
+        os.mkfifo(path)
+    if what == "spec file":
+        argv = ["generate", "--spec", str(path), "--out", str(tmp_path / "out")]
+    elif what in ("checkpoint", "normalizer"):
+        checkpoint = run / "checkpoint.cmpn" if case == "normalizer" else path
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data)]
+    else:
+        argv = ["train", "--config", str(path) if what == "config file" else tiny_config,
+                "--data", str(path if case == "data" else data), "--model", "compnet",
+                "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": str(Path(cn.__file__).resolve().parent.parent)}
-    argv = ["train", "--config", tiny_config, "--data", str(data), "--model", "compnet",
-            "--out", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c",
                            f"import compnet.cli, sys; sys.exit(compnet.cli.main({argv!r}))"],
                           env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        f"error: {data / 'manifest.json'}: {key} file 'fifo' is not a regular file"]
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == [f"error: {what} is not a regular file: {path}"]
 
 
 @pytest.mark.parametrize("name,key,record", [
@@ -1674,6 +1697,9 @@ def test_a_malformed_normalizer_json_ends_in_exit_3_and_one_error_line(
 
 @pytest.mark.parametrize("case,message", [
     ("missing-config", "config file not found"),
+    ("missing-spec", "spec file not found"),
+    ("config-directory", "config file is not a regular file"),
+    ("spec-directory", "spec file is not a regular file"),
     ("no-seeds", "--seeds needs at least one seed"),
     ("no-conv-filters", "conv_filters must not be empty"),
     ("leaky-slope", "leaky_slope must be in (0, 1)"),
@@ -1709,6 +1735,13 @@ def test_a_rejected_setting_ends_in_exit_2_and_one_error_line(
     argv = {
         "missing-config": lambda: ["train", "--config", str(tmp_path / "missing.json"),
                                    "--data", str(small_dataset_dir), "--model", "compnet",
+                                   "--out", str(tmp_path / "out")],
+        "missing-spec": lambda: ["generate", "--spec", str(tmp_path / "missing.json"),
+                                 "--out", str(tmp_path / "out")],
+        "config-directory": lambda: ["train", "--config", str(tmp_path), "--data",
+                                     str(small_dataset_dir), "--model", "compnet",
+                                     "--out", str(tmp_path / "out")],
+        "spec-directory": lambda: ["generate", "--spec", str(tmp_path),
                                    "--out", str(tmp_path / "out")],
         "no-seeds": lambda: ["compare", "--data", str(small_dataset_dir), "--models",
                              "compnet,concat", "--seeds", ",", "--out", str(tmp_path / "out")],

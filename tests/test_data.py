@@ -302,8 +302,8 @@ def test_load_rejects_manifest_files_without_images(tmp_path):
         load_dataset(root)
 
 
-def test_load_missing_manifest_raises_os_error(tmp_path):
-    with pytest.raises(OSError):
+def test_load_missing_manifest_raises_format_error(tmp_path):
+    with pytest.raises(FormatError, match="^manifest not found: "):
         load_dataset(tmp_path / "nope")
 
 
@@ -466,10 +466,10 @@ def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch
     # labels.csv has only the per-cell reader; features.csv must not need it.
     read_csv_rows = cn.data._read_csv_rows
 
-    def per_cell(path, *args):
-        if path.name == "features.csv":
+    def per_cell(text, name, *args):
+        if name == "features.csv":
             raise AssertionError("the per-cell reader ran on features.csv")
-        return read_csv_rows(path, *args)
+        return read_csv_rows(text, name, *args)
     monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
     back = load_dataset(root)
     assert back.ids == ds.ids

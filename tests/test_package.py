@@ -1,6 +1,7 @@
 """The package's export list, no module importing what it does not use, no
 private helper that nothing in the package reads, no public definition
-that the program never reads, and field types stated only in annotations."""
+that the program never reads, field types stated only in annotations, and
+every input file opened by the one reader."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,45 @@ def test_field_types_live_only_in_annotations():
         "a.py": "from .config import DictConfig\n",
         "b.py": "import json\nfrom .config import DictConfig, check_type\n",
     }) == ["b.py (line 2)"]
+
+
+_OPENERS = ("open_input", "write_atomic")  # in data.py: the one reader, and the writer
+
+
+def _reads_outside_the_reader(sources: dict[str, str]) -> list[str]:
+    """Every ``.read_bytes``, ``.read_text``, ``.exists`` or ``.stat`` (``os.stat``
+    too), and every ``open``, ``os.open`` or ``Path.open`` call outside
+    ``data.py``'s ``open_input`` and ``write_atomic``."""
+    found = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        openers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name in _OPENERS] if name == "data.py" else []
+        allowed = {node for fn in openers for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("read_bytes", "read_text", "exists", "stat"):
+                found.append(f"{name}: .{node.attr} (line {node.lineno})")
+            elif isinstance(node, ast.Call) and node not in allowed and "open" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{name}: open (line {node.lineno})")
+    return sorted(found)
+
+
+def test_every_input_file_is_opened_by_the_one_reader():
+    # One reader holds the policy for a missing file, a FIFO, a device or a
+    # directory; a second open would bring back a path that blocks or that
+    # ends in an errno line.
+    package = Path(compnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _reads_outside_the_reader(sources) == []
+    assert _reads_outside_the_reader({
+        "data.py": "def open_input(p):\n    return open(os.open(p, 0), 'rb')\n"
+                   "def write_atomic(p):\n    open(p, 'wb')\n"
+                   "def other(p):\n    return open(p)\n",
+        "cli.py": "import os\np.read_bytes()\np.read_text()\np.exists()\nos.stat(p)\n"
+                  "p.open()\nos.fstat(0)\ndef open_input(p):\n    return open(p)\n",
+    }) == ["cli.py: .exists (line 4)", "cli.py: .read_bytes (line 2)",
+           "cli.py: .read_text (line 3)", "cli.py: .stat (line 5)", "cli.py: open (line 6)",
+           "cli.py: open (line 9)", "data.py: open (line 6)"]
