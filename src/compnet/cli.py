@@ -18,18 +18,18 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import models as models_mod
 from .config import DictConfig, require_min
-from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic, load_dataset,
+from .data import (Dataset, Normalizer, SynthSpec, Tables, generate_synthetic, load_dataset,
                    map_images, read_input, read_json_object, read_tables, save_dataset,
-                   split, write_atomic, zscore_apply, zscore_fit)
-from .exceptions import CompnetError, ConfigError, FormatError
+                   split, write_atomic, zscore_apply, zscore_features, zscore_fit)
+from .exceptions import CompnetError, ConfigError, FormatError, NonFiniteRow
 from .models import FUSION_KINDS, Model, ModelConfig, build_model
-from .train import (EpochRecord, OptimState, TrainConfig, _evaluate_pathway,
+from .train import (EpochRecord, Metrics, OptimState, TrainConfig, _evaluate_pathway,
                     checkpoint_load, checkpoint_save, epochs, evaluate, fit,
                     init_optim_state)
 
@@ -326,19 +326,43 @@ def _read_normalizer(checkpoint, extra: Mapping) -> Normalizer:
         raise FormatError(f"{norm_path}: {exc}") from None
 
 
+def _score_mapped(model: Model, data, score: Callable[[Tables, Iterator], object]):
+    """``score(tables, learned)`` of the dataset at ``data``: its checked
+    tables and an iterator over ``models._pathway_batches`` of its images.
+
+    The pass starts on the mapped pixels before this process reads the
+    tables, so a table fault is raised before any pass result is read, and
+    this process never reads a pixel.  A non-finite pixel ends the pass with
+    the error a load gives it, naming the sample, and it wins over every
+    error that ``score`` raises, as it does when a load checks the pixels
+    first: the rest of the pass is read before that error is raised.
+    """
+    mapped = map_images(data)
+    with models_mod._pathway_batches(model, mapped.images) as learned:
+        tables = read_tables(mapped)
+        try:
+            try:
+                return score(tables, learned)
+            except CompnetError:  # after NonFiniteRow, learned is done and yields nothing
+                for _ in learned:  # a bad pixel in a batch not read yet
+                    pass
+                raise
+        except NonFiniteRow as exc:
+            raise FormatError(f"{mapped.base}: sample {tables.ids[exc.row]}: "
+                              f"non-finite values") from None
+
+
 def cmd_eval(args) -> int:
     model, _, extra = checkpoint_load(args.checkpoint)
+    norm = _read_normalizer(args.checkpoint, extra)  # before the dataset: no pass without it
     if args.split == "all":
-        # The children run the image pathway while this process reads the
-        # tables; every load error is raised before any child result is read.
-        mapped = map_images(args.data)
-        with models_mod._pathway_batches(model, mapped.images) as learned:
-            ds = read_tables(mapped)
-            norm = _read_normalizer(args.checkpoint, extra)
-            metrics = _evaluate_pathway(model, zscore_apply(norm, ds), learned)
+        def score(tables: Tables, learned: Iterator) -> Metrics:
+            features = zscore_features(norm, tables.ids, tables.features)
+            return _evaluate_pathway(model, features, tables.labels, learned)
+
+        metrics = _score_mapped(model, args.data, score)
     else:
         chosen = _select_split(load_dataset(args.data), args.split, extra)
-        norm = _read_normalizer(args.checkpoint, extra)
         metrics = evaluate(model, zscore_apply(norm, chosen))
     out_path = Path(args.checkpoint).parent / "metrics.json"
     payload = {"split": args.split, "loss": metrics.loss,
@@ -384,9 +408,9 @@ def cmd_compare(args) -> int:
 
 def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
-    mapped = map_images(args.data)  # as in cmd_eval: the children start before the tables
-    with models_mod._importance_pass(model, mapped.images) as learned:
-        report = models_mod._importance_report(model, read_tables(mapped), learned)
+    models_mod.require_weight_matrix(model)  # before the dataset is touched
+    report = _score_mapped(model, args.data, lambda tables, learned:
+                           models_mod._importance_report(model, len(tables.ids), learned))
     lines = ["class,feature_index,mean_abs_weight,rank"]
     for k, j in np.ndindex(report.importance.shape):
         lines.append(f"{k},{j},{_fmt(report.importance[k, j])},{report.rank_of[k, j]}")

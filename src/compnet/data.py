@@ -22,13 +22,15 @@ On-disk layout (one directory per dataset):
 * ``features.csv``  — ``id,f0..f{N-1}`` rows, floats printed exactly.
 * ``labels.csv``    — ``id,label`` rows.
 
-Loading is two steps with the same errors as one: ``map_images`` reads
-the manifest and maps ``images.bin``, and ``read_tables`` reads the two
-CSV files and builds the checked ``Dataset``, so a caller can start work
-on the images in between (``compnet eval`` and ``compnet importance``
-start the image pathway on forked children there).  ``load_dataset`` is
-the two in a row.  ``open_input`` opens every file the package reads, and
-refuses one that is missing or not a regular file with the caller's error.
+Loading is three steps: ``map_images`` reads the manifest and maps
+``images.bin``, ``read_tables`` reads the two CSV files into checked
+``Tables``, and ``load_dataset`` joins the two into a ``Dataset``, which
+checks the pixels.  ``compnet eval --split all`` and ``compnet importance``
+stop at the tables, and the scoring pass they start on the mapped pixels
+checks each batch where it computes on it (``models._pathway_batches``), so
+the command's own process reads no pixel.  ``open_input`` opens every file
+the package reads, and refuses one that is missing or not a regular file
+with the caller's error.
 
 Everything round-trips bit-exactly.  ``save_dataset`` writes each file
 to a temporary name and renames it over the old one, which leaves the
@@ -91,13 +93,7 @@ class Dataset:
             raise ShapeError(
                 f"columns disagree: {len(ids)} ids, images {list(images.shape)}, "
                 f"features {list(features.shape)}, labels {list(labels.shape)}")
-        if int(n_classes) < 2:
-            raise DataError(f"need at least 2 classes, got {n_classes}")
-        _check_finite(ids, images, features)
-        bad = (labels < 0) | (labels >= n_classes)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(f"sample {ids[i]}: label {labels[i]} outside [0, {n_classes})")
+        _check_rows(ids, labels, n_classes, images, features)
         for column in (images, features, labels):
             column.flags.writeable = False
         self.ids, self.images, self.features, self.labels = ids, images, features, labels
@@ -129,28 +125,49 @@ class Dataset:
 
 
 class CheckedBatch(Tensor):
-    """Rows of a ``Dataset`` column, which the dataset has checked to be finite,
-    or of mapped images that the ``Dataset`` built from them checks before any
-    result computed from these rows is read (``models._pathway_batches``)."""
+    """Rows of a column checked to be finite: of a ``Dataset``, which checks
+    its columns when it is built, of checked ``Tables``, or of mapped images
+    that the scoring pass has just checked (``models._pathway_batches``)."""
 
     __slots__ = ()
 
 
-def _check_finite(ids: Sequence[str], *columns: np.ndarray) -> None:
-    """Raise ``DataError`` naming the first sample with a non-finite value.
+def first_non_finite_row(*columns: np.ndarray) -> int | None:
+    """Index of the first row that holds a non-finite value in any of
+    ``columns`` (arrays of equal length), or ``None``.
 
     A column's sum is finite unless the column holds a NaN or an infinity
     or its finite values overflow the sum, so a valid column is read once,
-    with no temporary array; the per-sample pass runs only after a
+    with no temporary array; the per-row pass runs only after a
     non-finite sum.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the signal
         if all(np.isfinite(column.sum()) for column in columns):
-            return
+            return None
     finite = np.logical_and.reduce(
         [np.isfinite(column).reshape(len(column), -1).all(axis=1) for column in columns])
-    if not finite.all():
-        raise DataError(f"sample {ids[int(np.argmin(finite))]}: non-finite values")
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _check_finite(ids: Sequence[str], *columns: np.ndarray) -> None:
+    """Raise ``DataError`` naming the first sample with a non-finite value."""
+    row = first_non_finite_row(*columns)
+    if row is not None:
+        raise DataError(f"sample {ids[row]}: non-finite values")
+
+
+def _check_rows(ids: Sequence[str], labels: np.ndarray, n_classes: int,
+                *columns: np.ndarray) -> None:
+    """``DataError`` for fewer than two classes, else for the first sample with a
+    non-finite value in ``columns``, else for the first label outside
+    ``[0, n_classes)``: the checks a ``Dataset`` makes of its values, in order."""
+    if int(n_classes) < 2:
+        raise DataError(f"need at least 2 classes, got {n_classes}")
+    _check_finite(ids, *columns)
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"sample {ids[i]}: label {labels[i]} outside [0, {n_classes})")
 
 
 @dataclass
@@ -195,17 +212,23 @@ def zscore_fit(train: Dataset) -> Normalizer:
                       constant_mask=(std < _CONST_STD).tolist())
 
 
-def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
-    """New dataset whose features are ``(x - mean) / std`` under ``norm``.
-
-    Images and labels come over from ``ds`` as they are.  Every dataset
-    is validated when it is built, so its batches are ``CheckedBatch``
-    and features the transform overflowed raise ``DataError``.
-    """
+def zscore_features(norm: Normalizer, ids: Sequence[str], features: np.ndarray
+                    ) -> np.ndarray:
+    """``(x - mean) / std`` under ``norm`` for each row of ``features``;
+    ``DataError`` naming the first of ``ids`` whose row the transform overflowed."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        features = norm.transform(ds.features)
-    return Dataset(ds.ids, ds.images, features, ds.labels, ds.n_classes,
-                   {**ds.provenance, "normalized": True})
+        out = norm.transform(features)
+    _check_finite(ids, out)
+    return out
+
+
+def zscore_apply(norm: Normalizer, ds: Dataset) -> Dataset:
+    """New dataset whose features are :func:`zscore_features` of ``ds``'s.
+
+    Images and labels come over from ``ds`` as they are.
+    """
+    return Dataset(ds.ids, ds.images, zscore_features(norm, ds.ids, ds.features), ds.labels,
+                   ds.n_classes, {**ds.provenance, "normalized": True})
 
 
 @dataclass
@@ -424,17 +447,39 @@ def load_dataset(manifest_path) -> Dataset:
 
     ``manifest_path`` may be the manifest file or its directory.  Any
     inconsistency in the files is a :class:`FormatError`.  The load is
-    :func:`map_images`, then :func:`read_tables`.
+    :func:`map_images`, then :func:`read_tables`, then the ``Dataset`` of the
+    two, which checks the pixels.
     """
-    return read_tables(map_images(manifest_path))
+    mapped = map_images(manifest_path)
+    tables = read_tables(mapped)
+    return _joined(mapped, *tables)
 
 
 class MappedImages(NamedTuple):
     """A dataset directory whose manifest is read and ``images.bin`` mapped,
-    its tables not yet: the images are unchecked until :func:`read_tables`."""
+    its tables not yet: the images are unchecked (see :func:`read_tables`)."""
     base: Path
     manifest: Manifest
     images: np.ndarray
+
+
+class Tables(NamedTuple):
+    """A dataset's ``features.csv`` and ``labels.csv``, row for row, checked as a
+    ``Dataset`` checks them: finite features, labels in ``[0, n_classes)``."""
+    ids: tuple[str, ...]
+    features: np.ndarray
+    labels: np.ndarray
+
+
+def _joined(mapped: MappedImages, ids: Sequence[str], features: np.ndarray,
+            labels: np.ndarray) -> Dataset:
+    """The ``Dataset`` of ``mapped``'s images and these columns; what it refuses
+    is a :class:`FormatError` naming the dataset directory."""
+    base, manifest, images = mapped
+    try:
+        return Dataset(ids, images, features, labels, manifest.n_classes, manifest.provenance)
+    except DataError as exc:  # a class count, value or label the columns refuse
+        raise FormatError(f"{base}: {exc}") from None
 
 
 def map_images(manifest_path) -> MappedImages:
@@ -468,18 +513,20 @@ def map_images(manifest_path) -> MappedImages:
     return MappedImages(path.parent, manifest, images)
 
 
-def read_tables(mapped: MappedImages) -> Dataset:
-    """Read ``features.csv`` and ``labels.csv`` and build the checked dataset.
+def read_tables(mapped: MappedImages) -> Tables:
+    """Read and check ``features.csv`` and ``labels.csv`` of a mapped dataset.
 
     ``labels.csv`` goes through the per-cell reader, which is the
     definition and raises the errors.  A ``features.csv`` that
     :func:`_plain_csv_lines` accepts is split without ``csv.reader`` and
     parsed by NumPy's C parser, to the same ids and bits; any other file,
     or a cell the C parser refuses, goes to the per-cell reader too.
-    Building the ``Dataset`` checks the mapped pixels, so a non-finite one
-    is a :class:`FormatError` here.
+    The tables are checked as a ``Dataset`` checks them, and the mapped
+    pixels are not read unless that check fails: then the joined
+    ``Dataset`` is built, so the :class:`FormatError` names the first fault
+    as :func:`load_dataset` does, a non-finite pixel before a later row's.
     """
-    base, manifest, images = mapped
+    base, manifest = mapped.base, mapped.manifest
     n, files = manifest.n_samples, manifest.files
     ids, features = _read_features(base / files["features"], n, manifest.n_features)
     label_ids, label_rows = _read_csv_rows(_read_csv_text(base / files["labels"], "labels file"),
@@ -491,9 +538,11 @@ def read_tables(mapped: MappedImages) -> Dataset:
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
         raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
     try:
-        return Dataset(ids, images, features, labels, manifest.n_classes, manifest.provenance)
-    except DataError as exc:  # a class count, value or label the columns refuse
+        _check_rows(ids, labels, manifest.n_classes, features)
+    except DataError as exc:
+        _joined(mapped, ids, features, labels)  # raises the first fault, pixels included
         raise FormatError(f"{base}: {exc}") from None
+    return Tables(tuple(ids), features, labels)
 
 
 def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.ndarray]:

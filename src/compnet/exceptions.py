@@ -22,6 +22,18 @@ class DataError(CompnetError):
     """Dataset contents violate their invariants (labels, emptiness)."""
 
 
+class NonFiniteRow(DataError):
+    """Row ``args[0]`` of an image array holds a non-finite value: a scoring pass
+    over mapped pixels knows rows, not the sample ids its caller names them by."""
+
+    @property
+    def row(self) -> int:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"row {self.row}: non-finite values"
+
+
 class FormatError(CompnetError):
     """An on-disk artifact does not match its declared format."""
     exit_code = 3

@@ -21,7 +21,8 @@ the pathway.  Every scoring pass runs the pathway through
 ``_pathway_batches`` and the head in this process: a long pass runs the
 pathway on forked children, which ``compnet eval`` and ``compnet
 importance`` start before they read the dataset's tables, and a short one
-batch by batch in this process.
+batch by batch in this process.  The pass checks each batch of pixels for
+finiteness right before the pathway reads it, in the process that runs it.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -41,8 +42,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import DictConfig, require_min
-from .data import CheckedBatch
-from .exceptions import ConfigError, DataError, NumericError, ShapeError, VariantError
+from .data import CheckedBatch, first_non_finite_row
+from .exceptions import (ConfigError, DataError, NonFiniteRow, NumericError, ShapeError,
+                         VariantError)
 from .layers import (ConvParams, DenseParams, concat_columns, conv2d, dense,
                      fusion_weight_matrix, leaky_relu, maxpool2d)
 
@@ -87,13 +89,21 @@ def _pathway_batches(model: Model, images: np.ndarray):
     ahead of the caller; the first exception in batch order is raised when its
     batch is reached, and no child outlives the block.  A shorter pass never
     loads ``multiprocessing``: this process computes each batch when the
-    caller reads it.  No pixel is scanned for finiteness: the caller checks
-    ``images``, as building a ``Dataset`` of them does, before it reads a result.
+    caller reads it.  Either way each batch's pixels are read where the
+    pathway runs on them, and checked there first, with one sum unless it is
+    not finite: a batch holding a non-finite pixel raises
+    :class:`NonFiniteRow` with the row of the first, in place of its output.
     """
     def run(start: int, stop: int) -> list[np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
-            return [image_pathway(model, CheckedBatch(images[i:i + EVAL_BATCH])).data
-                    for i in range(start, stop, EVAL_BATCH)]
+        learned = []
+        for i in range(start, stop, EVAL_BATCH):
+            batch = images[i:i + EVAL_BATCH]
+            row = first_non_finite_row(batch)
+            if row is not None:
+                raise NonFiniteRow(i + row)
+            with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
+                learned.append(image_pathway(model, CheckedBatch(batch)).data)
+        return learned
 
     n_batches = -(-len(images) // EVAL_BATCH)
     workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
@@ -365,32 +375,33 @@ class ImportanceReport:
 
 
 def feature_importance(model: Model, dataset) -> ImportanceReport:
-    """Mean |weight matrix| over a dataset, with per-class feature rankings."""
-    with _importance_pass(model, dataset.images) as learned:
-        return _importance_report(model, dataset, learned)
+    """Mean |weight matrix| over a dataset, with per-class feature rankings.
+
+    ``VariantError`` for a model other than ``compnet``, before any pass starts.
+    """
+    require_weight_matrix(model)
+    with _pathway_batches(model, dataset.images) as learned:
+        return _importance_report(model, len(dataset), learned)
 
 
-def _importance_pass(model: Model, images: np.ndarray):
-    """:func:`_pathway_batches` of ``images`` for a ``compnet`` model; for another
-    variant no batch, since :func:`_importance_report` refuses it."""
+def require_weight_matrix(model: Model) -> None:
+    """``VariantError`` unless ``model`` is a ``compnet`` model, the one variant
+    with a per-sample class x feature weight matrix to rank features by."""
     if model.config.fusion_kind != "compnet":
-        return contextlib.nullcontext(iter(()))
-    return _pathway_batches(model, images)
+        raise VariantError(f"feature importance requires the compnet variant, "
+                           f"not {model.config.fusion_kind!r}")
 
 
-def _importance_report(model: Model, dataset, learned: Iterator[np.ndarray]
+def _importance_report(model: Model, n: int, learned: Iterator[np.ndarray]
                        ) -> ImportanceReport:
-    """:func:`feature_importance` of ``dataset``, reading its learned vectors
-    from ``learned`` (:func:`_importance_pass` of its images), a batch at a time.
+    """:func:`feature_importance` of ``n`` samples of a ``compnet`` model, reading
+    their learned vectors from ``learned`` (:func:`_pathway_batches` of their
+    images), a batch at a time.
 
     ``NumericError`` if the mean is not finite, as it can be for a loaded
     model whose finite weights overflow.
     """
     cfg = model.config
-    if cfg.fusion_kind != "compnet":
-        raise VariantError(
-            f"feature importance requires the compnet variant, not {cfg.fusion_kind!r}")
-    n = len(dataset)
     if n == 0:
         raise DataError("feature importance needs a non-empty dataset")
     total = np.zeros((cfg.n_classes, cfg.n_features))

@@ -31,7 +31,7 @@ import numpy as np
 from . import models as models_mod
 from .autodiff import Tape, Tensor, backward
 from .config import DictConfig, require_min
-from .data import Dataset, read_input, read_json_object, write_atomic
+from .data import CheckedBatch, Dataset, read_input, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError
 from .layers import cross_entropy
 from .models import Model, ModelConfig
@@ -147,27 +147,30 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
 def evaluate(model: Model, ds: Dataset) -> Metrics:
     """Loss and accuracy over a dataset; parameters untouched."""
     with models_mod._pathway_batches(model, ds.images) as learned:
-        return _evaluate_pathway(model, ds, learned)
+        return _evaluate_pathway(model, ds.features, ds.labels, learned)
 
 
-def _evaluate_pathway(model: Model, ds: Dataset, learned: Iterator[np.ndarray]) -> Metrics:
-    """:func:`evaluate` of ``ds``, applying the model's head to each batch's
-    image-pathway output from ``learned`` (``models._pathway_batches`` of its
-    images).
+def _evaluate_pathway(model: Model, features: np.ndarray, labels: np.ndarray,
+                      learned: Iterator[np.ndarray]) -> Metrics:
+    """:func:`evaluate` of the samples whose checked designed features and labels
+    these are, applying the model's head to each batch's image-pathway output
+    from ``learned`` (``models._pathway_batches`` of their images).
 
     ``NumericError`` if the logits or the loss are not finite, as they
     can be for a loaded model whose finite weights overflow.
     """
-    n = len(ds)
+    n = len(labels)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
     correct = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
-        for _, features, labels in ds.batches(models_mod.EVAL_BATCH):
-            logits = models_mod.head(model, Tensor(next(learned)), features)
-            loss_sum += cross_entropy(logits, labels).item() * len(labels)
-            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+        for start in range(0, n, models_mod.EVAL_BATCH):
+            rows = slice(start, start + models_mod.EVAL_BATCH)
+            y = labels[rows]
+            logits = models_mod.head(model, Tensor(next(learned)), CheckedBatch(features[rows]))
+            loss_sum += cross_entropy(logits, y).item() * len(y)
+            correct += int((np.argmax(logits.data, axis=1) == y).sum())
     if not np.isfinite(loss_sum):
         raise NumericError("evaluation loss is not finite")
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)

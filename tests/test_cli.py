@@ -471,8 +471,10 @@ def test_eval_refuses_to_run_without_the_normalizer(
     out = tmp_path / "run"
     assert train_small(small_dataset_dir, tiny_config, out) == 0
     (out / "normalizer.json").unlink()
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.cmpn"),
-                 "--data", str(small_dataset_dir)]) == 2
+    for data in (small_dataset_dir, tmp_path / "missing"):  # read before the dataset
+        for split in ("test", "all"):
+            assert main(["eval", "--checkpoint", str(out / "checkpoint.cmpn"),
+                         "--data", str(data), "--split", split]) == 2
 
 
 def test_eval_rejects_a_corrupt_checkpoint(
@@ -1197,12 +1199,21 @@ def break_label_id(data):
     write_atomic(path, "\n".join(lines).encode("utf-8"))
 
 
-def break_pixel(data):
-    # A NaN in batch 12 of 16, which the second child reads.
+def break_pixel(data, batch=12):
+    # A NaN in row 5 of the batch: batch 12 of 16 the second child reads, batch 0 the first.
     path = data / "images.bin"
     pixels = np.fromfile(path, dtype="<f8")
-    pixels[(12 * models.EVAL_BATCH + 5) * 144] = np.nan
+    pixels[(batch * models.EVAL_BATCH + 5) * 144] = np.nan
     write_atomic(path, pixels)
+
+
+def break_first_pixel(data):
+    break_pixel(data, batch=0)
+
+
+def break_features_cell_and_pixel(data):
+    break_pixel(data, batch=0)
+    break_features_cell(data)
 
 
 @pytest.mark.parametrize("breaks,code,line", [
@@ -1210,18 +1221,63 @@ def break_pixel(data):
      "error: features.csv: non-numeric value: could not convert string to float: 'abc'"),
     (break_label_id, 3, "error: labels.csv sample ids do not match features.csv"),
     (break_pixel, 3, "error: {data}: sample s003077: non-finite values"),
-], ids=["features-cell", "label-id", "pixel"])
+    (break_first_pixel, 3, "error: {data}: sample s000005: non-finite values"),
+    (break_features_cell_and_pixel, 3,
+     "error: features.csv: non-numeric value: could not convert string to float: 'abc'"),
+], ids=["features-cell", "label-id", "pixel", "first-pixel", "features-cell-and-pixel"])
 def test_a_bad_table_or_pixel_ends_a_pass_on_children_as_it_ends_a_load(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd, breaks, code, line):
-    # The children start before the tables are read or the pixels checked; the
-    # load error still wins over every child result, and no child is left.
+    # The children start before the tables are read and check the pixels as
+    # they read them; the load's error line still wins over every child result,
+    # in process too, and no child is left.
     data = tmp_path / "data"
     cn.save_dataset(scoring_dataset, data)
     breaks(data)
-    run, outcomes, workers = score_all(trained_run, data, 2, monkeypatch, capfd)
     line = line.format(data=data)
-    assert outcomes == [(code, [line]), (code, [line])] and workers == [2, 2]
-    assert not (run / "metrics.json").exists() and not (run / "importance.csv").exists()
+    with pytest.raises(cn.CompnetError) as load:
+        cn.load_dataset(data)
+    assert f"error: {load.value}" == line
+    for jobs in (1, 2):
+        run, outcomes, workers = score_all(trained_run, data, jobs, monkeypatch, capfd)
+        assert outcomes == [(code, [line]), (code, [line])], jobs
+        assert workers == ([] if jobs == 1 else [2, 2])
+        assert not (run / "metrics.json").exists() and not (run / "importance.csv").exists()
+
+
+def test_the_command_never_reads_a_pixel_the_pass_computes_on(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    # Every read of the mapped pixels made from this process is logged: a row
+    # slice by its bounds, a NumPy reduction or other ufunc call by name.  On
+    # children this process reads none; in process the pass reads each batch
+    # once, and nothing else reads them (no Dataset check, no z-scoring).
+    test_process, reads = os.getpid(), []
+
+    class Logged(np.ndarray):
+        def __getitem__(self, key):
+            if os.getpid() == test_process:
+                reads.append((key.start, key.stop) if isinstance(key, slice) else repr(key))
+            return np.asarray(self)[key]
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if os.getpid() == test_process:
+                reads.append(f"{ufunc.__name__}.{method}")
+            inputs = [np.asarray(x) if isinstance(x, Logged) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def logged_map(path):
+        mapped = real(path)
+        return mapped._replace(images=mapped.images.view(Logged))
+
+    real = cli.map_images
+    monkeypatch.setattr(cli, "map_images", logged_map)
+    cn.save_dataset(scoring_dataset, tmp_path / "data")
+    n = len(scoring_dataset)
+    for jobs, expected in ((2, []), (1, [(i, i + models.EVAL_BATCH)
+                                         for i in range(0, n, models.EVAL_BATCH)])):
+        reads.clear()
+        _, outcomes, _ = score_all(trained_run, tmp_path / "data", jobs, monkeypatch, capfd)
+        assert outcomes == [(0, []), (0, [])]
+        assert reads == expected * 2, jobs  # eval's, then importance's
 
 
 def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
@@ -1231,25 +1287,44 @@ def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     copy, outcomes, workers = score_all(run, tmp_path / "data", 2, monkeypatch, capfd)
     assert outcomes[0] == (2, [f"error: normalizer not found: {copy / 'normalizer.json'}"])
-    assert workers == [2, 2] and not (copy / "metrics.json").exists()
+    # eval reads the normalizer before the dataset, so only importance starts a pass
+    assert workers == [2] and not (copy / "metrics.json").exists()
+
+
+def save_overflowing_set(trained_run, dataset, tmp_path, batch):
+    """A copy of ``trained_run`` with every conv0 kernel weight at 10, and
+    ``dataset`` saved to ``tmp_path / "data"`` with one pixel of 1e308 in
+    ``batch``: that pixel overflows the conv, while ordinary pixels still
+    score finite."""
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    overwrite_payload(run / "checkpoint.cmpn", [(i, 10.0) for i in CONV0_KERNELS])
+    images = dataset.images.copy()
+    images[batch * models.EVAL_BATCH + 5, 0, 6, 6] = 1e308
+    cn.save_dataset(cn.Dataset(dataset.ids, images, dataset.features, dataset.labels,
+                               dataset.n_classes), tmp_path / "data")
+    return run
 
 
 def test_a_sample_that_overflows_in_the_second_child_fails_scoring_with_one_error_line(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
-    # With every conv0 kernel weight at 10, one pixel of 1e308 overflows the
-    # conv, while ordinary pixels still score finite.
-    run = shutil.copytree(trained_run, tmp_path / "run")
-    overwrite_payload(run / "checkpoint.cmpn", [(i, 10.0) for i in CONV0_KERNELS])
-    images = scoring_dataset.images.copy()
-    images[12 * models.EVAL_BATCH + 5, 0, 6, 6] = 1e308  # batch 12 of 16
-    ds = scoring_dataset
-    cn.save_dataset(cn.Dataset(ds.ids, images, ds.features, ds.labels, ds.n_classes),
-                    tmp_path / "data")
+    run = save_overflowing_set(trained_run, scoring_dataset, tmp_path, batch=12)  # of 16
     for jobs in (1, 2):
         _, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
         assert outcomes == [(4, ["error: cross_entropy received non-finite logits"]),
                             (4, ["error: feature importance is not finite"])]
         assert workers == ([] if jobs == 1 else [2, 2])
+
+
+def test_a_bad_pixel_wins_over_the_overflow_of_an_earlier_batch_as_in_a_load(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
+    # Batch 3 overflows and a NaN sits in batch 12: a load names the NaN, and
+    # so does eval, which reads the rest of the pass after the overflow.
+    run = save_overflowing_set(trained_run, scoring_dataset, tmp_path, batch=3)
+    break_pixel(tmp_path / "data")
+    line = f"error: {tmp_path / 'data'}: sample s003077: non-finite values"
+    for jobs in (1, 2):
+        _, outcomes, _ = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
+        assert outcomes == [(3, [line]), (3, [line])], jobs
 
 
 def test_scoring_fails_with_exit_3_when_a_child_dies(
@@ -1361,9 +1436,9 @@ def test_importance_needs_a_weight_matrix_model(
     out = tmp_path / "img_only"
     assert train_small(small_dataset_dir, tiny_config, out,
                        model="image_only") == 0
-    assert main(["importance", "--checkpoint", str(out / "checkpoint.cmpn"),
-                 "--data", str(small_dataset_dir),
-                 "--out", str(tmp_path / "imp.csv")]) == 2
+    for data in (small_dataset_dir, tmp_path / "missing"):  # refused before the dataset
+        assert main(["importance", "--checkpoint", str(out / "checkpoint.cmpn"),
+                     "--data", str(data), "--out", str(tmp_path / "imp.csv")]) == 2
 
 
 def test_importance_into_a_directory_ends_in_exit_3_and_leaves_no_temporary(

@@ -453,8 +453,9 @@ def test_rank_of_inverts_ranking():
 
 def test_importance_rejects_non_compnet():
     model = build_model(tiny_cfg(fusion_kind="concat"))
-    with pytest.raises(VariantError):
-        feature_importance(model, _two_sample_dataset())
+    for dataset in (_two_sample_dataset(), None):  # refused before the dataset is read
+        with pytest.raises(VariantError):
+            feature_importance(model, dataset)
 
 
 def test_benchmark_importance_favors_informative_features(bench):
