@@ -38,13 +38,15 @@ inode a loaded dataset maps untouched.  Replace a dataset's files that
 way: truncating ``images.bin`` in place while a process reads it can kill
 that process with SIGBUS.
 
-``features.csv`` is read once; its header line must hold ``n_features + 1``
-fields.  When ``csv.reader`` could only split it at its commas and ``\\n`` line
-ends (no quotes, ``\\r`` or NUL, no over-long line, the expected header, ``n``
-body lines of the expected width), the ids come from splitting the lines and the
-features from NumPy's C parser.  Otherwise, or when the C parser refuses a cell,
-and always for ``labels.csv``, the per-cell reader (``csv.reader``, ``float``
-and ``int``) runs: it defines what a file holds and raises every format error.
+``features.csv`` and ``labels.csv`` are each read once, 8 KB of whole lines at
+a time, and no file's text or list of all its lines is held; ``features.csv``'s
+header line must hold ``n_features + 1`` fields.  While ``csv.reader`` could
+only split a line at its commas and ``\\n`` line end (no quotes, ``\\r`` or NUL,
+no over-long line, the expected header, ``n`` body lines of the expected
+width), the features go straight to NumPy's C parser and each label must be an
+ASCII integer that fits int64.  At the first line or cell that is not so, the
+file is rewound and the per-cell reader (``csv.reader``, ``float`` and ``int``)
+reads all of it: it defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import os
 import re
 import stat
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -69,6 +72,8 @@ from .exceptions import CompnetError, ConfigError, DataError, FormatError, Shape
 
 FORMAT_VERSION = 1
 _CONST_STD = 1e-12
+_GENERATE_CHUNK = 512  # samples whose templates generate_synthetic adds to the noise at once
+_CSV_BLOCK = 1 << 13  # bytes of whole lines a fast CSV read decodes and checks at once
 
 
 class Dataset:
@@ -328,11 +333,12 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     feat_evidence = np.where(rng.random(n) < spec.feature_reliability, labels, 1 - labels)
 
     templates = np.stack([render_template(k, spec.image_shape) for k in range(2)])
-    images = templates[img_evidence]
     if spec.pixel_noise > 0:
-        noise = rng.normal(0.0, spec.pixel_noise, size=images.shape)
-        noise += images  # addition commutes, so these are the bits of images + noise
-        images = noise
+        images = rng.normal(0.0, spec.pixel_noise, size=(n, *spec.image_shape))
+        for s in range(0, n, _GENERATE_CHUNK):  # addition commutes: the bits of template + noise
+            images[s:s + _GENERATE_CHUNK] += templates[img_evidence[s:s + _GENERATE_CHUNK]]
+    else:
+        images = templates[img_evidence]
 
     features = rng.normal(0.0, 1.0, size=(n, spec.n_features))
     signs = 2.0 * feat_evidence - 1.0
@@ -516,27 +522,27 @@ def map_images(manifest_path) -> MappedImages:
 def read_tables(mapped: MappedImages) -> Tables:
     """Read and check ``features.csv`` and ``labels.csv`` of a mapped dataset.
 
-    ``labels.csv`` goes through the per-cell reader, which is the
-    definition and raises the errors.  A ``features.csv`` that
-    :func:`_plain_csv_lines` accepts is split without ``csv.reader`` and
-    parsed by NumPy's C parser, to the same ids and bits; any other file,
-    or a cell the C parser refuses, goes to the per-cell reader too.
-    The tables are checked as a ``Dataset`` checks them, and the mapped
-    pixels are not read unless that check fails: then the joined
-    ``Dataset`` is built, so the :class:`FormatError` names the first fault
-    as :func:`load_dataset` does, a non-finite pixel before a later row's.
+    Each file is read once, a block of whole lines at a time, from the
+    descriptor :func:`open_input` returns, and no file's text or list of all
+    its lines is held: the lines of ``features.csv`` go straight into
+    NumPy's C parser while their ids are collected, and each line of
+    ``labels.csv`` becomes an int64 label checked against the features id
+    of its row.  At the first block that :func:`_plain_csv_lines` refuses,
+    or a cell that the C parser or the label rule refuses, the same
+    descriptor is rewound and the whole file goes to the per-cell reader,
+    which defines what a file holds and raises every format error, so the
+    ids, values and errors are those of the per-cell reader.  The tables
+    are checked as a ``Dataset`` checks them, and the mapped pixels are not
+    read unless that check fails: then the joined ``Dataset`` is built, so
+    the :class:`FormatError` names the first fault as :func:`load_dataset`
+    does, a non-finite pixel before a later row's.
     """
     base, manifest = mapped.base, mapped.manifest
     n, files = manifest.n_samples, manifest.files
-    ids, features = _read_features(base / files["features"], n, manifest.n_features)
-    label_ids, label_rows = _read_csv_rows(_read_csv_text(base / files["labels"], "labels file"),
-                                           files["labels"], ["id", "label"], n)
-    if label_ids != ids:
-        raise FormatError("labels.csv sample ids do not match features.csv")
-    try:
-        labels = np.array([int(row[0]) for row in label_rows], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
-        raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
+    with open_input(base / files["features"], "features file") as fh:
+        ids, features = _read_features(fh, files["features"], n, manifest.n_features)
+    with open_input(base / files["labels"], "labels file") as fh:
+        labels = _read_labels(fh, files["labels"], ids)
     try:
         _check_rows(ids, labels, manifest.n_classes, features)
     except DataError as exc:
@@ -545,30 +551,81 @@ def read_tables(mapped: MappedImages) -> Tables:
     return Tables(tuple(ids), features, labels)
 
 
-def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.ndarray]:
+class _NotPlain(ValueError):
+    """A line that only the per-cell reader may judge."""
+
+
+def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str]:
+    """The header and the ``n`` body lines of the CSV file on ``fh``, as long as
+    ``csv.reader`` could only split them at their commas and ``\\n`` line ends;
+    :class:`_NotPlain` at the first block of lines in which it could not.
+
+    A plain line is UTF-8 with no ``"``, ``\\r`` or NUL, no longer than the
+    csv field size limit, and has ``fields`` fields; the file holds exactly
+    ``n + 1`` of them, the last one's ``\\n`` optional.  A decoding error is a
+    ``ValueError`` too.  The lines are read and checked ``_CSV_BLOCK`` bytes
+    at a time.
+    """
+    if n < 1 or fields < 2:
+        raise _NotPlain
+    limit, commas, count = csv.field_size_limit(), fields - 1, 0
+    blocks = iter(partial(fh.readlines, _CSV_BLOCK), [])
+    for block in blocks:
+        text = b"".join(block).decode("utf-8")
+        lines = text.split("\n")
+        if lines[-1] == "":  # the "\n" that ends the block
+            lines.pop()
+        count += len(lines)
+        if count > n + 1 or '"' in text or "\r" in text or "\0" in text \
+                or any(len(line) > limit or line.count(",") != commas for line in lines) \
+                or (count == n + 1 and next(blocks, None)):
+            raise _NotPlain
+        yield from lines
+    if count != n + 1:
+        raise _NotPlain
+
+
+def _whole_text(fh: io.BufferedReader, name: str) -> str:
+    """The text of the file on ``fh``, read again from its start."""
+    fh.seek(0)
+    try:  # the bytes are freed on return, before the text is split
+        return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: not a UTF-8 CSV file: {exc}") from None
+
+
+def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
+                   ) -> tuple[list[str], np.ndarray]:
     """The ids and the ``[n, n_features]`` float64 matrix of ``features.csv``.
 
     The C parser accepts a subset of what ``float()`` accepts (not ``1_0``
     or non-ASCII digits) and rounds it to the same doubles; what it
     refuses, the per-cell reader judges.
     """
-    text = _read_csv_text(path, "features file")
+    ids: list[str] = []
+
+    def body(lines: Iterator[str]) -> Iterator[str]:
+        for line in lines:
+            ids.append(line.partition(",")[0])
+            yield line
+
+    try:
+        lines = _plain_csv_lines(fh, n, n_features + 1)
+        first = next(lines)  # n_features commas: the header built below is no longer
+        if first != ",".join(["id", *(f"f{j}" for j in range(n_features))]):
+            raise _NotPlain
+        features = np.loadtxt(body(lines), delimiter=",", usecols=range(1, n_features + 1),
+                              comments=None, dtype=np.float64, ndmin=2, max_rows=n)
+        return ids, features
+    except ValueError:  # not plain, or a cell the C parser refuses: the reader below judges
+        pass
+    text = _whole_text(fh, name)
     # The expected header has n_features commas on line 1, which ends at "\r" too.
     width = text.count(",", 0, re.match(r"[^\r\n]*", text).end()) + 1 if text else 0
     if width != n_features + 1:
-        raise FormatError(f"{path.name}: header has {width} fields, "
+        raise FormatError(f"{name}: header has {width} fields, "
                           f"manifest n_features {n_features} needs {n_features + 1}")
-    header = ["id"] + [f"f{j}" for j in range(n_features)]
-    lines = _plain_csv_lines(text, header, n)
-    if lines is not None:
-        del text  # the lines alone are held while NumPy parses them
-        try:
-            features = np.loadtxt(lines, delimiter=",", usecols=range(1, n_features + 1),
-                                  comments=None, dtype=np.float64, ndmin=2)
-            return [line.partition(",")[0] for line in lines], features
-        except ValueError:  # a cell the C parser refuses: the reader below judges it
-            text = "\n".join([",".join(header), *lines])  # the same rows
-    ids, rows = _read_csv_rows(text, path.name, header, n)
+    ids, rows = _read_csv_rows(text, name, ["id"] + [f"f{j}" for j in range(n_features)], n)
     try:
         features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
@@ -576,32 +633,37 @@ def _read_features(path: Path, n: int, n_features: int) -> tuple[list[str], np.n
     return ids, features
 
 
-def _read_csv_text(path: Path, what: str) -> str:
-    try:  # the bytes are freed on return, before the text is split
-        return read_input(path, what).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path.name}: not a UTF-8 CSV file: {exc}") from None
+_LABEL = re.compile(r"-?[0-9]{1,19}")  # ASCII digits only, and few enough for int()
 
 
-def _plain_csv_lines(text: str, header: list[str], n: int) -> list[str] | None:
-    """The ``n`` body lines of a CSV file's text that ``csv.reader`` could only
-    split at its commas and ``\\n`` line ends, else ``None``.
+def _label(line: str, sid: str) -> int:
+    """The label of a plain ``labels.csv`` line whose id is ``sid``, if it is a
+    ``-?[0-9]{1,19}`` integer that fits int64; else :class:`_NotPlain`."""
+    lid, _, cell = line.partition(",")
+    if lid != sid or not _LABEL.fullmatch(cell):
+        raise _NotPlain
+    label = int(cell)
+    if not -2 ** 63 <= label < 2 ** 63:
+        raise _NotPlain
+    return label
 
-    That is text with no ``"``, ``\\r`` or NUL, no line longer than the csv
-    field size limit, the expected header, and exactly ``n`` body lines of
-    ``len(header)`` fields each.  ``None`` leaves every judgment to :func:`_read_csv_rows`.
-    """
-    if '"' in text or "\r" in text or "\0" in text or n < 1 or len(header) < 2:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    commas = len(header) - 1
-    if len(lines) != n + 1 or lines[0] != ",".join(header) \
-            or max(map(len, lines)) > csv.field_size_limit() \
-            or any(line.count(",") != commas for line in lines):
-        return None
-    return lines[1:]
+
+def _read_labels(fh: io.BufferedReader, name: str, ids: list[str]) -> np.ndarray:
+    """The int64 labels of ``labels.csv``, whose ids must be ``ids`` row for row."""
+    try:
+        lines = _plain_csv_lines(fh, len(ids), 2)
+        if next(lines) != "id,label":
+            raise _NotPlain
+        return np.fromiter(map(_label, lines, ids), dtype=np.int64, count=len(ids))
+    except ValueError:  # not plain, or a label only int() may judge: the reader below judges
+        pass
+    label_ids, rows = _read_csv_rows(_whole_text(fh, name), name, ["id", "label"], len(ids))
+    if label_ids != ids:
+        raise FormatError("labels.csv sample ids do not match features.csv")
+    try:
+        return np.array([int(row[0]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
+        raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
 
 
 def _read_csv_rows(text: str, name: str, header: list[str], n: int) -> tuple[list, list]:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -444,9 +445,15 @@ def _load_outcome(root):
     return ds.ids, ds.features, ds.labels
 
 
+def _no_plain_lines(*args):
+    """``data._plain_csv_lines`` that finds no line plain: the switch that sends
+    both files to the per-cell reader."""
+    raise cn.data._NotPlain
+
+
 def _assert_loads_as_the_per_cell_reader(root):
     fast = _load_outcome(root)
-    with mock.patch.object(cn.data, "_plain_csv_lines", lambda *args: None):
+    with mock.patch.object(cn.data, "_plain_csv_lines", _no_plain_lines):
         reference = _load_outcome(root)
     if isinstance(reference[0], type):
         assert fast == reference
@@ -463,18 +470,30 @@ def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch
     ds = make_dataset(5, n_features=4)
     root = save_dataset(ds, tmp_path / "d").parent
 
-    # labels.csv has only the per-cell reader; features.csv must not need it.
-    read_csv_rows = cn.data._read_csv_rows
-
     def per_cell(text, name, *args):
-        if name == "features.csv":
-            raise AssertionError("the per-cell reader ran on features.csv")
-        return read_csv_rows(text, name, *args)
+        raise AssertionError(f"the per-cell reader ran on {name}")
     monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
     back = load_dataset(root)
     assert back.ids == ds.ids
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
+
+
+def test_read_tables_holds_little_beside_the_tables_it_returns(tmp_path):
+    # Both files are read a block of lines at a time: no file's text, and no
+    # list of all its lines or rows, lives beside the growing tables.
+    n = 4000
+    ds = Dataset([f"s{i}" for i in range(n)], np.zeros((n, 1, 1, 1)),
+                 np.random.default_rng(0).normal(size=(n, 16)), np.arange(n) % 2, 2)
+    mapped = cn.data.map_images(save_dataset(ds, tmp_path / "d"))
+    tracemalloc.start()
+    try:
+        tables = cn.data.read_tables(mapped)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables.features.tobytes() == ds.features.tobytes()
+    assert peak <= 1.5 * held, (peak, held)
 
 
 def _set_cell(value, row=2, col=1):
@@ -498,16 +517,32 @@ EDGE_CASES = {
     "blank-body-line": lambda text: text.replace("\n", "\n\n", 1),
     "no-final-newline": lambda text: text.rstrip("\n"),
     "oversize-field": _set_cell("1" * (csv.field_size_limit() + 1)),
+    "extra-line": lambda text: text + text.split("\n")[-2] + "\n",
+    "trailing-blank-line": lambda text: text + "\n",
+    # int() takes each of these labels, or refuses it, by rules of its own
+    "plus-sign": _set_cell("+1"),
+    "leading-zero": _set_cell("01"),
+    "minus-zero": _set_cell("-0"),
+    "spaced-integer": _set_cell(" 1"),
+    "int64-max-plus-one": _set_cell("9223372036854775808"),
+    "twenty-digits": _set_cell("1" * 20),
+    "empty-cell": _set_cell(""),
 }
+
+
+# A block of one line puts every line, the one past the n-th too, at a block's start.
+CSV_BLOCKS = [1, 64, cn.data._CSV_BLOCK]
 
 
 @pytest.mark.parametrize("file", ["features.csv", "labels.csv"])
 @pytest.mark.parametrize("case", list(EDGE_CASES))
-def test_an_edge_case_loads_as_the_per_cell_reader_loads_it(tmp_path, file, case):
+def test_an_edge_case_loads_as_the_per_cell_reader_loads_it(tmp_path, monkeypatch, file, case):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     path = root / file
     path.write_bytes(EDGE_CASES[case](path.read_text(encoding="utf-8")).encode("utf-8"))
-    _assert_loads_as_the_per_cell_reader(root)
+    for block in CSV_BLOCKS:
+        monkeypatch.setattr(cn.data, "_CSV_BLOCK", block)
+        _assert_loads_as_the_per_cell_reader(root)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -529,7 +564,8 @@ def test_a_mutated_csv_loads_as_the_per_cell_reader_loads_it(data, cell):
             cells = data.draw(st.lists(CSV_CELLS, max_size=len(cells) + 1))
         lines[row:row + 1] = [] if what == "drop-line" else [",".join(cells)]
         path.write_bytes("\n".join(lines).encode("utf-8"))
-        _assert_loads_as_the_per_cell_reader(root)
+        with mock.patch.object(cn.data, "_CSV_BLOCK", data.draw(st.sampled_from(CSV_BLOCKS))):
+            _assert_loads_as_the_per_cell_reader(root)
 
 
 # ---------------------------------------------------------------------------
