@@ -7,8 +7,8 @@ byte-identical files.
 
 Exit codes: 0 success; otherwise the ``exit_code`` of the error's class
 (2 usage, configuration, or data errors; 3 file-format errors; 4 numeric
-failures during training), and 3 for I/O errors and for running out of
-memory, as for a ``compare`` child killed for memory.
+failures during training, a diverged run among them), and 3 for I/O errors
+and for running out of memory, as for a ``compare`` child killed for memory.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .data import (Dataset, Normalizer, SynthSpec, Tables, generate_synthetic, l
 from .exceptions import CompnetError, ConfigError, FormatError, NonFiniteRow
 from .models import FUSION_KINDS, Model, ModelConfig, build_model
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig, _evaluate_pathway,
-                    checkpoint_load, checkpoint_save, epochs, evaluate, fit,
+                    checkpoint_load, checkpoint_save, epochs, evaluate, evaluate_train, fit,
                     init_optim_state)
 
 # The commands score through _importance_report, on the pass they start before
@@ -127,7 +127,8 @@ def _start_run(ds: Dataset, model_cfg: ModelConfig, split_settings: SplitSetting
 
 def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                  split_settings: SplitSettings) -> RunResult:
-    """One of ``compare``'s runs: train, then score the training split once.
+    """One of ``compare``'s runs: train, then score the training split once, by
+    :func:`evaluate_train`.
 
     The test split is evaluated on the ``eval_every`` cadence, which only
     ``patience`` reads, and at the last epoch.  ``history`` is the final
@@ -137,8 +138,8 @@ def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     run, train_n, test_n = _start_run(ds, model_cfg, split_settings)
     *_, (epoch, running, test_eval) = epochs(run.model, train_n, test_n, train_cfg,
                                              run.opt_state)
-    run.history.append(EpochRecord(epoch=epoch, train=evaluate(run.model, train_n),
-                                   running=running, test=test_eval))
+    train = evaluate_train(run.model, train_n, epoch)
+    run.history.append(EpochRecord(epoch=epoch, train=train, running=running, test=test_eval))
     return run
 
 

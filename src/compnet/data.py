@@ -40,13 +40,14 @@ that process with SIGBUS.
 
 ``features.csv`` and ``labels.csv`` are each read once, 8 KB of whole lines at
 a time, and no file's text or list of all its lines is held; ``features.csv``'s
-header line must hold ``n_features + 1`` fields.  While ``csv.reader`` could
-only split a line at its commas and ``\\n`` line end (no quotes, ``\\r`` or NUL,
-no over-long line, the expected header, ``n`` body lines of the expected
-width), the features go straight to NumPy's C parser and each label must be an
-ASCII integer that fits int64.  At the first line or cell that is not so, the
-file is rewound and the per-cell reader (``csv.reader``, ``float`` and ``int``)
-reads all of it: it defines what a file holds and raises every format error.
+header line must hold ``n_features + 1`` fields.  Both tables follow one rule:
+while the lines are plain (``csv.reader`` could only split them at their commas
+and ``\\n`` line ends, the expected header, ``n`` body lines of the expected
+width), they go to NumPy's C parser, float64 features and int64 labels.  At the
+first line that is not plain, a label that is not ASCII or whose id is not the
+features id of its row, or a cell the C parser refuses, the file is rewound and
+the per-cell reader (``csv.reader``, ``float`` and ``int``) reads all of it: it
+defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import stat
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ FORMAT_VERSION = 1
 _CONST_STD = 1e-12
 _GENERATE_CHUNK = 512  # samples whose templates generate_synthetic adds to the noise at once
 _CSV_BLOCK = 1 << 13  # bytes of whole lines a fast CSV read decodes and checks at once
+_SAVE_ROWS = 1 << 10  # rows of a table save_dataset formats and writes at once
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'  # characters no plain CSV line holds
 
 
 class Dataset:
@@ -349,16 +352,16 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
                    spec.n_classes, {"kind": "synthetic", "spec": spec.to_dict()})
 
 
-def write_atomic(path: Path, payload: bytes | np.ndarray) -> None:
-    """Write ``payload`` (any bytes-like object) to ``path`` through a temporary
-    file, creating parent dirs; if the write or the rename fails, the
-    temporary file is removed."""
+def write_atomic(path: Path, payload: bytes | np.ndarray | Iterator[bytes]) -> None:
+    """Write ``payload`` (any bytes-like object, or an iterator of them, written
+    in turn) to ``path`` through a temporary file, creating parent dirs; if the
+    write or the rename fails, the temporary file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     fh = open(tmp, "wb")
     try:
         with fh:
-            fh.write(payload)
+            fh.writelines(payload if isinstance(payload, Iterator) else [payload])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -424,19 +427,16 @@ class Manifest(DictConfig):
 
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
-    """Write the dataset directory; returns the manifest path."""
+    """Write the dataset directory, the tables a block of rows at a time;
+    returns the manifest path."""
     out = Path(out_dir)
     write_atomic(out / "images.bin", np.ascontiguousarray(ds.images, dtype="<f8"))
-
-    feat_lines = ["id," + ",".join(f"f{j}" for j in range(ds.n_features))]
     # repr of a Python float is the shortest string that parses back to
     # the same 64-bit value, which is exactly the round trip we need.
-    for sid, row in zip(ds.ids, ds.features):
-        feat_lines.append(sid + "," + ",".join(map(repr, row.tolist())))
-    write_atomic(out / "features.csv", ("\n".join(feat_lines) + "\n").encode("utf-8"))
-
-    label_lines = ["id,label"] + [f"{sid},{y}" for sid, y in zip(ds.ids, ds.labels.tolist())]
-    write_atomic(out / "labels.csv", ("\n".join(label_lines) + "\n").encode("utf-8"))
+    write_atomic(out / "features.csv",
+                 _table_blocks("id," + ",".join(f"f{j}" for j in range(ds.n_features)),
+                               ds.ids, ds.features, lambda row: ",".join(map(repr, row))))
+    write_atomic(out / "labels.csv", _table_blocks("id,label", ds.ids, ds.labels, str))
 
     manifest = Manifest(
         FORMAT_VERSION, len(ds), ds.image_shape, ds.n_features, ds.n_classes,
@@ -446,6 +446,16 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     manifest_path = out / "manifest.json"
     write_atomic(manifest_path, payload)
     return manifest_path
+
+
+def _table_blocks(header: str, ids: Sequence[str], column: np.ndarray,
+                  cells: Callable[[object], str]) -> Iterator[bytes]:
+    """The UTF-8 lines of a CSV table: ``header``, then ``id,cells(value)`` for
+    each id and row of ``column`` as a Python value, ``_SAVE_ROWS`` rows a block."""
+    yield (header + "\n").encode("utf-8")
+    for s in range(0, len(ids), _SAVE_ROWS):
+        rows = zip(ids[s:s + _SAVE_ROWS], column[s:s + _SAVE_ROWS].tolist())
+        yield "".join(f"{sid},{cells(row)}\n" for sid, row in rows).encode("utf-8")
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -524,11 +534,12 @@ def read_tables(mapped: MappedImages) -> Tables:
 
     Each file is read once, a block of whole lines at a time, from the
     descriptor :func:`open_input` returns, and no file's text or list of all
-    its lines is held: the lines of ``features.csv`` go straight into
-    NumPy's C parser while their ids are collected, and each line of
-    ``labels.csv`` becomes an int64 label checked against the features id
-    of its row.  At the first block that :func:`_plain_csv_lines` refuses,
-    or a cell that the C parser or the label rule refuses, the same
+    its lines is held.  Both files follow one rule: their plain lines go
+    straight into NumPy's C parser, while the ids of ``features.csv`` are
+    collected and those of ``labels.csv`` are checked against them row for
+    row.  At the first block that :func:`_plain_csv_lines` refuses, a label
+    line whose id differs or whose cell is not ASCII, or a cell that the C
+    parser refuses, the same
     descriptor is rewound and the whole file goes to the per-cell reader,
     which defines what a file holds and raises every format error, so the
     ids, values and errors are those of the per-cell reader.  The tables
@@ -542,7 +553,7 @@ def read_tables(mapped: MappedImages) -> Tables:
     with open_input(base / files["features"], "features file") as fh:
         ids, features = _read_features(fh, files["features"], n, manifest.n_features)
     with open_input(base / files["labels"], "labels file") as fh:
-        labels = _read_labels(fh, files["labels"], ids)
+        labels = _read_labels(fh, files["labels"], ids, files["features"])
     try:
         _check_rows(ids, labels, manifest.n_classes, features)
     except DataError as exc:
@@ -560,11 +571,14 @@ def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str
     ``csv.reader`` could only split them at their commas and ``\\n`` line ends;
     :class:`_NotPlain` at the first block of lines in which it could not.
 
-    A plain line is UTF-8 with no ``"``, ``\\r`` or NUL, no longer than the
-    csv field size limit, and has ``fields`` fields; the file holds exactly
-    ``n + 1`` of them, the last one's ``\\n`` optional.  A decoding error is a
-    ``ValueError`` too.  The lines are read and checked ``_CSV_BLOCK`` bytes
-    at a time.
+    A plain line is UTF-8 with none of ``_NOT_PLAIN``: ``"``, ``\\r`` and NUL,
+    which ``csv.reader`` reads as a quote, a line end and an error, and the
+    separators ``\\x1c``-``\\x1f``, which NumPy's parsers skip as white space
+    and ``float()`` and ``int()`` refuse.  It is no longer than the csv field
+    size limit and has ``fields`` fields; the file holds exactly ``n + 1`` of
+    them, the last one's ``\\n`` optional.  A decoding error is a
+    ``ValueError`` too.  The lines are read and checked ``_CSV_BLOCK`` bytes at
+    a time.
     """
     if n < 1 or fields < 2:
         raise _NotPlain
@@ -576,7 +590,7 @@ def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str
         if lines[-1] == "":  # the "\n" that ends the block
             lines.pop()
         count += len(lines)
-        if count > n + 1 or '"' in text or "\r" in text or "\0" in text \
+        if count > n + 1 or any(c in text for c in _NOT_PLAIN) \
                 or any(len(line) > limit or line.count(",") != commas for line in lines) \
                 or (count == n + 1 and next(blocks, None)):
             raise _NotPlain
@@ -598,9 +612,9 @@ def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
                    ) -> tuple[list[str], np.ndarray]:
     """The ids and the ``[n, n_features]`` float64 matrix of ``features.csv``.
 
-    The C parser accepts a subset of what ``float()`` accepts (not ``1_0``
-    or non-ASCII digits) and rounds it to the same doubles; what it
-    refuses, the per-cell reader judges.
+    Of a plain cell, the C parser accepts a subset of what ``float()``
+    accepts (not ``1_0``) and rounds it to the same doubles; what it refuses,
+    the per-cell reader judges.
     """
     ids: list[str] = []
 
@@ -629,41 +643,44 @@ def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
     try:
         features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
-        raise FormatError(f"features.csv: non-numeric value: {exc}") from None
+        raise FormatError(f"{name}: non-numeric value: {exc}") from None
     return ids, features
 
 
-_LABEL = re.compile(r"-?[0-9]{1,19}")  # ASCII digits only, and few enough for int()
+def _read_labels(fh: io.BufferedReader, name: str, ids: list[str], features_name: str
+                 ) -> np.ndarray:
+    """The int64 labels of ``labels.csv``, whose ids must be ``ids``, those of
+    ``features_name``, row for row.
 
+    Of a plain ASCII cell, the C parser accepts a subset of what ``int()``
+    accepts (not ``1_0``, ``1.0`` or a value past int64) with the same values;
+    what it refuses, the per-cell reader judges.  A cell that is not ASCII
+    goes to the per-cell reader unread: NumPy's int parser reads some letters
+    as digits (``\\u01fe`` as 462).
+    """
 
-def _label(line: str, sid: str) -> int:
-    """The label of a plain ``labels.csv`` line whose id is ``sid``, if it is a
-    ``-?[0-9]{1,19}`` integer that fits int64; else :class:`_NotPlain`."""
-    lid, _, cell = line.partition(",")
-    if lid != sid or not _LABEL.fullmatch(cell):
-        raise _NotPlain
-    label = int(cell)
-    if not -2 ** 63 <= label < 2 ** 63:
-        raise _NotPlain
-    return label
+    def body(lines: Iterator[str]) -> Iterator[str]:
+        for line, sid in zip(lines, ids):
+            lid, _, cell = line.partition(",")
+            if lid != sid or not cell.isascii():
+                raise _NotPlain
+            yield line
 
-
-def _read_labels(fh: io.BufferedReader, name: str, ids: list[str]) -> np.ndarray:
-    """The int64 labels of ``labels.csv``, whose ids must be ``ids`` row for row."""
     try:
         lines = _plain_csv_lines(fh, len(ids), 2)
         if next(lines) != "id,label":
             raise _NotPlain
-        return np.fromiter(map(_label, lines, ids), dtype=np.int64, count=len(ids))
-    except ValueError:  # not plain, or a label only int() may judge: the reader below judges
+        return np.loadtxt(body(lines), delimiter=",", usecols=1, comments=None,
+                          dtype=np.int64, ndmin=1, max_rows=len(ids))
+    except ValueError:  # not plain, not the features' id or ASCII, or refused by NumPy
         pass
     label_ids, rows = _read_csv_rows(_whole_text(fh, name), name, ["id", "label"], len(ids))
     if label_ids != ids:
-        raise FormatError("labels.csv sample ids do not match features.csv")
+        raise FormatError(f"{name} sample ids do not match {features_name}")
     try:
         return np.array([int(row[0]) for row in rows], dtype=np.int64)
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
-        raise FormatError(f"labels.csv: label is not a 64-bit integer: {exc}") from None
+        raise FormatError(f"{name}: label is not a 64-bit integer: {exc}") from None
 
 
 def _read_csv_rows(text: str, name: str, header: list[str], n: int) -> tuple[list, list]:

@@ -38,6 +38,7 @@ from .models import Model, ModelConfig
 
 CHECKPOINT_MAGIC = b"CMPN"
 CHECKPOINT_VERSION = 1
+_DIVERGED = 100.0  # times ln(n_classes), the loss of a uniform guess
 
 
 @dataclass
@@ -176,6 +177,18 @@ def _evaluate_pathway(model: Model, features: np.ndarray, labels: np.ndarray,
     return Metrics(loss=loss_sum / n, accuracy=correct / n, n=n)
 
 
+def evaluate_train(model: Model, train: Dataset, epoch: int) -> Metrics:
+    """:func:`evaluate` of the training split after ``epoch``; ``NumericError`` if
+    its loss is above 100 × ln(n_classes), a hundred times the loss of a
+    uniform guess: the run has diverged, finite or not."""
+    metrics = evaluate(model, train)
+    bound = _DIVERGED * math.log(model.config.n_classes)
+    if metrics.loss > bound:
+        raise NumericError(f"training diverged: train loss {metrics.loss:.6g} after epoch "
+                           f"{epoch} is above {bound:.6g} (100 x ln {model.config.n_classes})")
+    return metrics
+
+
 def epochs(model: Model, train: Dataset, test: Dataset | None,
            cfg: TrainConfig, state: OptimState) -> Iterator[tuple[int, Metrics, Metrics | None]]:
     """Train one epoch per step, yielding ``(epoch, running, test)`` after each.
@@ -208,7 +221,8 @@ def epochs(model: Model, train: Dataset, test: Dataset | None,
 
 def fit(model: Model, train: Dataset, test: Dataset | None,
         cfg: TrainConfig, state: OptimState | None = None) -> list[EpochRecord]:
-    """:func:`epochs`, with the training set scored after every epoch.
+    """:func:`epochs`, with the training set scored by :func:`evaluate_train`
+    after every epoch.
 
     Returns this call's records, one per epoch.  Test data is only ever
     evaluated, never trained on.  Pass the ``state`` from a loaded
@@ -217,8 +231,8 @@ def fit(model: Model, train: Dataset, test: Dataset | None,
     bit-exactly.
     """
     state = state if state is not None else init_optim_state(model)
-    return [EpochRecord(epoch=epoch, train=evaluate(model, train), running=running,
-                        test=test_eval)
+    return [EpochRecord(epoch=epoch, train=evaluate_train(model, train, epoch),
+                        running=running, test=test_eval)
             for epoch, running, test_eval in epochs(model, train, test, cfg, state)]
 
 

@@ -348,6 +348,37 @@ def test_a_diverging_compare_exits_4_with_one_error_line_and_only_the_header(tmp
            "model,seed,train_acc,test_acc,gap\n"
 
 
+# Finite all the way: the train loss is 3.20 after epoch 3, 70.1 after epoch 4
+# and 1.0e35 after epoch 6.
+SEED_3_SPEC = {"n_samples": 200, "image_shape": [1, 12, 12], "seed": 3}
+SEED_3_CONFIG = {"model": {"conv_filters": [2], "kernel_size": 3, "dense_hidden": [2]},
+                 "train": {"epochs": 6, "learning_rate": 0.2}}
+
+
+@pytest.mark.parametrize("command,line", [
+    (["train", "--model", "compnet"],
+     "error: training diverged: train loss 70.0828 after epoch 4 is above 69.3147 "
+     "(100 x ln 2)"),
+    (["compare", "--models", "compnet,image_only", "--seeds", "0"],
+     "error: compnet seed 0: training diverged: train loss 1.00724e+35 after epoch 6 "
+     "is above 69.3147 (100 x ln 2)"),
+], ids=["train", "compare"])
+def test_a_run_whose_train_loss_passes_100_ln_n_classes_exits_4_and_writes_nothing(
+        tmp_path, capsys, command, line):
+    # No value is ever non-finite, so only the train-loss rule stops the run:
+    # train scores its training split after every epoch, compare after the last.
+    data, out = tmp_path / "ds", tmp_path / "out"
+    assert main(["generate", "--spec", write_json(tmp_path / "spec.json", SEED_3_SPEC),
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main([*command, "--config", write_json(tmp_path / "config.json", SEED_3_CONFIG),
+                 "--data", str(data), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [line]
+    written = {path.name: path.read_text(encoding="utf-8") for path in out.glob("*")}
+    assert written == ({"compare.csv": "model,seed,train_acc,test_acc,gap\n"}
+                       if command[0] == "compare" else {})
+
+
 @pytest.mark.parametrize("command,jobs", [("train", 1), ("compare", 1), ("compare", 2)])
 def test_a_model_past_memory_ends_in_exit_3_and_one_error_line(
         tmp_path, capfd, monkeypatch, command, jobs):

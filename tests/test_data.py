@@ -5,6 +5,7 @@ import ast
 import csv
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -268,6 +269,28 @@ def test_save_rewrites_identical_bytes(tmp_path):
                (tmp_path / "b" / name).read_bytes()
 
 
+def test_save_dataset_holds_little_beside_the_dataset_and_writes_each_line(tmp_path):
+    # The tables are written a block of rows at a time: no file's whole text,
+    # nor a list of all its lines, is held.
+    n = 16000
+    ds = Dataset([f"s{i}" for i in range(n)], np.zeros((n, 1, 1, 1)),
+                 np.random.default_rng(0).normal(size=(n, 16)), np.arange(n) % 2, 2)
+    tracemalloc.start()
+    try:
+        root = save_dataset(ds, tmp_path / "d").parent
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, peak
+    # the lines the whole-file writer joined, past many block boundaries
+    rows = [",".join(map(repr, row)) for row in ds.features.tolist()]
+    assert (root / "features.csv").read_text(encoding="utf-8") == "".join(
+        f"{sid},{cells}\n" for sid, cells in zip(
+            ["id", *ds.ids], [",".join(f"f{j}" for j in range(16)), *rows]))
+    assert (root / "labels.csv").read_text(encoding="utf-8") == "id,label\n" + "".join(
+        f"{sid},{y}\n" for sid, y in zip(ds.ids, ds.labels.tolist()))
+
+
 def test_save_into_non_directory_raises_os_error(tmp_path):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
@@ -436,6 +459,24 @@ def test_load_rejects_malformed_csv_cells(tmp_path, file, col, value):
 # ---------------------------------------------------------------------------
 # the C-parser fast path of load_dataset against the per-cell reader
 
+@pytest.mark.parametrize("file, col, value, message", [
+    ("features.csv", 2, "abc", "feats.csv: non-numeric value: "),
+    ("labels.csv", 0, "zzz", "labs.csv sample ids do not match feats.csv"),
+    ("labels.csv", 1, "1.5", "labs.csv: label is not a 64-bit integer: "),
+], ids=["feature-text", "label-id", "label-float"])
+def test_a_table_error_names_the_file_the_manifest_names(tmp_path, file, col, value, message):
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    _edit_csv_cell(root / file, 2, col, value)
+    manifest = json.loads((root / "manifest.json").read_text())
+    names = {"features": "feats.csv", "labels": "labs.csv"}
+    for key, name in names.items():
+        (root / manifest["files"][key]).rename(root / name)
+    manifest["files"].update(names)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="^" + re.escape(message)):
+        load_dataset(root)
+
+
 def _load_outcome(root):
     """What ``load_dataset`` gives: the columns, or the error's class and message."""
     try:
@@ -466,17 +507,29 @@ def _assert_loads_as_the_per_cell_reader(root):
     assert labels.dtype == ref_labels.dtype and labels.tolist() == ref_labels.tolist()
 
 
+def _per_cell_must_not_run(text, name, *args):
+    raise AssertionError(f"the per-cell reader ran on {name}")
+
+
 def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch):
     ds = make_dataset(5, n_features=4)
     root = save_dataset(ds, tmp_path / "d").parent
-
-    def per_cell(text, name, *args):
-        raise AssertionError(f"the per-cell reader ran on {name}")
-    monkeypatch.setattr(cn.data, "_read_csv_rows", per_cell)
+    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
     back = load_dataset(root)
     assert back.ids == ds.ids
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
+
+
+@pytest.mark.parametrize("label", ["+1", " 1", "01", "-0", str(2 ** 63 - 1), str(-2 ** 63)])
+def test_an_int64_label_loads_without_the_per_cell_reader(tmp_path, monkeypatch, label):
+    # NumPy's parser takes these as int() does; a Dataset would refuse the last two.
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    _edit_csv_cell(root / "labels.csv", 2, 1, label)
+    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
+    with cn.data.open_input(root / "labels.csv", "labels file") as fh:
+        labels = cn.data._read_labels(fh, "labels.csv", ["s0", "s1", "s2"], "features.csv")
+    assert labels.dtype == np.int64 and labels.tolist() == [0, int(label), 0]
 
 
 def test_read_tables_holds_little_beside_the_tables_it_returns(tmp_path):
@@ -524,9 +577,14 @@ EDGE_CASES = {
     "leading-zero": _set_cell("01"),
     "minus-zero": _set_cell("-0"),
     "spaced-integer": _set_cell(" 1"),
+    "int64-max": _set_cell("9223372036854775807"),
     "int64-max-plus-one": _set_cell("9223372036854775808"),
     "twenty-digits": _set_cell("1" * 20),
     "empty-cell": _set_cell(""),
+    # NumPy's parsers skip U+001C-U+001F as white space, and its int parser
+    # reads U+01FE as the digit 462; float() and int() refuse both
+    "file-separator": _set_cell("\x1c1"),
+    "non-ascii-letter": _set_cell("\u01fe"),
 }
 
 
