@@ -299,7 +299,7 @@ def cmd_train(args) -> int:
 def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
     """The ``train`` or ``test`` side of the split the checkpoint records."""
     settings = extra.get("split")
-    if not settings:
+    if settings is None:
         raise ConfigError(
             f"checkpoint does not record split settings; cannot select "
             f"--split {which} (use --split all)")

@@ -6,8 +6,8 @@ label.  A ``Dataset`` holds them column-wise, as attributes: one
 read-only array each for ``images``, ``features`` and ``labels``, plus
 the tuple of sample ``ids``.  Subsetting,
 normalizing, batching, generating, loading and saving all work on whole
-columns.  Every dataset is validated when it is built, so its batches
-are ``CheckedBatch``.
+columns.  Every dataset is validated when it is built: its values are
+finite, which is what a model needs of them (see ``models``).
 
 The synthetic generator plants class evidence in both modalities
 independently: each modality's evidence agrees with the true label only
@@ -42,12 +42,12 @@ that process with SIGBUS.
 a time, and no file's text or list of all its lines is held; ``features.csv``'s
 header line must hold ``n_features + 1`` fields.  Both tables follow one rule:
 while the lines are plain (``csv.reader`` could only split them at their commas
-and ``\\n`` line ends, the expected header, ``n`` body lines of the expected
-width), they go to NumPy's C parser, float64 features and int64 labels.  At the
-first line that is not plain, a label that is not ASCII or whose id is not the
-features id of its row, or a cell the C parser refuses, the file is rewound and
-the per-cell reader (``csv.reader``, ``float`` and ``int``) reads all of it: it
-defines what a file holds and raises every format error.
+and ``\\n`` or ``\\r\\n`` line ends, the expected header, ``n`` body lines of the
+expected width), they go to NumPy's C parser, float64 features and int64
+labels.  At the first line that is not plain, a label that is not ASCII or whose
+id is not the features id of its row, or a cell the C parser refuses, the file
+is rewound and the per-cell reader (``csv.reader``, ``float`` and ``int``)
+reads all of it: it defines what a file holds and raises every format error.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class Dataset:
     dataset takes the arrays over without copying and marks them
     read-only.  Every dataset,
     a :meth:`subset` or a :func:`zscore_apply` result too, is validated
-    when it is built, so its batches are :class:`CheckedBatch`, which
-    models do not re-scan for non-finite values.
+    when it is built, so its batches are finite.
     """
 
     def __init__(self, ids: Sequence[str], images: np.ndarray, features: np.ndarray,
@@ -128,16 +127,7 @@ class Dataset:
         """
         for start in range(0, len(self), size):
             rows = slice(start, start + size) if order is None else order[start:start + size]
-            yield (CheckedBatch(self.images[rows]), CheckedBatch(self.features[rows]),
-                   self.labels[rows])
-
-
-class CheckedBatch(Tensor):
-    """Rows of a column checked to be finite: of a ``Dataset``, which checks
-    its columns when it is built, of checked ``Tables``, or of mapped images
-    that the scoring pass has just checked (``models._pathway_batches``)."""
-
-    __slots__ = ()
+            yield Tensor(self.images[rows]), Tensor(self.features[rows]), self.labels[rows]
 
 
 def first_non_finite_row(*columns: np.ndarray) -> int | None:
@@ -338,10 +328,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     templates = np.stack([render_template(k, spec.image_shape) for k in range(2)])
     if spec.pixel_noise > 0:
         images = rng.normal(0.0, spec.pixel_noise, size=(n, *spec.image_shape))
-        for s in range(0, n, _GENERATE_CHUNK):  # addition commutes: the bits of template + noise
-            images[s:s + _GENERATE_CHUNK] += templates[img_evidence[s:s + _GENERATE_CHUNK]]
-    else:
-        images = templates[img_evidence]
+    else:  # no draw, so the features' draws stay; 0.0 + template is the template
+        images = np.zeros((n, *spec.image_shape))
+    for s in range(0, n, _GENERATE_CHUNK):  # addition commutes: the bits of template + noise
+        images[s:s + _GENERATE_CHUNK] += templates[img_evidence[s:s + _GENERATE_CHUNK]]
 
     features = rng.normal(0.0, 1.0, size=(n, spec.n_features))
     signs = 2.0 * feat_evidence - 1.0
@@ -568,11 +558,13 @@ class _NotPlain(ValueError):
 
 def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str]:
     """The header and the ``n`` body lines of the CSV file on ``fh``, as long as
-    ``csv.reader`` could only split them at their commas and ``\\n`` line ends;
+    ``csv.reader`` could only split them at their commas and line ends;
     :class:`_NotPlain` at the first block of lines in which it could not.
 
-    A plain line is UTF-8 with none of ``_NOT_PLAIN``: ``"``, ``\\r`` and NUL,
-    which ``csv.reader`` reads as a quote, a line end and an error, and the
+    A line ends in ``\\n`` or ``\\r\\n``, which ``csv.reader`` reads alike: each
+    block's ``\\r\\n`` becomes ``\\n`` before it is checked.  A plain line is
+    UTF-8 with none of ``_NOT_PLAIN``: ``"``, any other ``\\r`` and NUL, which
+    ``csv.reader`` reads as a quote, a line end and an error, and the
     separators ``\\x1c``-``\\x1f``, which NumPy's parsers skip as white space
     and ``float()`` and ``int()`` refuse.  It is no longer than the csv field
     size limit and has ``fields`` fields; the file holds exactly ``n + 1`` of
@@ -586,6 +578,8 @@ def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str
     blocks = iter(partial(fh.readlines, _CSV_BLOCK), [])
     for block in blocks:
         text = b"".join(block).decode("utf-8")
+        if "\r" in text:  # one memchr; a replace that finds nothing scans far slower
+            text = text.replace("\r\n", "\n")
         lines = text.split("\n")
         if lines[-1] == "":  # the "\n" that ends the block
             lines.pop()

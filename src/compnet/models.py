@@ -21,8 +21,15 @@ the pathway.  Every scoring pass runs the pathway through
 ``_pathway_batches`` and the head in this process: a long pass runs the
 pathway on forked children, which ``compnet eval`` and ``compnet
 importance`` start before they read the dataset's tables, and a short one
-batch by batch in this process.  The pass checks each batch of pixels for
-finiteness right before the pathway reads it, in the process that runs it.
+batch by batch in this process.
+
+A model computes on finite arrays and checks only their shapes.  The
+program makes them finite where they enter: a ``Dataset`` checks its
+columns when it is built, a scoring pass checks each batch of pixels right
+before the pathway reads it, in the process that runs it
+(``_pathway_batches``), and ``data.zscore_features`` checks the designed
+features it returns.  A non-finite value that still reaches a loss or an
+evaluation ends in ``cross_entropy``'s ``NumericError``.
 
 Parameters are plain float64 arrays owned by the ``Model``; a forward
 pass wraps them in tensors, optionally watched on a tape so the training
@@ -42,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import DictConfig, require_min
-from .data import CheckedBatch, first_non_finite_row
+from .data import first_non_finite_row
 from .exceptions import (ConfigError, DataError, NonFiniteRow, NumericError, ShapeError,
                          VariantError)
 from .layers import (ConvParams, DenseParams, concat_columns, conv2d, dense,
@@ -102,7 +109,7 @@ def _pathway_batches(model: Model, images: np.ndarray):
             if row is not None:
                 raise NonFiniteRow(i + row)
             with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
-                learned.append(image_pathway(model, CheckedBatch(batch)).data)
+                learned.append(image_pathway(model, Tensor(batch)).data)
         return learned
 
     n_batches = -(-len(images) // EVAL_BATCH)
@@ -260,14 +267,11 @@ def build_model(cfg: ModelConfig) -> Model:
 
 
 def _check_images(model: Model, images: Tensor) -> None:
-    """Shape, then finiteness unless the batch is a ``CheckedBatch``."""
     cfg = model.config
     if images.data.ndim != 4 or images.shape[1:] != cfg.image_shape:
         raise ShapeError(
             f"images must be [B, {', '.join(map(str, cfg.image_shape))}], "
             f"got {list(images.shape)}")
-    if not isinstance(images, CheckedBatch) and not np.isfinite(images.data).all():
-        raise DataError("images contain non-finite values")
 
 
 def _check_features(model: Model, batch: int, features: Tensor | None) -> None:
@@ -275,17 +279,9 @@ def _check_features(model: Model, batch: int, features: Tensor | None) -> None:
     if features is None:
         if cfg.fusion_kind != "image_only":
             raise ShapeError(f"{cfg.fusion_kind} variant requires designed features")
-        return
-    if features.data.ndim != 2 or features.shape != (batch, cfg.n_features):
+    elif features.data.ndim != 2 or features.shape != (batch, cfg.n_features):
         raise ShapeError(
             f"features must be [{batch}, {cfg.n_features}], got {list(features.shape)}")
-    if not isinstance(features, CheckedBatch) and not np.isfinite(features.data).all():
-        raise DataError("features contain non-finite values")
-
-
-def _check_inputs(model: Model, images: Tensor, features: Tensor | None) -> None:
-    _check_images(model, images)
-    _check_features(model, images.shape[0], features)
 
 
 def _halves(cfg: ModelConfig) -> tuple[list[_Layer], list[_Layer]]:
@@ -341,7 +337,8 @@ def forward(model: Model, images: Tensor, features: Tensor | None,
     """Logits ``[B, n_classes]`` for a batch: the whole plan, :func:`head`
     applied to :func:`image_pathway`, over ``params`` (unwatched tensors of
     the model's own parameters by default)."""
-    _check_inputs(model, images, features)
+    _check_images(model, images)
+    _check_features(model, images.shape[0], features)
     return _run_plan(model, _plain_params(model) if params is None else params,
                      images, features, _layer_plan(model.config))
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import models as models_mod
 from .autodiff import Tape, Tensor, backward
 from .config import DictConfig, require_min
-from .data import CheckedBatch, Dataset, read_input, read_json_object, write_atomic
+from .data import Dataset, read_input, read_json_object, write_atomic
 from .exceptions import ConfigError, DataError, FormatError, NumericError
 from .layers import cross_entropy
 from .models import Model, ModelConfig
@@ -169,7 +169,7 @@ def _evaluate_pathway(model: Model, features: np.ndarray, labels: np.ndarray,
         for start in range(0, n, models_mod.EVAL_BATCH):
             rows = slice(start, start + models_mod.EVAL_BATCH)
             y = labels[rows]
-            logits = models_mod.head(model, Tensor(next(learned)), CheckedBatch(features[rows]))
+            logits = models_mod.head(model, Tensor(next(learned)), Tensor(features[rows]))
             loss_sum += cross_entropy(logits, y).item() * len(y)
             correct += int((np.argmax(logits.data, axis=1) == y).sum())
     if not np.isfinite(loss_sum):
@@ -277,7 +277,7 @@ def checkpoint_load(path) -> tuple[Model, OptimState, dict]:
     if len(blob) < 16 + header_len:
         raise FormatError(f"{path}: truncated header")
     header = read_json_object(blob[16:16 + header_len], f"{path}: checkpoint header")
-    extra = header.get("extra") or {}
+    extra = header.get("extra", {})
     if not isinstance(header.get("model_config"), dict) \
             or type(header.get("epoch")) is not int or not isinstance(extra, dict):
         raise FormatError(f"{path}: checkpoint header needs a model_config object, "

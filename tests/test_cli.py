@@ -553,6 +553,11 @@ def copy_with_header(run_dir, dst, edit):
     lambda h: {**h, "epoch": "x"},
     lambda h: {**h, "epoch": True},
     lambda h: {**h, "extra": [1]},
+    lambda h: {**h, "extra": None},
+    lambda h: {**h, "extra": False},
+    lambda h: {**h, "extra": 0},
+    lambda h: {**h, "extra": ""},
+    lambda h: {**h, "extra": []},
     lambda h: {**h, "model_config": 5},
     lambda h: {**h, "params": h["params"][::-1]},
     lambda h: {**h, "params": h["params"][:-1]},
@@ -560,7 +565,8 @@ def copy_with_header(run_dir, dst, edit):
     lambda h: {**h, "params": [{**p, "shape": [p["shape"][0] + (i == 0), *p["shape"][1:]]}
                                for i, p in enumerate(h["params"])]},
 ], ids=["number", "params-number", "params-without-shape", "params-float-shapes",
-        "epoch-text", "epoch-bool", "extra-list", "model_config-number",
+        "epoch-text", "epoch-bool", "extra-list", "extra-null", "extra-false",
+        "extra-zero", "extra-empty-text", "extra-empty-list", "model_config-number",
         "params-reordered", "params-entry-dropped", "params-entry-added",
         "params-shape-off-by-one"])
 def test_malformed_checkpoint_header_is_a_format_error(
@@ -622,8 +628,11 @@ def test_eval_rejects_mistyped_checkpoint_split_settings(
 
 @pytest.mark.parametrize("edit", [
     lambda split: {**split, "shuffle": True},
-    lambda split: {k: v for k, v in split.items() if k != "seed"}],
-    ids=["extra-key", "missing-key"])
+    lambda split: {k: v for k, v in split.items() if k != "seed"},
+    lambda split: {}, lambda split: [], lambda split: 0, lambda split: False,
+    lambda split: ""],
+    ids=["extra-key", "missing-key", "empty-object", "empty-list", "zero", "false",
+         "empty-text"])
 def test_eval_rejects_checkpoint_split_settings_with_other_keys(
         trained_run, small_dataset_dir, tmp_path, edit):
     ckpt = copy_with_header(
@@ -631,6 +640,23 @@ def test_eval_rejects_checkpoint_split_settings_with_other_keys(
         lambda h: {**h, "extra": {**h["extra"], "split": edit(h["extra"]["split"])}})
     assert main(["eval", "--checkpoint", str(ckpt), "--data",
                  str(small_dataset_dir), "--split", "test"]) == 3
+
+
+@pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+def test_eval_of_one_side_needs_the_checkpoint_to_record_split_settings(
+        trained_run, small_dataset_dir, tmp_path, capsys, absent):
+    def edit(h):
+        extra = {k: v for k, v in h["extra"].items() if k != "split"}
+        return {**h, "extra": extra if absent else {**extra, "split": None}}
+
+    ckpt = copy_with_header(trained_run, tmp_path / "run", edit)
+    capsys.readouterr()
+    for side in ("test", "train"):
+        assert main(["eval", "--checkpoint", str(ckpt), "--data",
+                     str(small_dataset_dir), "--split", side]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint does not record split settings; cannot select "
+            f"--split {side} (use --split all)\n")
 
 
 def test_eval_rejects_a_normalizer_file_that_is_not_a_name(
@@ -1212,6 +1238,40 @@ def test_a_short_pass_runs_the_image_pathway_once_per_batch_and_never_forward(
         assert sizes == [min(models.EVAL_BATCH, rows - i)
                          for i in range(0, rows, models.EVAL_BATCH)]
         assert forwards == []
+
+
+def test_every_command_hands_the_models_finite_images_and_features(
+        small_dataset_dir, tiny_config, tmp_path, monkeypatch):
+    # Models check only shapes: a command makes its arrays finite before a
+    # model reads them (a Dataset, the scoring pass's pixel check, z-scoring).
+    calls = dict.fromkeys(["image_pathway", "head", "forward"], 0)
+
+    def finite_inputs(name, *positions):
+        real = getattr(models, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            for i in positions:
+                assert args[i] is None or np.isfinite(args[i].data).all(), (name, i)
+            return real(*args, **kwargs)
+        return wrapper
+
+    # positions of the images and the designed features
+    monkeypatch.setattr(models, "image_pathway", finite_inputs("image_pathway", 1))
+    monkeypatch.setattr(models, "head", finite_inputs("head", 2))
+    monkeypatch.setattr(models, "forward", finite_inputs("forward", 1, 2))
+    monkeypatch.setattr(models, "default_jobs", lambda: 1)  # every run in this process
+    run, data = tmp_path / "run", str(small_dataset_dir)
+    ckpt = str(run / "checkpoint.cmpn")
+    assert train_small(small_dataset_dir, tiny_config, run) == 0
+    for split in ("all", "test", "train"):
+        assert main(["eval", "--checkpoint", ckpt, "--data", data, "--split", split]) == 0
+    assert main(["importance", "--checkpoint", ckpt, "--data", data,
+                 "--out", str(tmp_path / "importance.csv")]) == 0
+    assert main(["compare", "--config", compare_config(tmp_path), "--data", data,
+                 "--models", ",".join(models.FUSION_KINDS), "--seeds", "1",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert all(calls.values()), calls
 
 
 def break_features_cell(data):

@@ -158,6 +158,17 @@ def test_noise_free_fully_reliable_data_is_separable():
         assert (np.sign(feats.mean()) > 0) == (label == 1)
 
 
+def test_every_noise_free_image_is_one_of_the_two_templates():
+    # Past one chunk of templates, with evidence that disagrees with some labels.
+    spec = SynthSpec(n_samples=cn.data._GENERATE_CHUNK + 7, image_shape=(2, 8, 8),
+                     pixel_noise=0.0, image_reliability=0.6, seed=5)
+    ds = generate_synthetic(spec)
+    templates = np.stack([render_template(k, spec.image_shape) for k in (0, 1)])
+    matches = (ds.images[:, None] == templates).all(axis=(2, 3, 4))
+    assert matches.sum(axis=1).tolist() == [1] * len(ds)
+    assert 0 < matches[:, 0].sum() < len(ds)
+
+
 def test_generator_validation():
     with pytest.raises(ConfigError):
         SynthSpec(n_samples=0)
@@ -532,20 +543,46 @@ def test_an_int64_label_loads_without_the_per_cell_reader(tmp_path, monkeypatch,
     assert labels.dtype == np.int64 and labels.tolist() == [0, int(label), 0]
 
 
-def test_read_tables_holds_little_beside_the_tables_it_returns(tmp_path):
-    # Both files are read a block of lines at a time: no file's text, and no
-    # list of all its lines or rows, lives beside the growing tables.
-    n = 4000
+def _table_dataset(tmp_path, n=4000):
+    """A saved ``n`` x 16 dataset of 1-pixel images, and its directory."""
     ds = Dataset([f"s{i}" for i in range(n)], np.zeros((n, 1, 1, 1)),
                  np.random.default_rng(0).normal(size=(n, 16)), np.arange(n) % 2, 2)
-    mapped = cn.data.map_images(save_dataset(ds, tmp_path / "d"))
+    return ds, save_dataset(ds, tmp_path / "d").parent
+
+
+def _traced_read_tables(root):
+    """``read_tables`` of the dataset at ``root``, and the bytes of Python
+    allocations it holds and the peak it reached, as tracemalloc counts them."""
+    mapped = cn.data.map_images(root)
     tracemalloc.start()
     try:
         tables = cn.data.read_tables(mapped)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return tables, held, peak
+
+
+def test_read_tables_holds_little_beside_the_tables_it_returns(tmp_path):
+    # Both files are read a block of lines at a time: no file's text, and no
+    # list of all its lines or rows, lives beside the growing tables.
+    ds, root = _table_dataset(tmp_path)
+    tables, held, peak = _traced_read_tables(root)
     assert tables.features.tobytes() == ds.features.tobytes()
+    assert peak <= 1.5 * held, (peak, held)
+
+
+def test_a_crlf_set_is_read_a_block_at_a_time_without_the_per_cell_reader(
+        tmp_path, monkeypatch):
+    # csv.reader ends a line at "\r\n" as it does at "\n".
+    ds, root = _table_dataset(tmp_path)
+    for name in ("features.csv", "labels.csv"):
+        (root / name).write_bytes((root / name).read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
+    tables, held, peak = _traced_read_tables(root)
+    assert tables.ids == ds.ids
+    assert tables.features.tobytes() == ds.features.tobytes()
+    assert tables.labels.tolist() == ds.labels.tolist()
     assert peak <= 1.5 * held, (peak, held)
 
 
@@ -567,6 +604,11 @@ EDGE_CASES = {
     "quoted": _set_cell('"1.5"'),
     "hash": _set_cell("#"),
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    "crlf-then-lf": lambda text: text.replace("\n", "\r\n", 2),
+    "crlf-no-final-newline": lambda text: text.replace("\n", "\r\n").rstrip("\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "cr-crlf": lambda text: text.replace("\n", "\r\r\n"),
+    "cr-in-a-cell": _set_cell("1\r5"),
     "blank-body-line": lambda text: text.replace("\n", "\n\n", 1),
     "no-final-newline": lambda text: text.rstrip("\n"),
     "oversize-field": _set_cell("1" * (csv.field_size_limit() + 1)),

@@ -1,7 +1,7 @@
 """The package's export list, no module importing what it does not use, no
 private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
-every input file opened by the one reader."""
+every input file opened by the one reader, and one tensor type."""
 
 import ast
 from pathlib import Path
@@ -203,3 +203,25 @@ def test_every_input_file_is_opened_by_the_one_reader():
     }) == ["cli.py: .exists (line 4)", "cli.py: .read_bytes (line 2)",
            "cli.py: .read_text (line 3)", "cli.py: .stat (line 5)", "cli.py: open (line 6)",
            "cli.py: open (line 9)", "data.py: open (line 6)"]
+
+
+def _tensor_subclasses(sources: dict[str, str]) -> list[str]:
+    """Classes that name ``Tensor`` (or ``<module>.Tensor``) among their bases."""
+    return [f"{name}: {node.name} (line {node.lineno})" for name, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any("Tensor" in (getattr(base, "id", None), getattr(base, "attr", None))
+                    for base in node.bases)]
+
+
+def test_there_is_one_tensor_type():
+    # A model checks only shapes, and the program makes each array finite where it
+    # enters; a Tensor subclass is how a second, "checked" kind of tensor returns.
+    package = Path(compnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _tensor_subclasses(sources) == []
+    assert _tensor_subclasses({
+        "a.py": "from .autodiff import Tensor\nclass Checked(Tensor):\n    pass\n",
+        "b.py": "from . import autodiff as ad\nclass Plain:\n    pass\n"
+                "class Other(ad.Tensor):\n    pass\n",
+    }) == ["a.py: Checked (line 2)", "b.py: Other (line 4)"]
