@@ -39,26 +39,18 @@ way: truncating ``images.bin`` in place while a process reads it can kill
 that process with SIGBUS.
 
 ``features.csv`` and ``labels.csv`` are each read once, 8 KB of whole lines at
-a time, and no file's text or list of all its lines is held; ``features.csv``'s
-header line must hold ``n_features + 1`` fields.  Both tables follow one rule:
-while the lines are plain (``csv.reader`` could only split them at their commas
-and ``\\n`` or ``\\r\\n`` line ends, the expected header, ``n`` body lines of the
-expected width), they go to NumPy's C parser, float64 features and int64
-labels.  At the first line that is not plain, a label that is not ASCII or whose
-id is not the features id of its row, or a cell the C parser refuses, the file
-is rewound and the per-cell reader (``csv.reader``, ``float`` and ``int``)
-reads all of it: it defines what a file holds and raises every format error.
+a time, by NumPy's parser (``_plain_csv_lines``): a table is what
+``save_dataset`` writes, as that parser reads it, and anything else is a
+``FormatError`` naming the file.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import mmap
 import os
-import re
 import stat
 from dataclasses import dataclass, field
 from functools import partial
@@ -407,7 +399,7 @@ class Manifest(DictConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        require_min(self, image_shape=1)
+        require_min(self, image_shape=1, n_features=1)
         if self.format_version != FORMAT_VERSION:
             raise ConfigError(f"unsupported format_version {self.format_version}")
         for key in ("images", "features", "labels"):  # files of the manifest's directory
@@ -418,7 +410,12 @@ class Manifest(DictConfig):
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write the dataset directory, the tables a block of rows at a time;
-    returns the manifest path."""
+    returns the manifest path.  A ``ConfigError`` from the manifest, for a
+    dataset with no designed feature, comes before any file is written."""
+    manifest = Manifest(
+        FORMAT_VERSION, len(ds), ds.image_shape, ds.n_features, ds.n_classes,
+        {"images": "images.bin", "features": "features.csv", "labels": "labels.csv"},
+        ds.provenance.get("name", ds.provenance.get("kind", "dataset")), ds.provenance)
     out = Path(out_dir)
     write_atomic(out / "images.bin", np.ascontiguousarray(ds.images, dtype="<f8"))
     # repr of a Python float is the shortest string that parses back to
@@ -427,11 +424,6 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
                  _table_blocks("id," + ",".join(f"f{j}" for j in range(ds.n_features)),
                                ds.ids, ds.features, lambda row: ",".join(map(repr, row))))
     write_atomic(out / "labels.csv", _table_blocks("id,label", ds.ids, ds.labels, str))
-
-    manifest = Manifest(
-        FORMAT_VERSION, len(ds), ds.image_shape, ds.n_features, ds.n_classes,
-        {"images": "images.bin", "features": "features.csv", "labels": "labels.csv"},
-        ds.provenance.get("name", ds.provenance.get("kind", "dataset")), ds.provenance)
     payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True).encode("utf-8") + b"\n"
     manifest_path = out / "manifest.json"
     write_atomic(manifest_path, payload)
@@ -522,21 +514,12 @@ def map_images(manifest_path) -> MappedImages:
 def read_tables(mapped: MappedImages) -> Tables:
     """Read and check ``features.csv`` and ``labels.csv`` of a mapped dataset.
 
-    Each file is read once, a block of whole lines at a time, from the
-    descriptor :func:`open_input` returns, and no file's text or list of all
-    its lines is held.  Both files follow one rule: their plain lines go
-    straight into NumPy's C parser, while the ids of ``features.csv`` are
-    collected and those of ``labels.csv`` are checked against them row for
-    row.  At the first block that :func:`_plain_csv_lines` refuses, a label
-    line whose id differs or whose cell is not ASCII, or a cell that the C
-    parser refuses, the same
-    descriptor is rewound and the whole file goes to the per-cell reader,
-    which defines what a file holds and raises every format error, so the
-    ids, values and errors are those of the per-cell reader.  The tables
-    are checked as a ``Dataset`` checks them, and the mapped pixels are not
-    read unless that check fails: then the joined ``Dataset`` is built, so
-    the :class:`FormatError` names the first fault as :func:`load_dataset`
-    does, a non-finite pixel before a later row's.
+    Each file's plain lines (:func:`_plain_csv_lines`) go to NumPy's parser from
+    the descriptor :func:`open_input` returns; the ids of ``labels.csv`` must be
+    those of ``features.csv``, row for row.  The tables are checked as a
+    ``Dataset`` checks them, and the mapped pixels are read only if that check
+    fails: then the joined ``Dataset`` is built, so the error names the first
+    fault as :func:`load_dataset` does, a non-finite pixel before a later row's.
     """
     base, manifest = mapped.base, mapped.manifest
     n, files = manifest.n_samples, manifest.files
@@ -552,64 +535,66 @@ def read_tables(mapped: MappedImages) -> Tables:
     return Tables(tuple(ids), features, labels)
 
 
-class _NotPlain(ValueError):
-    """A line that only the per-cell reader may judge."""
+def _plain_csv_lines(fh: io.BufferedReader, name: str, n: int, fields: int
+                     ) -> Iterator[str]:
+    """The header and the ``n`` body lines of the table on ``fh``, read and checked
+    ``_CSV_BLOCK`` bytes of whole lines at a time; a :class:`FormatError` naming
+    ``name`` and the first line that breaks the plain-line rule.
 
-
-def _plain_csv_lines(fh: io.BufferedReader, n: int, fields: int) -> Iterator[str]:
-    """The header and the ``n`` body lines of the CSV file on ``fh``, as long as
-    ``csv.reader`` could only split them at their commas and line ends;
-    :class:`_NotPlain` at the first block of lines in which it could not.
-
-    A line ends in ``\\n`` or ``\\r\\n``, which ``csv.reader`` reads alike: each
-    block's ``\\r\\n`` becomes ``\\n`` before it is checked.  A plain line is
-    UTF-8 with none of ``_NOT_PLAIN``: ``"``, any other ``\\r`` and NUL, which
-    ``csv.reader`` reads as a quote, a line end and an error, and the
-    separators ``\\x1c``-``\\x1f``, which NumPy's parsers skip as white space
-    and ``float()`` and ``int()`` refuse.  It is no longer than the csv field
-    size limit and has ``fields`` fields; the file holds exactly ``n + 1`` of
-    them, the last one's ``\\n`` optional.  A decoding error is a
-    ``ValueError`` too.  The lines are read and checked ``_CSV_BLOCK`` bytes at
-    a time.
+    A line ends in ``\\n`` or ``\\r\\n``: each block's ``\\r\\n`` becomes ``\\n``
+    before it is checked, and a block that ends in ``\\r`` ends the file.  A
+    plain line is UTF-8 with none of ``_NOT_PLAIN``: ``"``, any other ``\\r`` and
+    NUL, which no saved table holds, and the separators ``\\x1c``-``\\x1f``,
+    which NumPy's parser skips as white space.  It has ``fields`` fields, and
+    the file holds exactly ``n + 1`` lines, the last one's ``\\n`` optional.
     """
-    if n < 1 or fields < 2:
-        raise _NotPlain
-    limit, commas, count = csv.field_size_limit(), fields - 1, 0
+    count = 0
     blocks = iter(partial(fh.readlines, _CSV_BLOCK), [])
     for block in blocks:
-        text = b"".join(block).decode("utf-8")
+        if count + len(block) == n + 1:  # the file must end with this block
+            block += next(blocks, [])
+        try:
+            text = b"".join(block).decode("utf-8")
+        except UnicodeDecodeError:
+            raise _first_fault(name, block, count, n, fields, blocks) from None
         if "\r" in text:  # one memchr; a replace that finds nothing scans far slower
-            text = text.replace("\r\n", "\n")
+            text = text.replace("\r\n", "\n").removesuffix("\r")
         lines = text.split("\n")
         if lines[-1] == "":  # the "\n" that ends the block
             lines.pop()
+        if count + len(lines) > n + 1 or any(c in text for c in _NOT_PLAIN) \
+                or any(line.count(",") != fields - 1 for line in lines):
+            raise _first_fault(name, block, count, n, fields, blocks)
         count += len(lines)
-        if count > n + 1 or any(c in text for c in _NOT_PLAIN) \
-                or any(len(line) > limit or line.count(",") != commas for line in lines) \
-                or (count == n + 1 and next(blocks, None)):
-            raise _NotPlain
         yield from lines
     if count != n + 1:
-        raise _NotPlain
+        raise FormatError(f"{name}: {count - 1} rows, manifest says {n}" if count
+                          else f"{name}: no header line")
 
 
-def _whole_text(fh: io.BufferedReader, name: str) -> str:
-    """The text of the file on ``fh``, read again from its start."""
-    fh.seek(0)
-    try:  # the bytes are freed on return, before the text is split
-        return fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{name}: not a UTF-8 CSV file: {exc}") from None
+def _first_fault(name: str, block: list[bytes], count: int, n: int, fields: int,
+                 rest: Iterator[list[bytes]]) -> FormatError:
+    """The error for the first line of ``block``, which follows ``count`` lines and
+    precedes the blocks ``rest``, that breaks the rule of :func:`_plain_csv_lines`."""
+    for number, raw in enumerate(block[:n + 1 - count], count + 1):
+        try:
+            line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
+        except UnicodeDecodeError as exc:
+            return FormatError(f"{name}: line {number} is not UTF-8: {exc}")
+        held = [c for c in _NOT_PLAIN if c in line]
+        if held:
+            return FormatError(f"{name}: line {number} holds {held[0]!r}")
+        if line.count(",") != fields - 1:
+            return FormatError(
+                f"{name}: line {number} has {line.count(',') + 1} fields, expected {fields}")
+    rows = count + len(block) + sum(map(len, rest)) - 1  # lines past the n + 1st
+    return FormatError(f"{name}: {rows} rows, manifest says {n}")
 
 
 def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
                    ) -> tuple[list[str], np.ndarray]:
-    """The ids and the ``[n, n_features]`` float64 matrix of ``features.csv``.
-
-    Of a plain cell, the C parser accepts a subset of what ``float()``
-    accepts (not ``1_0``) and rounds it to the same doubles; what it refuses,
-    the per-cell reader judges.
-    """
+    """The ids and the ``[n, n_features]`` float64 matrix of ``features.csv``,
+    whose cells NumPy's parser reads (it refuses ``1_0`` and non-ASCII digits)."""
     ids: list[str] = []
 
     def body(lines: Iterator[str]) -> Iterator[str]:
@@ -617,25 +602,15 @@ def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
             ids.append(line.partition(",")[0])
             yield line
 
+    lines = _plain_csv_lines(fh, name, n, n_features + 1)
+    # The first line has n_features commas, so the header built here is no longer.
+    if next(lines) != ",".join(["id", *(f"f{j}" for j in range(n_features))]):
+        raise FormatError(f"{name}: expected header id,f0..f{n_features - 1}")
+    if n == 0:  # np.loadtxt warns of a file with no data
+        return ids, np.empty((0, n_features))
     try:
-        lines = _plain_csv_lines(fh, n, n_features + 1)
-        first = next(lines)  # n_features commas: the header built below is no longer
-        if first != ",".join(["id", *(f"f{j}" for j in range(n_features))]):
-            raise _NotPlain
         features = np.loadtxt(body(lines), delimiter=",", usecols=range(1, n_features + 1),
                               comments=None, dtype=np.float64, ndmin=2, max_rows=n)
-        return ids, features
-    except ValueError:  # not plain, or a cell the C parser refuses: the reader below judges
-        pass
-    text = _whole_text(fh, name)
-    # The expected header has n_features commas on line 1, which ends at "\r" too.
-    width = text.count(",", 0, re.match(r"[^\r\n]*", text).end()) + 1 if text else 0
-    if width != n_features + 1:
-        raise FormatError(f"{name}: header has {width} fields, "
-                          f"manifest n_features {n_features} needs {n_features + 1}")
-    ids, rows = _read_csv_rows(text, name, ["id"] + [f"f{j}" for j in range(n_features)], n)
-    try:
-        features = np.array(rows, dtype=np.float64).reshape((n, n_features))
     except ValueError as exc:
         raise FormatError(f"{name}: non-numeric value: {exc}") from None
     return ids, features
@@ -644,53 +619,28 @@ def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
 def _read_labels(fh: io.BufferedReader, name: str, ids: list[str], features_name: str
                  ) -> np.ndarray:
     """The int64 labels of ``labels.csv``, whose ids must be ``ids``, those of
-    ``features_name``, row for row.
-
-    Of a plain ASCII cell, the C parser accepts a subset of what ``int()``
-    accepts (not ``1_0``, ``1.0`` or a value past int64) with the same values;
-    what it refuses, the per-cell reader judges.  A cell that is not ASCII
-    goes to the per-cell reader unread: NumPy's int parser reads some letters
-    as digits (``\\u01fe`` as 462).
-    """
+    ``features_name``, row for row, and whose cells must be ASCII: NumPy's
+    parser reads some letters as digits (``\\u01fe`` as 462)."""
 
     def body(lines: Iterator[str]) -> Iterator[str]:
         for line, sid in zip(lines, ids):
             lid, _, cell = line.partition(",")
-            if lid != sid or not cell.isascii():
-                raise _NotPlain
+            if lid != sid:
+                raise FormatError(f"{name} sample ids do not match {features_name}")
+            if not cell.isascii():
+                raise FormatError(f"{name}: label is not a 64-bit integer: {cell!r}")
             yield line
 
+    lines = _plain_csv_lines(fh, name, len(ids), 2)
+    if next(lines) != "id,label":
+        raise FormatError(f"{name}: expected header id,label")
+    if not ids:  # np.loadtxt warns of a file with no data
+        return np.empty(0, dtype=np.int64)
     try:
-        lines = _plain_csv_lines(fh, len(ids), 2)
-        if next(lines) != "id,label":
-            raise _NotPlain
         return np.loadtxt(body(lines), delimiter=",", usecols=1, comments=None,
                           dtype=np.int64, ndmin=1, max_rows=len(ids))
-    except ValueError:  # not plain, not the features' id or ASCII, or refused by NumPy
-        pass
-    label_ids, rows = _read_csv_rows(_whole_text(fh, name), name, ["id", "label"], len(ids))
-    if label_ids != ids:
-        raise FormatError(f"{name} sample ids do not match {features_name}")
-    try:
-        return np.array([int(row[0]) for row in rows], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past int64
+    except ValueError as exc:
         raise FormatError(f"{name}: label is not a 64-bit integer: {exc}") from None
-
-
-def _read_csv_rows(text: str, name: str, header: list[str], n: int) -> tuple[list, list]:
-    try:  # as csv.reader reads the file opened with newline=""
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise FormatError(f"{name}: not a UTF-8 CSV file: {exc}") from None
-    if not rows or rows[0] != header:
-        raise FormatError(f"{name}: expected header {','.join(header)}")
-    body = rows[1:]
-    if len(body) != n:
-        raise FormatError(f"{name}: {len(body)} rows, manifest says {n}")
-    for row in body:
-        if len(row) != len(header):
-            raise FormatError(f"{name}: row with {len(row)} fields, expected {len(header)}")
-    return [row[0] for row in body], [row[1:] for row in body]
 
 
 def split(ds: Dataset, train_fraction: float, seed: int,

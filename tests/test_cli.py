@@ -1309,12 +1309,14 @@ def break_features_cell_and_pixel(data):
 
 @pytest.mark.parametrize("breaks,code,line", [
     (break_features_cell, 3,
-     "error: features.csv: non-numeric value: could not convert string to float: 'abc'"),
+     "error: features.csv: non-numeric value: "
+     "could not convert string 'abc' to float64 at row 2999, column 5."),
     (break_label_id, 3, "error: labels.csv sample ids do not match features.csv"),
     (break_pixel, 3, "error: {data}: sample s003077: non-finite values"),
     (break_first_pixel, 3, "error: {data}: sample s000005: non-finite values"),
     (break_features_cell_and_pixel, 3,
-     "error: features.csv: non-numeric value: could not convert string to float: 'abc'"),
+     "error: features.csv: non-numeric value: "
+     "could not convert string 'abc' to float64 at row 2999, column 5."),
 ], ids=["features-cell", "label-id", "pixel", "first-pixel", "features-cell-and-pixel"])
 def test_a_bad_table_or_pixel_ends_a_pass_on_children_as_it_ends_a_load(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd, breaks, code, line):
@@ -1650,7 +1652,7 @@ def with_huge_integer(raw):
 
 
 def with_oversize_field(raw):
-    # Past the csv module's 131,072-character field limit.
+    # A row past the manifest's count, and a 140,000-character cell.
     return raw + b"s9," + b"1" * 140_000 + b"\n"
 
 

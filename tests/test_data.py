@@ -2,7 +2,6 @@
 and stratified splitting."""
 
 import ast
-import csv
 import json
 import math
 import re
@@ -424,6 +423,39 @@ def test_a_zero_sample_manifest_past_numpys_dimension_limit_is_a_format_error(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+@pytest.mark.parametrize("file", ["features.csv", "labels.csv"])
+def test_a_body_line_under_a_zero_sample_manifest_is_a_format_error(
+        tmp_path, monkeypatch, file):
+    empty = Dataset([], np.empty((0, 1, 4, 4)), np.empty((0, 3)),
+                    np.empty(0, dtype=np.int64), 2)
+    root = save_dataset(empty, tmp_path / "d").parent
+    with open(root / file, "a", encoding="utf-8") as fh:
+        fh.write("s0,0\n")
+    for block in CSV_BLOCKS:
+        monkeypatch.setattr(cn.data, "_CSV_BLOCK", block)
+        with pytest.raises(FormatError, match=f"^{file}: 1 rows, manifest says 0$"):
+            load_dataset(root)
+
+
+def test_a_dataset_without_designed_features_is_refused_before_anything_is_written(
+        tmp_path, capsys):
+    # Its table would have the header "id," and rows "s0,", which no load takes.
+    ds = make_dataset(3, n_features=0)
+    with pytest.raises(ConfigError, match="^n_features must be >= 1, got 0$"):
+        save_dataset(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+    manifest = save_dataset(make_dataset(3), tmp_path / "d")
+    meta = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**meta, "n_features": 0}), encoding="utf-8")
+    with pytest.raises(FormatError, match="n_features must be >= 1, got 0"):
+        load_dataset(manifest)
+    capsys.readouterr()
+    assert main(["train", "--data", str(manifest.parent), "--model", "compnet",
+                 "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_a_loaded_dataset_survives_a_rewrite_of_its_directory(tmp_path):
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     ds = load_dataset(root)
@@ -468,7 +500,7 @@ def test_load_rejects_malformed_csv_cells(tmp_path, file, col, value):
 
 
 # ---------------------------------------------------------------------------
-# the C-parser fast path of load_dataset against the per-cell reader
+# reading the tables: NumPy's parser under the plain-line rule
 
 @pytest.mark.parametrize("file, col, value, message", [
     ("features.csv", 2, "abc", "feats.csv: non-numeric value: "),
@@ -494,50 +526,14 @@ def _load_outcome(root):
         ds = load_dataset(root)
     except Exception as exc:
         return type(exc), str(exc)
-    return ds.ids, ds.features, ds.labels
-
-
-def _no_plain_lines(*args):
-    """``data._plain_csv_lines`` that finds no line plain: the switch that sends
-    both files to the per-cell reader."""
-    raise cn.data._NotPlain
-
-
-def _assert_loads_as_the_per_cell_reader(root):
-    fast = _load_outcome(root)
-    with mock.patch.object(cn.data, "_plain_csv_lines", _no_plain_lines):
-        reference = _load_outcome(root)
-    if isinstance(reference[0], type):
-        assert fast == reference
-        return
-    assert not isinstance(fast[0], type), fast
-    (ids, features, labels), (ref_ids, ref_features, ref_labels) = fast, reference
-    assert ids == ref_ids
-    assert features.dtype == ref_features.dtype and features.shape == ref_features.shape
-    assert features.tobytes() == ref_features.tobytes()
-    assert labels.dtype == ref_labels.dtype and labels.tolist() == ref_labels.tolist()
-
-
-def _per_cell_must_not_run(text, name, *args):
-    raise AssertionError(f"the per-cell reader ran on {name}")
-
-
-def test_a_saved_dataset_loads_without_the_per_cell_reader(tmp_path, monkeypatch):
-    ds = make_dataset(5, n_features=4)
-    root = save_dataset(ds, tmp_path / "d").parent
-    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
-    back = load_dataset(root)
-    assert back.ids == ds.ids
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert back.labels.tolist() == ds.labels.tolist()
+    return ds.ids, ds.features.tobytes(), ds.labels.tolist()
 
 
 @pytest.mark.parametrize("label", ["+1", " 1", "01", "-0", str(2 ** 63 - 1), str(-2 ** 63)])
-def test_an_int64_label_loads_without_the_per_cell_reader(tmp_path, monkeypatch, label):
+def test_an_int64_label_loads_without_the_per_cell_reader(tmp_path, label):
     # NumPy's parser takes these as int() does; a Dataset would refuse the last two.
     root = save_dataset(make_dataset(3), tmp_path / "d").parent
     _edit_csv_cell(root / "labels.csv", 2, 1, label)
-    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
     with cn.data.open_input(root / "labels.csv", "labels file") as fh:
         labels = cn.data._read_labels(fh, "labels.csv", ["s0", "s1", "s2"], "features.csv")
     assert labels.dtype == np.int64 and labels.tolist() == [0, int(label), 0]
@@ -572,13 +568,11 @@ def test_read_tables_holds_little_beside_the_tables_it_returns(tmp_path):
     assert peak <= 1.5 * held, (peak, held)
 
 
-def test_a_crlf_set_is_read_a_block_at_a_time_without_the_per_cell_reader(
-        tmp_path, monkeypatch):
-    # csv.reader ends a line at "\r\n" as it does at "\n".
+def test_a_crlf_set_is_read_a_block_at_a_time_without_the_per_cell_reader(tmp_path):
+    # A line ends at "\r\n" as it does at "\n".
     ds, root = _table_dataset(tmp_path)
     for name in ("features.csv", "labels.csv"):
         (root / name).write_bytes((root / name).read_bytes().replace(b"\n", b"\r\n"))
-    monkeypatch.setattr(cn.data, "_read_csv_rows", _per_cell_must_not_run)
     tables, held, peak = _traced_read_tables(root)
     assert tables.ids == ds.ids
     assert tables.features.tobytes() == ds.features.tobytes()
@@ -596,37 +590,61 @@ def _set_cell(value, row=2, col=1):
     return edit
 
 
-EDGE_CASES = {
-    "underscore": _set_cell("1_0"),            # float() and int() take it, loadtxt does not
-    "arabic-indic-digit": _set_cell("\u0661"),  # likewise
-    "leading-space": _set_cell(" 1.5"),
-    "spaced-id": _set_cell(" s1 ", col=0),
-    "quoted": _set_cell('"1.5"'),
-    "hash": _set_cell("#"),
-    "crlf": lambda text: text.replace("\n", "\r\n"),
-    "crlf-then-lf": lambda text: text.replace("\n", "\r\n", 2),
-    "crlf-no-final-newline": lambda text: text.replace("\n", "\r\n").rstrip("\n"),
-    "cr": lambda text: text.replace("\n", "\r"),
-    "cr-crlf": lambda text: text.replace("\n", "\r\r\n"),
-    "cr-in-a-cell": _set_cell("1\r5"),
-    "blank-body-line": lambda text: text.replace("\n", "\n\n", 1),
-    "no-final-newline": lambda text: text.rstrip("\n"),
-    "oversize-field": _set_cell("1" * (csv.field_size_limit() + 1)),
-    "extra-line": lambda text: text + text.split("\n")[-2] + "\n",
-    "trailing-blank-line": lambda text: text + "\n",
+FEATURE = "features.csv: non-numeric value: "
+LABEL = "labels.csv: label is not a 64-bit integer: "
+IDS = "labels.csv sample ids do not match features.csv"
+SAVED = None  # the file loads to the values save_dataset wrote
+EDGE_CASES = {  # case -> (edit, features.csv result, labels.csv result)
+    # A result is what the edited cell (sample s1's first feature, or its
+    # label) loads to, SAVED, or the start of the FormatError's message.
+    "underscore": (_set_cell("1_0"), FEATURE, LABEL),  # float() and int() take it
+    "arabic-indic-digit": (_set_cell("\u0661"), FEATURE, LABEL),  # likewise
+    "leading-space": (_set_cell(" 1.5"), 1.5, LABEL),
+    "spaced-id": (_set_cell(" s1 ", col=0), IDS, IDS),
+    "quoted": (_set_cell('"1.5"'), "features.csv: line 3 holds '\"'",
+               "labels.csv: line 3 holds '\"'"),
+    "hash": (_set_cell("#"), FEATURE, LABEL),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), SAVED, SAVED),
+    "crlf-then-lf": (lambda text: text.replace("\n", "\r\n", 2), SAVED, SAVED),
+    "crlf-no-final-newline": (lambda text: text.replace("\n", "\r\n").rstrip("\n"),
+                              SAVED, SAVED),
+    # a lone "\r" ends no line (classic Mac line ends)
+    "cr": (lambda text: text.replace("\n", "\r"), "features.csv: line 1 holds '\\r'",
+           "labels.csv: line 1 holds '\\r'"),
+    "cr-crlf": (lambda text: text.replace("\n", "\r\r\n"), "features.csv: line 1 holds '\\r'",
+                "labels.csv: line 1 holds '\\r'"),
+    "cr-in-a-cell": (_set_cell("1\r5"), "features.csv: line 3 holds '\\r'",
+                     "labels.csv: line 3 holds '\\r'"),
+    "blank-body-line": (lambda text: text.replace("\n", "\n\n", 1),
+                        "features.csv: line 2 has 1 fields, expected 4",
+                        "labels.csv: line 2 has 1 fields, expected 2"),
+    "no-final-newline": (lambda text: text.rstrip("\n"), SAVED, SAVED),
+    "oversize-field": (_set_cell("1" * 131_073),  # past csv's default field size limit
+                       "{root}: sample s1: non-finite values", LABEL),
+    "extra-line": (lambda text: text + text.split("\n")[-2] + "\n",
+                   "features.csv: 4 rows, manifest says 3",
+                   "labels.csv: 4 rows, manifest says 3"),
+    "trailing-blank-line": (lambda text: text + "\n", "features.csv: 4 rows, manifest says 3",
+                            "labels.csv: 4 rows, manifest says 3"),
     # int() takes each of these labels, or refuses it, by rules of its own
-    "plus-sign": _set_cell("+1"),
-    "leading-zero": _set_cell("01"),
-    "minus-zero": _set_cell("-0"),
-    "spaced-integer": _set_cell(" 1"),
-    "int64-max": _set_cell("9223372036854775807"),
-    "int64-max-plus-one": _set_cell("9223372036854775808"),
-    "twenty-digits": _set_cell("1" * 20),
-    "empty-cell": _set_cell(""),
-    # NumPy's parsers skip U+001C-U+001F as white space, and its int parser
-    # reads U+01FE as the digit 462; float() and int() refuse both
-    "file-separator": _set_cell("\x1c1"),
-    "non-ascii-letter": _set_cell("\u01fe"),
+    "plus-sign": (_set_cell("+1"), 1.0, 1),
+    "leading-zero": (_set_cell("01"), 1.0, 1),
+    "minus-zero": (_set_cell("-0"), -0.0, 0),
+    "spaced-integer": (_set_cell(" 1"), 1.0, 1),
+    "int64-max": (_set_cell("9223372036854775807"), 2.0 ** 63,
+                  "{root}: sample s1: label 9223372036854775807 outside [0, 2)"),
+    "int64-max-plus-one": (_set_cell("9223372036854775808"), 2.0 ** 63, LABEL),
+    "twenty-digits": (_set_cell("1" * 20), float("1" * 20), LABEL),
+    "empty-cell": (_set_cell(""), FEATURE, LABEL),
+    # NumPy's parser skips U+001C-U+001F as white space, and its int parser
+    # reads U+01FE as the digit 462
+    "file-separator": (_set_cell("\x1c1"), "features.csv: line 3 holds '\\x1c'",
+                       "labels.csv: line 3 holds '\\x1c'"),
+    "non-ascii-letter": (_set_cell("\u01fe"), FEATURE, LABEL + "'\u01fe'"),
+    "other-header": (_set_cell("x", row=0), "features.csv: expected header id,f0..f2",
+                     "labels.csv: expected header id,label"),
+    "empty-file": (lambda text: "", "features.csv: no header line",
+                   "labels.csv: no header line"),
 }
 
 
@@ -637,12 +655,26 @@ CSV_BLOCKS = [1, 64, cn.data._CSV_BLOCK]
 @pytest.mark.parametrize("file", ["features.csv", "labels.csv"])
 @pytest.mark.parametrize("case", list(EDGE_CASES))
 def test_an_edge_case_loads_as_the_per_cell_reader_loads_it(tmp_path, monkeypatch, file, case):
-    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    ds = make_dataset(3)
+    root = save_dataset(ds, tmp_path / "d").parent
+    edit, *results = EDGE_CASES[case]
+    expected = results[file == "labels.csv"]
     path = root / file
-    path.write_bytes(EDGE_CASES[case](path.read_text(encoding="utf-8")).encode("utf-8"))
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+    features, labels = ds.features.copy(), ds.labels.tolist()
+    if expected is not SAVED and not isinstance(expected, str):
+        if file == "features.csv":
+            features[1, 0] = expected
+        else:
+            labels[1] = expected
     for block in CSV_BLOCKS:
         monkeypatch.setattr(cn.data, "_CSV_BLOCK", block)
-        _assert_loads_as_the_per_cell_reader(root)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as error:
+                load_dataset(root)
+            assert str(error.value).startswith(expected.format(root=root)), str(error.value)
+        else:
+            assert _load_outcome(root) == (ds.ids, features.tobytes(), labels), block
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -664,8 +696,12 @@ def test_a_mutated_csv_loads_as_the_per_cell_reader_loads_it(data, cell):
             cells = data.draw(st.lists(CSV_CELLS, max_size=len(cells) + 1))
         lines[row:row + 1] = [] if what == "drop-line" else [",".join(cells)]
         path.write_bytes("\n".join(lines).encode("utf-8"))
-        with mock.patch.object(cn.data, "_CSV_BLOCK", data.draw(st.sampled_from(CSV_BLOCKS))):
-            _assert_loads_as_the_per_cell_reader(root)
+        outcomes = []
+        for block in CSV_BLOCKS:
+            with mock.patch.object(cn.data, "_CSV_BLOCK", block):
+                outcomes.append(_load_outcome(root))
+        assert outcomes[0] == outcomes[1] == outcomes[2], outcomes
+        assert not isinstance(outcomes[0][0], type) or outcomes[0][0] is FormatError, outcomes
 
 
 # ---------------------------------------------------------------------------

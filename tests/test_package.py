@@ -1,7 +1,8 @@
 """The package's export list, no module importing what it does not use, no
 private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
-every input file opened by the one reader, and one tensor type."""
+every input file opened by the one reader, one tensor type, and one table
+parser."""
 
 import ast
 from pathlib import Path
@@ -225,3 +226,26 @@ def test_there_is_one_tensor_type():
         "b.py": "from . import autodiff as ad\nclass Plain:\n    pass\n"
                 "class Other(ad.Tensor):\n    pass\n",
     }) == ["a.py: Checked (line 2)", "b.py: Other (line 4)"]
+
+
+def _csv_imports(sources: dict[str, str]) -> list[str]:
+    """Imports of the ``csv`` module or of names from it."""
+    return [f"{name}: line {node.lineno}" for name, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "csv"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "csv"]
+
+
+def test_there_is_one_table_parser():
+    # NumPy's parser reads features.csv and labels.csv; the csv module beside
+    # it would be a second parser that has to agree with the first.
+    package = Path(compnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _csv_imports(sources) == []
+    assert _csv_imports({
+        "a.py": "import json\nimport csv\n",
+        "b.py": "from csv import reader\nfrom . import csv\nimport os, csv as c\n",
+    }) == ["a.py: line 2", "b.py: line 1", "b.py: line 3"]
