@@ -22,20 +22,22 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import models as models_mod
+from . import models as models_mod, train as train_mod
 from .config import DictConfig, require_min
-from .data import (Dataset, Normalizer, SynthSpec, Tables, generate_synthetic, load_dataset,
-                   map_images, read_input, read_json_object, read_tables, save_dataset,
-                   split, write_atomic, zscore_apply, zscore_features, zscore_fit)
-from .exceptions import CompnetError, ConfigError, FormatError, NonFiniteRow
+from .data import (Dataset, Normalizer, SynthSpec, Tables, _joined, generate_synthetic,
+                   load_dataset, map_images, read_input, read_json_object, read_tables,
+                   save_dataset, split, split_rows, write_atomic, zscore_apply,
+                   zscore_features, zscore_fit)
+from .exceptions import CompnetError, ConfigError, DataError, FormatError, NonFiniteRow
 from .models import FUSION_KINDS, Model, ModelConfig, build_model
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig, _evaluate_pathway,
-                    checkpoint_load, checkpoint_save, epochs, evaluate, evaluate_train, fit,
+                    checkpoint_load, checkpoint_save, epochs, evaluate_train, fit,
                     init_optim_state)
 
-# The commands score through _importance_report, on the pass they start before
-# reading the tables; perfbench's tracer wraps this name, so it stays.
+# The commands score through _importance_report and _evaluate_pathway, on the
+# pass of _score_mapped; perfbench's tracer wraps these names, so they stay.
 feature_importance = models_mod.feature_importance
+evaluate = train_mod.evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
-    """The ``train`` or ``test`` side of the split the checkpoint records."""
+def _side_rows(which: str, extra: Mapping) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``train`` or ``test`` rows of the checkpoint's split, as a function of labels."""
     settings = extra.get("split")
     if settings is None:
         raise ConfigError(
@@ -310,8 +312,7 @@ def _select_split(ds: Dataset, which: str, extra: Mapping) -> Dataset:
         settings = SplitSettings.from_dict(settings)
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"checkpoint split settings are malformed: {exc}") from None
-    train_ds, test_ds = split(ds, settings.train_fraction, settings.seed, settings.stratified)
-    return train_ds if which == "train" else test_ds
+    return lambda labels: split_rows(labels, **settings.to_dict())[which == "test"]
 
 
 def _read_normalizer(checkpoint, extra: Mapping) -> Normalizer:
@@ -327,23 +328,32 @@ def _read_normalizer(checkpoint, extra: Mapping) -> Normalizer:
         raise FormatError(f"{norm_path}: {exc}") from None
 
 
-def _score_mapped(model: Model, data, score: Callable[[Tables, Iterator], object]):
-    """``score(tables, learned)`` of the dataset at ``data``: its checked
-    tables and an iterator over ``models._pathway_batches`` of its images.
+def _score_mapped(model: Model, data, score: Callable[[Tables, Iterator], object],
+                  select: Callable[[np.ndarray], np.ndarray] | None = None):
+    """``score(tables, learned)`` of the dataset at ``data``, or of the rows ``select``
+    takes from its labels: their checked tables and ``models._pathway_batches`` of them.
 
-    The pass starts on the mapped pixels before this process reads the
-    tables, so a table fault is raised before any pass result is read, and
-    this process never reads a pixel.  A non-finite pixel ends the pass with
-    the error a load gives it, naming the sample, and it wins over every
-    error that ``score`` raises, as it does when a load checks the pixels
+    The pass starts on the mapped pixels before this process reads the tables (after,
+    with ``select``), so a table fault is raised before any pass result is read, and
+    this process never reads a pixel.  A non-finite pixel of any sample ends the pass
+    with the error a load gives it, naming the sample, and it wins over every error
+    that ``select`` or ``score`` raises, as it does when a load checks the pixels
     first: the rest of the pass is read before that error is raised.
     """
     mapped = map_images(data)
-    with models_mod._pathway_batches(model, mapped.images) as learned:
-        tables = read_tables(mapped)
+    tables = read_tables(mapped) if select else None
+    try:
+        rows = select(tables.labels) if select else None
+    except DataError:
+        _joined(mapped, *tables)  # a non-finite pixel wins, as in a load
+        raise
+    with models_mod._pathway_batches(model, mapped.images, rows) as learned:
+        tables = tables or read_tables(mapped)
+        chosen = tables if rows is None else Tables(
+            tuple(tables.ids[i] for i in rows), tables.features[rows], tables.labels[rows])
         try:
             try:
-                return score(tables, learned)
+                return score(chosen, learned)
             except CompnetError:  # after NonFiniteRow, learned is done and yields nothing
                 for _ in learned:  # a bad pixel in a batch not read yet
                     pass
@@ -356,15 +366,13 @@ def _score_mapped(model: Model, data, score: Callable[[Tables, Iterator], object
 def cmd_eval(args) -> int:
     model, _, extra = checkpoint_load(args.checkpoint)
     norm = _read_normalizer(args.checkpoint, extra)  # before the dataset: no pass without it
-    if args.split == "all":
-        def score(tables: Tables, learned: Iterator) -> Metrics:
-            features = zscore_features(norm, tables.ids, tables.features)
-            return _evaluate_pathway(model, features, tables.labels, learned)
+    select = None if args.split == "all" else _side_rows(args.split, extra)  # likewise
 
-        metrics = _score_mapped(model, args.data, score)
-    else:
-        chosen = _select_split(load_dataset(args.data), args.split, extra)
-        metrics = evaluate(model, zscore_apply(norm, chosen))
+    def score(tables: Tables, learned: Iterator) -> Metrics:
+        features = zscore_features(norm, tables.ids, tables.features)
+        return _evaluate_pathway(model, features, tables.labels, learned)
+
+    metrics = _score_mapped(model, args.data, score, select)
     out_path = Path(args.checkpoint).parent / "metrics.json"
     payload = {"split": args.split, "loss": metrics.loss,
                "accuracy": metrics.accuracy, "n": metrics.n}

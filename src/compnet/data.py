@@ -25,12 +25,12 @@ On-disk layout (one directory per dataset):
 Loading is three steps: ``map_images`` reads the manifest and maps
 ``images.bin``, ``read_tables`` reads the two CSV files into checked
 ``Tables``, and ``load_dataset`` joins the two into a ``Dataset``, which
-checks the pixels.  ``compnet eval --split all`` and ``compnet importance``
-stop at the tables, and the scoring pass they start on the mapped pixels
-checks each batch where it computes on it (``models._pathway_batches``), so
-the command's own process reads no pixel.  ``open_input`` opens every file
-the package reads, and refuses one that is missing or not a regular file
-with the caller's error.
+checks the pixels; only ``compnet train`` and ``compnet compare`` load.
+``compnet eval``, of any split, and ``compnet importance`` stop at the tables,
+and their scoring pass on the mapped pixels checks every pixel in the process
+that computes on it (``models._pathway_batches``), so the command's own process
+reads none.  ``open_input`` opens every file the package reads, and refuses
+one that is missing or not a regular file with the caller's error.
 
 Everything round-trips bit-exactly.  ``save_dataset`` writes each file
 to a temporary name and renames it over the old one, which leaves the
@@ -612,8 +612,15 @@ def _read_features(fh: io.BufferedReader, name: str, n: int, n_features: int
         features = np.loadtxt(body(lines), delimiter=",", usecols=range(1, n_features + 1),
                               comments=None, dtype=np.float64, ndmin=2, max_rows=n)
     except ValueError as exc:
-        raise FormatError(f"{name}: non-numeric value: {exc}") from None
+        raise FormatError(f"{name}: non-numeric value: {_at_line(exc)}") from None
     return ids, features
+
+
+def _at_line(exc: ValueError) -> str:
+    """NumPy's message for a cell it refuses, naming its body row r as line r + 2."""
+    text, at, where = str(exc).rpartition(" at row ")
+    row, _, column = where.partition(",")
+    return f"{text} at line {int(row) + 2},{column}" if at and row.isdigit() else str(exc)
 
 
 def _read_labels(fh: io.BufferedReader, name: str, ids: list[str], features_name: str
@@ -640,12 +647,12 @@ def _read_labels(fh: io.BufferedReader, name: str, ids: list[str], features_name
         return np.loadtxt(body(lines), delimiter=",", usecols=1, comments=None,
                           dtype=np.int64, ndmin=1, max_rows=len(ids))
     except ValueError as exc:
-        raise FormatError(f"{name}: label is not a 64-bit integer: {exc}") from None
+        raise FormatError(f"{name}: label is not a 64-bit integer: {_at_line(exc)}") from None
 
 
-def split(ds: Dataset, train_fraction: float, seed: int,
-          stratified: bool = True) -> tuple[Dataset, Dataset]:
-    """Deterministic disjoint train/test split.
+def split_rows(labels: np.ndarray, train_fraction: float, seed: int,
+               stratified: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and test rows of a deterministic disjoint split of ``labels``.
 
     Stratified mode keeps each class's train share within one sample of
     ``round(train_fraction * class_count)``, and both sides hold every
@@ -656,44 +663,46 @@ def split(ds: Dataset, train_fraction: float, seed: int,
     """
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(ds)
+    n = len(labels)
     if n < 2:
         raise DataError(f"cannot split a dataset of {n} samples")
     rng = np.random.default_rng(seed)
     if not stratified:
         target = min(max(int(np.floor(train_fraction * n + 0.5)), 1), n - 1)
         perm = rng.permutation(n)
-        train_idx, test_idx = np.sort(perm[:target]), np.sort(perm[target:])
-    else:
-        labels = ds.labels
-        classes = sorted(int(c) for c in np.unique(labels))
-        counts = {c: int((labels == c).sum()) for c in classes}
-        for c in classes:
-            if counts[c] < 2:
-                raise DataError(
-                    f"stratified split needs >= 2 samples per class; "
-                    f"class {c} has {counts[c]}")
-        target = int(np.floor(train_fraction * n + 0.5))
-        target = min(max(target, len(classes)), n - len(classes))
-        base = {c: int(np.floor(train_fraction * counts[c])) for c in classes}
-        # Hand out the remaining train slots by largest fractional part,
-        # ties toward the lower class index.
-        fractional = sorted(
-            classes,
-            key=lambda c: (-(train_fraction * counts[c] - base[c]), c))
-        remainder = target - sum(base.values())
-        take = dict(base)
-        for c in fractional:
-            if remainder <= 0:
-                break
-            if take[c] < counts[c] - 1:
-                take[c] += 1
-                remainder -= 1
-        for c in classes:
-            take[c] = min(max(take[c], 1), counts[c] - 1)
-        perms = [np.flatnonzero(labels == c)[rng.permutation(counts[c])] for c in classes]
-        train_idx = np.sort(np.concatenate([p[:take[c]] for c, p in zip(classes, perms)]))
-        test_idx = np.sort(np.concatenate([p[take[c]:] for c, p in zip(classes, perms)]))
+        return np.sort(perm[:target]), np.sort(perm[target:])
+    classes = sorted(int(c) for c in np.unique(labels))
+    counts = {c: int((labels == c).sum()) for c in classes}
+    for c in classes:
+        if counts[c] < 2:
+            raise DataError(
+                f"stratified split needs >= 2 samples per class; "
+                f"class {c} has {counts[c]}")
+    target = int(np.floor(train_fraction * n + 0.5))
+    target = min(max(target, len(classes)), n - len(classes))
+    base = {c: int(np.floor(train_fraction * counts[c])) for c in classes}
+    # Hand out the remaining train slots by largest fractional part,
+    # ties toward the lower class index.
+    fractional = sorted(classes, key=lambda c: (-(train_fraction * counts[c] - base[c]), c))
+    remainder = target - sum(base.values())
+    take = dict(base)
+    for c in fractional:
+        if remainder <= 0:
+            break
+        if take[c] < counts[c] - 1:
+            take[c] += 1
+            remainder -= 1
+    for c in classes:
+        take[c] = min(max(take[c], 1), counts[c] - 1)
+    perms = [np.flatnonzero(labels == c)[rng.permutation(counts[c])] for c in classes]
+    return (np.sort(np.concatenate([p[:take[c]] for c, p in zip(classes, perms)])),
+            np.sort(np.concatenate([p[take[c]:] for c, p in zip(classes, perms)])))
+
+
+def split(ds: Dataset, train_fraction: float, seed: int,
+          stratified: bool = True) -> tuple[Dataset, Dataset]:
+    """The train and the test side of ``ds`` at :func:`split_rows` of its labels."""
+    train_idx, test_idx = split_rows(ds.labels, train_fraction, seed, stratified)
     note = {"split_seed": int(seed), "train_fraction": float(train_fraction),
             "stratified": bool(stratified)}
     train = ds.subset(train_idx, {**note, "split": "train"})

@@ -20,8 +20,8 @@ rest (none for ``image_only``), and ``forward`` is the head applied to
 the pathway.  Every scoring pass runs the pathway through
 ``_pathway_batches`` and the head in this process: a long pass runs the
 pathway on forked children, which ``compnet eval`` and ``compnet
-importance`` start before they read the dataset's tables, and a short one
-batch by batch in this process.
+importance`` start before they read the dataset's tables (after, to score
+one side of a split), and a short one batch by batch in this process.
 
 A model computes on finite arrays and checks only their shapes.  The
 program makes them finite where they enter: a ``Dataset`` checks its
@@ -85,9 +85,9 @@ def default_jobs() -> int:
 
 
 @contextlib.contextmanager
-def _pathway_batches(model: Model, images: np.ndarray):
+def _pathway_batches(model: Model, images: np.ndarray, rows: np.ndarray | None = None):
     """Yield an iterator over :func:`image_pathway`'s output array for each
-    ``EVAL_BATCH`` batch of ``images``, in batch order.
+    ``EVAL_BATCH`` batch of ``images[rows]`` (sorted rows; all without), in order.
 
     With ``MIN_CHILD_BATCHES`` batches for each of ``default_jobs()`` (2)
     children, forked children compute runs of batches from the moment the
@@ -96,33 +96,39 @@ def _pathway_batches(model: Model, images: np.ndarray):
     ahead of the caller; the first exception in batch order is raised when its
     batch is reached, and no child outlives the block.  A shorter pass never
     loads ``multiprocessing``: this process computes each batch when the
-    caller reads it.  Either way each batch's pixels are read where the
-    pathway runs on them, and checked there first, with one sum unless it is
-    not finite: a batch holding a non-finite pixel raises
-    :class:`NonFiniteRow` with the row of the first, in place of its output.
+    caller reads it.  Either way each batch's pixels are read, and checked,
+    where the pathway runs on them: batch k checks ``images`` from its first
+    row to batch k + 1's (the first from row 0, the last to the end), so every
+    pixel is checked, with one sum unless it is not finite, and a non-finite
+    one raises :class:`NonFiniteRow` with its row in place of the output.
     """
+    scored = range(len(images)) if rows is None else rows
+    bounds = [0, *map(int, scored[EVAL_BATCH::EVAL_BATCH]), len(images)]
+
     def run(start: int, stop: int) -> list[np.ndarray]:
         learned = []
         for i in range(start, stop, EVAL_BATCH):
-            batch = images[i:i + EVAL_BATCH]
-            row = first_non_finite_row(batch)
+            lo, hi = bounds[i // EVAL_BATCH:i // EVAL_BATCH + 2]
+            checked = images[lo:hi]
+            row = first_non_finite_row(checked)
             if row is not None:
-                raise NonFiniteRow(i + row)
+                raise NonFiniteRow(lo + row)
+            batch = checked if rows is None else images[rows[i:i + EVAL_BATCH]]
             with np.errstate(over="ignore", invalid="ignore"):  # the caller's checks report it
                 learned.append(image_pathway(model, Tensor(batch)).data)
         return learned
 
-    n_batches = -(-len(images) // EVAL_BATCH)
+    n_batches = -(-len(scored) // EVAL_BATCH)
     workers = min(default_jobs(), n_batches // MIN_CHILD_BATCHES)
     if workers < 2:
-        yield (run(i, i + EVAL_BATCH)[0] for i in range(0, len(images), EVAL_BATCH))
+        yield (run(i, i + EVAL_BATCH)[0] for i in range(0, len(scored), EVAL_BATCH))
         return
     from .forkpool import ordered_results  # see its module docstring
     width = next(layer.shape[1] for layer in reversed(_halves(model.config)[0])
                  if layer.op == "dense")
     per_run = max(MIN_CHILD_BATCHES, min(-(-n_batches // workers),
                                          JOB_BYTES // (8 * EVAL_BATCH * width)))
-    cuts = list(range(0, len(images), per_run * EVAL_BATCH)) + [len(images)]
+    cuts = list(range(0, len(scored), per_run * EVAL_BATCH)) + [len(scored)]
     with ordered_results(run, list(zip(cuts, cuts[1:])), workers, ahead=workers) as runs:
         yield (learned for part in runs for learned in part)
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -659,6 +660,23 @@ def test_eval_of_one_side_needs_the_checkpoint_to_record_split_settings(
             f"--split {side} (use --split all)\n")
 
 
+def test_eval_checks_the_recorded_split_settings_before_it_touches_the_dataset(
+        trained_run, tmp_path, capsys):
+    # Malformed or absent split settings are refused before the dataset is
+    # read, like the normalizer: a missing dataset would exit 3 on its own.
+    missing = tmp_path / "no-such-set"
+    for i, (split, code, line) in enumerate([
+            ({"train_fraction": 0.75, "stratified": True}, 3,
+             "checkpoint split settings are malformed: missing keys ['seed']"),
+            (None, 2, "checkpoint does not record split settings; cannot select "
+                      "--split test (use --split all)")]):
+        ckpt = copy_with_header(trained_run, tmp_path / f"run{i}",
+                                lambda h: {**h, "extra": {**h["extra"], "split": split}})
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(missing)]) == code
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_eval_rejects_a_normalizer_file_that_is_not_a_name(
         trained_run, small_dataset_dir, tmp_path):
     # Both paths lead to a valid normalizer, so only the name check stops them.
@@ -1120,10 +1138,14 @@ def scoring_dataset():
         image_shape=(1, 12, 12), seed=12))
 
 
+SPLITS = ("all", "test", "train")
+
+
 def score_all(run, data_dir, jobs, monkeypatch, capfd):
-    """``eval --split all`` and ``importance`` of a copy of ``run`` with the CPU
-    rule at ``jobs``: the copy, each command's exit code and stderr lines (its
-    children's included), and the worker count of each forked scoring pass."""
+    """``eval`` of each of ``SPLITS``, then ``importance``, of a copy of ``run`` with
+    the CPU rule at ``jobs``: the copy, each command's exit code and stderr lines
+    (its children's included), and the worker count of each forked scoring pass.
+    Each eval's ``metrics.json`` is renamed ``metrics-<split>.json``."""
     run = shutil.copytree(run, data_dir.parent / f"run-{jobs}")
     real, workers = forkpool.ordered_results, []
 
@@ -1135,14 +1157,45 @@ def score_all(run, data_dir, jobs, monkeypatch, capfd):
     monkeypatch.setattr(models, "default_jobs", lambda: jobs)
     ckpt = str(run / "checkpoint.cmpn")
     outcomes = []
-    for argv in (["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--split", "all"],
+    for argv in [*(["eval", "--checkpoint", ckpt, "--data", str(data_dir), "--split", split]
+                   for split in SPLITS),
                  ["importance", "--checkpoint", ckpt, "--data", str(data_dir),
-                  "--out", str(run / "importance.csv")]):
+                  "--out", str(run / "importance.csv")]]:
         capfd.readouterr()
         code = main(argv)
         outcomes.append((code, capfd.readouterr().err.splitlines()))
         assert_no_child_processes()
+        if (run / "metrics.json").exists():
+            (run / "metrics.json").rename(run / f"metrics-{argv[-1]}.json")
     return run, outcomes, workers
+
+
+def scored_files(run):
+    """The files ``score_all`` left in ``run``: each eval's metrics, then importance's."""
+    return [run / f"metrics-{split}.json" for split in SPLITS] + [run / "importance.csv"]
+
+
+def recorded_sides(run, labels):
+    """The train and test rows of the split that ``run``'s checkpoint records."""
+    settings = cn.checkpoint_load(run / "checkpoint.cmpn")[2]["split"]
+    return dict(zip(("train", "test"), cn.data.split_rows(labels, **settings)))
+
+
+def side_metrics(run, data_dir):
+    """The ``metrics.json`` bytes of ``eval --split train`` and ``--split test`` of
+    ``run``, computed here as a load would: ``evaluate`` of the z-scored side that
+    ``split`` takes from the loaded dataset."""
+    model, _, extra = cn.checkpoint_load(run / "checkpoint.cmpn")
+    norm = cn.Normalizer.from_dict(
+        json.loads((run / "normalizer.json").read_text(encoding="utf-8")))
+    sides = cn.split(cn.load_dataset(data_dir), **extra["split"])
+    expected = {}
+    for split, side in zip(("train", "test"), sides):
+        metrics = cn.evaluate(model, cn.zscore_apply(norm, side))
+        payload = {"split": split, "loss": metrics.loss, "accuracy": metrics.accuracy,
+                   "n": metrics.n}
+        expected[split] = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return expected
 
 
 @pytest.fixture(scope="module")
@@ -1168,15 +1221,18 @@ def test_scoring_in_process_and_on_children_writes_the_same_bytes(
         artifacts = []
         for jobs in (1, 2):
             copy, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
-            assert outcomes == [(0, []), (0 if kind == "compnet" else 2, importance)], kind
-            # importance starts no pass for a variant it refuses
+            assert outcomes == [(0, [])] * 3 + [(0 if kind == "compnet" else 2, importance)], \
+                kind
+            # importance starts no pass for a variant it refuses, and each side of
+            # the split is too short to fork
             assert workers == [2] * (0 if jobs == 1 else 2 if kind == "compnet" else 1)
-            artifacts.append([(copy / name).read_bytes()
-                              for name in ("metrics.json", "importance.csv")
-                              if (copy / name).exists()])
+            artifacts.append([path.read_bytes() for path in scored_files(copy)
+                              if path.exists()])
             shutil.rmtree(copy)
-        assert len(artifacts[0]) == (2 if kind == "compnet" else 1)
+        assert len(artifacts[0]) == (4 if kind == "compnet" else 3)
         assert artifacts[0] == artifacts[1], kind
+        expected = side_metrics(run, tmp_path / "data")
+        assert artifacts[0][1:3] == [expected["test"], expected["train"]], kind
 
 
 def test_the_tables_are_read_while_the_children_run_the_image_pathway(
@@ -1190,8 +1246,10 @@ def test_the_tables_are_read_while_the_children_run_the_image_pathway(
     monkeypatch.setattr(cli, "read_tables", count_children)
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     _, outcomes, workers = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
-    assert outcomes == [(0, []), (0, [])] and workers == [2, 2]
-    assert children == [2, 2]  # eval's, then importance's
+    assert outcomes == [(0, [])] * 4 and workers == [2, 2]
+    # eval --split all's, then each side's, read before its pass (the split needs
+    # the labels) and too short to fork, then importance's
+    assert children == [2, 0, 0, 2]
 
 
 def test_a_short_pass_runs_the_image_pathway_once_per_batch_and_never_forward(
@@ -1290,12 +1348,17 @@ def break_label_id(data):
     write_atomic(path, "\n".join(lines).encode("utf-8"))
 
 
-def break_pixel(data, batch=12):
-    # A NaN in row 5 of the batch: batch 12 of 16 the second child reads, batch 0 the first.
+def nan_at(data, row):
+    """A NaN in the first pixel of sample ``row`` of the 1x12x12 set at ``data``."""
     path = data / "images.bin"
     pixels = np.fromfile(path, dtype="<f8")
-    pixels[(batch * models.EVAL_BATCH + 5) * 144] = np.nan
+    pixels[row * 144] = np.nan
     write_atomic(path, pixels)
+
+
+def break_pixel(data, batch=12):
+    # A NaN in row 5 of the batch: batch 12 of 16 the second child reads, batch 0 the first.
+    nan_at(data, batch * models.EVAL_BATCH + 5)
 
 
 def break_first_pixel(data):
@@ -1310,13 +1373,13 @@ def break_features_cell_and_pixel(data):
 @pytest.mark.parametrize("breaks,code,line", [
     (break_features_cell, 3,
      "error: features.csv: non-numeric value: "
-     "could not convert string 'abc' to float64 at row 2999, column 5."),
+     "could not convert string 'abc' to float64 at line 3001, column 5."),
     (break_label_id, 3, "error: labels.csv sample ids do not match features.csv"),
     (break_pixel, 3, "error: {data}: sample s003077: non-finite values"),
     (break_first_pixel, 3, "error: {data}: sample s000005: non-finite values"),
     (break_features_cell_and_pixel, 3,
      "error: features.csv: non-numeric value: "
-     "could not convert string 'abc' to float64 at row 2999, column 5."),
+     "could not convert string 'abc' to float64 at line 3001, column 5."),
 ], ids=["features-cell", "label-id", "pixel", "first-pixel", "features-cell-and-pixel"])
 def test_a_bad_table_or_pixel_ends_a_pass_on_children_as_it_ends_a_load(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd, breaks, code, line):
@@ -1332,23 +1395,26 @@ def test_a_bad_table_or_pixel_ends_a_pass_on_children_as_it_ends_a_load(
     assert f"error: {load.value}" == line
     for jobs in (1, 2):
         run, outcomes, workers = score_all(trained_run, data, jobs, monkeypatch, capfd)
-        assert outcomes == [(code, [line]), (code, [line])], jobs
+        assert outcomes == [(code, [line])] * 4, jobs
         assert workers == ([] if jobs == 1 else [2, 2])
-        assert not (run / "metrics.json").exists() and not (run / "importance.csv").exists()
+        assert not any(path.exists() for path in scored_files(run))
 
 
 def test_the_command_never_reads_a_pixel_the_pass_computes_on(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
     # Every read of the mapped pixels made from this process is logged: a row
-    # slice by its bounds, a NumPy reduction or other ufunc call by name.  On
-    # children this process reads none; in process the pass reads each batch
-    # once, and nothing else reads them (no Dataset check, no z-scoring).
+    # slice by its bounds, a row gather by its rows, a NumPy reduction or other
+    # ufunc call by name.  On children this process reads none; in process the
+    # pass reads each batch once, and nothing else reads them (no Dataset
+    # check, no z-scoring, no copy of a split's side).  A batch of one side
+    # checks the rows from its first row to the next batch's, then gathers its own.
     test_process, reads = os.getpid(), []
 
     class Logged(np.ndarray):
         def __getitem__(self, key):
             if os.getpid() == test_process:
-                reads.append((key.start, key.stop) if isinstance(key, slice) else repr(key))
+                reads.append((key.start, key.stop) if isinstance(key, slice)
+                             else key.tolist() if isinstance(key, np.ndarray) else repr(key))
             return np.asarray(self)[key]
 
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -1364,13 +1430,20 @@ def test_the_command_never_reads_a_pixel_the_pass_computes_on(
     real = cli.map_images
     monkeypatch.setattr(cli, "map_images", logged_map)
     cn.save_dataset(scoring_dataset, tmp_path / "data")
-    n = len(scoring_dataset)
-    for jobs, expected in ((2, []), (1, [(i, i + models.EVAL_BATCH)
-                                         for i in range(0, n, models.EVAL_BATCH)])):
+    n, size = len(scoring_dataset), models.EVAL_BATCH
+    whole = [(i, i + size) for i in range(0, n, size)]
+    sides = []
+    for rows in recorded_sides(trained_run, scoring_dataset.labels).values():
+        bounds = [0, *rows[size::size].tolist(), n]
+        sides.append([read for k in range(len(bounds) - 1) for read in (
+            (bounds[k], bounds[k + 1]), rows[k * size:(k + 1) * size].tolist())])
+    train, test = sides  # each too short to fork
+    for jobs, pass_reads in ((2, []), (1, whole)):
         reads.clear()
         _, outcomes, _ = score_all(trained_run, tmp_path / "data", jobs, monkeypatch, capfd)
-        assert outcomes == [(0, []), (0, [])]
-        assert reads == expected * 2, jobs  # eval's, then importance's
+        assert outcomes == [(0, [])] * 4
+        # eval --split all's, --split test's, --split train's, then importance's
+        assert reads == pass_reads + test + train + pass_reads, jobs
 
 
 def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
@@ -1379,9 +1452,10 @@ def test_eval_on_children_without_the_normalizer_ends_as_it_ends_in_process(
     (run / "normalizer.json").unlink()
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     copy, outcomes, workers = score_all(run, tmp_path / "data", 2, monkeypatch, capfd)
-    assert outcomes[0] == (2, [f"error: normalizer not found: {copy / 'normalizer.json'}"])
+    line = f"error: normalizer not found: {copy / 'normalizer.json'}"
+    assert outcomes[:3] == [(2, [line])] * 3
     # eval reads the normalizer before the dataset, so only importance starts a pass
-    assert workers == [2] and not (copy / "metrics.json").exists()
+    assert workers == [2] and not any(path.exists() for path in scored_files(copy)[:3])
 
 
 def save_overflowing_set(trained_run, dataset, tmp_path, batch):
@@ -1401,10 +1475,15 @@ def save_overflowing_set(trained_run, dataset, tmp_path, batch):
 def test_a_sample_that_overflows_in_the_second_child_fails_scoring_with_one_error_line(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
     run = save_overflowing_set(trained_run, scoring_dataset, tmp_path, batch=12)  # of 16
+    overflow = (4, ["error: cross_entropy received non-finite logits"])
+    # only the side that holds the overflowing sample fails
+    sides = recorded_sides(run, scoring_dataset.labels)
+    scored = [overflow if 12 * models.EVAL_BATCH + 5 in sides[split] else (0, [])
+              for split in ("test", "train")]
+    assert sorted(scored) == [(0, []), overflow]
     for jobs in (1, 2):
         _, outcomes, workers = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
-        assert outcomes == [(4, ["error: cross_entropy received non-finite logits"]),
-                            (4, ["error: feature importance is not finite"])]
+        assert outcomes == [overflow, *scored, (4, ["error: feature importance is not finite"])]
         assert workers == ([] if jobs == 1 else [2, 2])
 
 
@@ -1417,23 +1496,136 @@ def test_a_bad_pixel_wins_over_the_overflow_of_an_earlier_batch_as_in_a_load(
     line = f"error: {tmp_path / 'data'}: sample s003077: non-finite values"
     for jobs in (1, 2):
         _, outcomes, _ = score_all(run, tmp_path / "data", jobs, monkeypatch, capfd)
-        assert outcomes == [(3, [line]), (3, [line])], jobs
+        assert outcomes == [(3, [line])] * 4, jobs
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+def test_a_bad_pixel_in_a_sample_eval_does_not_score_ends_it_as_a_load(
+        trained_run, scoring_dataset, tmp_path, monkeypatch, capfd, where):
+    # A batch of the test side checks every row from its first row to the next
+    # batch's, the first batch from row 0 and the last to the end, so a NaN in
+    # a training sample before the first test row, between two test batches or
+    # after the last test row still ends the default eval with the load's error.
+    size = models.EVAL_BATCH
+    sides = recorded_sides(trained_run, scoring_dataset.labels)
+    test, train = sides["test"], sides["train"]
+    gaps = [train[(train > test[k * size - 1]) & (train < test[k * size])]
+            for k in range(1, -(-len(test) // size))]
+    row = int({"before": train[train < test[0]], "between": next(g for g in gaps if g.size),
+               "after": train[train > test[-1]]}[where][0])
+    data = tmp_path / "data"
+    cn.save_dataset(scoring_dataset, data)
+    nan_at(data, row)
+    line = f"error: {data}: sample {scoring_dataset.ids[row]}: non-finite values"
+    with pytest.raises(cn.CompnetError) as load:
+        cn.load_dataset(data)
+    assert f"error: {load.value}" == line
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    for jobs in (1, 2):
+        monkeypatch.setattr(models, "default_jobs", lambda: jobs)
+        capfd.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.cmpn"),
+                     "--data", str(data)]) == 3, jobs
+        assert capfd.readouterr().err.splitlines() == [line]
+        assert not (run / "metrics.json").exists()
+
+
+@pytest.fixture(scope="module")
+def long_side_dataset():
+    """A set whose training side under ``TINY_CLI_CONFIG``'s split is 17 scoring
+    batches, enough for two children, and whose test side is 6, too few."""
+    return cn.generate_synthetic(cn.SynthSpec(n_samples=5500, image_shape=(1, 12, 12), seed=12))
+
+
+def test_a_side_scored_on_children_writes_the_bytes_of_a_load_and_checks_every_pixel(
+        trained_run, long_side_dataset, tmp_path, monkeypatch, capfd):
+    data = tmp_path / "data"
+    cn.save_dataset(long_side_dataset, data)
+    expected = side_metrics(trained_run, data)
+    for jobs in (1, 2):
+        run, outcomes, workers = score_all(trained_run, data, jobs, monkeypatch, capfd)
+        assert outcomes == [(0, [])] * 4
+        assert workers == ([] if jobs == 1 else [2, 2, 2])  # all, train, importance
+        assert [(run / f"metrics-{split}.json").read_bytes() for split in ("test", "train")] \
+            == [expected["test"], expected["train"]], jobs
+        shutil.rmtree(run)
+    # The first child's run is 9 of the 17 training batches: its last batch
+    # checks, and does not score, the test samples up to the second child's
+    # first row.  A NaN in the last of them ends every command as a load.
+    sides = recorded_sides(trained_run, long_side_dataset.labels)
+    train, test = sides["train"], sides["test"]
+    row = int(test[test < train[9 * models.EVAL_BATCH]][-1])
+    assert row > train[8 * models.EVAL_BATCH]
+    nan_at(data, row)
+    line = f"error: {data}: sample {long_side_dataset.ids[row]}: non-finite values"
+    for jobs in (1, 2):
+        run, outcomes, _ = score_all(trained_run, data, jobs, monkeypatch, capfd)
+        assert outcomes == [(3, [line])] * 4, jobs
+        shutil.rmtree(run)
+
+
+def test_a_bad_pixel_wins_over_a_split_that_fails_as_in_a_load(
+        trained_run, small_dataset, tmp_path, capsys):
+    # A stratified split needs two samples of each class, and this set holds
+    # one of class 1: the split fails after the tables are read, and a
+    # non-finite pixel anywhere still decides the error, as in a load.
+    labels = np.zeros(len(small_dataset), dtype=np.int64)
+    labels[7] = 1
+    data = tmp_path / "data"
+    cn.save_dataset(cn.Dataset(small_dataset.ids, small_dataset.images,
+                               small_dataset.features, labels, 2), data)
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    capsys.readouterr()
+    for split in ("test", "train"):
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.cmpn"), "--data", str(data),
+                "--split", split]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: stratified split needs >= 2 samples per class; class 1 has 1\n")
+    nan_at(data, 100)
+    for split in ("test", "train"):
+        assert main([*argv[:-1], split]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: sample {small_dataset.ids[100]}: non-finite values\n")
+    assert not (run / "metrics.json").exists()
+
+
+def test_the_default_eval_holds_no_copy_of_the_images(
+        trained_run, scoring_dataset, tmp_path, monkeypatch):
+    # The default eval scores the test side through the pass on the mapped
+    # pixels, as --split all does: beside the tables it holds one batch at a
+    # time, not a copy of the side's images.  A load and split peaked at
+    # 2.4 times --split all here.
+    data = tmp_path / "data"
+    cn.save_dataset(scoring_dataset, data)
+    run = shutil.copytree(trained_run, tmp_path / "run")
+    monkeypatch.setattr(models, "default_jobs", lambda: 1)  # the whole pass in this process
+    peaks = []
+    for split in (["--split", "all"], []):
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.cmpn"),
+                         "--data", str(data), *split]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_scoring_fails_with_exit_3_when_a_child_dies(
         trained_run, scoring_dataset, tmp_path, monkeypatch, capfd):
-    test_process = os.getpid()
+    test_process, real = os.getpid(), models.image_pathway
 
     def die_in_a_child(*args):
         if os.getpid() != test_process:
             os.kill(os.getpid(), signal.SIGKILL)
-        pytest.fail("scored in the test process")
+        return real(*args)  # each side of the split is too short to fork
 
     monkeypatch.setattr(models, "image_pathway", die_in_a_child)  # what the children run
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     _, outcomes, workers = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
-    assert [code for code, _ in outcomes] == [3, 3] and workers == [2, 2]
-    for _, lines in outcomes:
+    assert [code for code, _ in outcomes] == [3, 0, 0, 3] and workers == [2, 2]
+    for _, lines in outcomes[::3]:
         assert len(lines) == 1 and lines[0].startswith("error: the child running job"), lines
 
 
@@ -1475,8 +1667,7 @@ def test_a_pass_cut_into_many_runs_writes_the_same_bytes(
     # Runs capped at two batches: eight runs per pass, at most one per child ahead.
     cn.save_dataset(scoring_dataset, tmp_path / "data")
     _, outcomes, _ = score_all(trained_run, tmp_path / "data", 1, monkeypatch, capfd)
-    expected = [(tmp_path / "run-1" / name).read_bytes()
-                for name in ("metrics.json", "importance.csv")]
+    expected = [path.read_bytes() for path in scored_files(tmp_path / "run-1")]
     real, passes = forkpool.ordered_results, []
 
     def count_runs(fn, runs, n, ahead=None):
@@ -1487,9 +1678,10 @@ def test_a_pass_cut_into_many_runs_writes_the_same_bytes(
     monkeypatch.setattr(models, "MIN_CHILD_BATCHES", 2)
     monkeypatch.setattr(models, "JOB_BYTES", 1)
     copy, outcomes, _ = score_all(trained_run, tmp_path / "data", 2, monkeypatch, capfd)
-    assert outcomes == [(0, []), (0, [])] and passes == [(8, 2, 2), (8, 2, 2)]
-    assert [(copy / name).read_bytes() for name in ("metrics.json", "importance.csv")] \
-        == expected
+    # each side's rows too: the 4 test batches in 2 runs, the 12 training batches in 6
+    assert outcomes == [(0, [])] * 4
+    assert passes == [(8, 2, 2), (2, 2, 2), (6, 2, 2), (8, 2, 2)]
+    assert [path.read_bytes() for path in scored_files(copy)] == expected
 
 
 def test_ordered_results_inside_a_child_runs_its_jobs_in_that_child():

@@ -677,6 +677,25 @@ def test_an_edge_case_loads_as_the_per_cell_reader_loads_it(tmp_path, monkeypatc
             assert _load_outcome(root) == (ds.ids, features.tobytes(), labels), block
 
 
+@pytest.mark.parametrize("file, prefix, cell, dtype", [
+    ("features.csv", FEATURE, "1_0", "float64"), ("labels.csv", LABEL, "1.0", "int64")])
+def test_both_kinds_of_table_error_name_the_same_line(tmp_path, file, prefix, cell, dtype):
+    # Sample s1's cell sits on the file's third line, whether the plain-line
+    # rule or NumPy's parser refuses it.
+    root = save_dataset(make_dataset(3), tmp_path / "d").parent
+    path = root / file
+    saved = path.read_text(encoding="utf-8")
+    messages = []
+    for value in ('"1.5"', cell):
+        path.write_bytes(_set_cell(value)(saved).encode("utf-8"))
+        with pytest.raises(FormatError) as error:
+            load_dataset(root)
+        messages.append(str(error.value))
+    assert messages == [f"{file}: line 3 holds '\"'",
+                        f"{prefix}could not convert string '{cell}' to {dtype} "
+                        f"at line 3, column 2."]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), cell=CSV_CELLS)
 def test_a_mutated_csv_loads_as_the_per_cell_reader_loads_it(data, cell):

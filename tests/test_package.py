@@ -1,8 +1,8 @@
 """The package's export list, no module importing what it does not use, no
 private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
-every input file opened by the one reader, one tensor type, and one table
-parser."""
+every input file opened by the one reader, one tensor type, one table
+parser, and one scoring route for eval and importance."""
 
 import ast
 from pathlib import Path
@@ -249,3 +249,32 @@ def test_there_is_one_table_parser():
         "a.py": "import json\nimport csv\n",
         "b.py": "from csv import reader\nfrom . import csv\nimport os, csv as c\n",
     }) == ["a.py: line 2", "b.py: line 1", "b.py: line 3"]
+
+
+_LOADERS = ("cmd_train", "cmd_compare")  # the commands that train on a whole dataset
+
+
+def _other_loaders(source: str) -> list[str]:
+    """Functions of ``source``, other than ``_LOADERS``, that call ``load_dataset``
+    (or ``<module>.load_dataset``)."""
+    return [f"{fn.name} (line {node.lineno})" for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name not in _LOADERS
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and "load_dataset" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))]
+
+
+def test_only_the_training_commands_load_a_dataset():
+    # eval, of any split, and importance score through the pass on the mapped
+    # pixels (cli._score_mapped); a load beside it is how a second scoring
+    # route, and its copy of the images, returns.
+    source = (Path(compnet.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert _other_loaders(source) == []
+    assert _other_loaders(
+        "def cmd_train(a):\n    return load_dataset(a)\n"
+        "def cmd_compare(a):\n    return data.load_dataset(a)\n"
+        "def cmd_eval(a):\n    ds = load_dataset(a)\n"
+        "def _side(a):\n    return data.load_dataset(a)\n"
+        "def cmd_importance(a):\n    return map_images(a)\n") == [
+        "cmd_eval (line 6)", "_side (line 8)"]
