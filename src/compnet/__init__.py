@@ -9,7 +9,7 @@ deterministic training loop with bit-exact checkpoints
 (:mod:`compnet.train`), and a command-line interface (:mod:`compnet.cli`).
 """
 
-from .autodiff import Tape, Tensor, backward, reshape
+from .autodiff import Tape, Tensor, backward
 from .data import (Dataset, Normalizer, SynthSpec, generate_synthetic,
                    load_dataset, render_template, save_dataset, split,
                    zscore_apply, zscore_fit)
@@ -27,7 +27,7 @@ from .train import (EpochRecord, Metrics, OptimState, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tape", "Tensor", "backward", "reshape",
+    "Tape", "Tensor", "backward",
     "Dataset", "Normalizer", "SynthSpec", "generate_synthetic",
     "load_dataset", "render_template", "save_dataset", "split",
     "zscore_apply", "zscore_fit",

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every value is a 64-bit float stored in row-major (C) order.  There is no
-broadcasting: elementwise operations require exactly matching shapes, which
-keeps shape bugs loud in a small codebase.  Gradients come from a ``Tape``
-that records each operation together with a backward rule; ``backward``
-walks the record once in reverse and returns a gradient for every tracked
-node.  Tensors are immutable once built, so they can be shared freely.
+This module holds the tensor, the tape and ``backward``, and no operation:
+the package's operations are the layers in :mod:`compnet.layers`, each
+recorded through :func:`wrap_result`.  A ``Tape`` records each operation
+together with a backward rule; ``backward`` walks the record once in
+reverse and returns a gradient for every tracked node.  Tensors are
+immutable once built, so they can be shared freely.
 
 Determinism contract: every operation uses a fixed evaluation order, so
 re-running the same graph on the same inputs is bit-identical.
@@ -112,27 +112,12 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
     """Package an operation result, recording it when any input is tracked.
 
     ``backward`` maps the output gradient to one gradient (or None) per
-    input, in order.  Layer primitives outside this module use the same
-    hook to join the tape.
+    input, in order.  It is how each layer joins the tape.
     """
     tape = _tape_of(*inputs)
     if tape is None:
         return Tensor(data)
     return tape._record(data, inputs, backward)
-
-
-def reshape(t: Tensor, new_shape: Sequence[int]) -> Tensor:
-    """Reinterpret the flat row-major data under a new shape."""
-    dims = tuple(new_shape)
-    if int(np.prod(dims, dtype=np.int64)) != t.size:
-        raise ShapeError(
-            f"cannot reshape {t.size} elements into {list(dims)}")
-    out = t.data.reshape(dims)
-
-    def backward(g):
-        return (g.reshape(t.data.shape),)
-
-    return wrap_result(out, (t,), backward)
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:

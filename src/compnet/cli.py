@@ -277,9 +277,10 @@ def cmd_train(args) -> int:
     model_cfg, train_cfg, split_settings = _resolve_configs(
         config, ds, args.model, seed=args.seed, epochs=args.epochs)
     result, train_n, test_n = _start_run(ds, model_cfg, split_settings)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the training
     result.history += fit(result.model, train_n, test_n, train_cfg, result.opt_state)
 
-    out = Path(args.out)
     # A checkpoint is written last, so one left from an earlier run must go
     # first: eval would otherwise pair it with this run's other artifacts.
     (out / "checkpoint.cmpn").unlink(missing_ok=True)
@@ -396,6 +397,7 @@ def cmd_compare(args) -> int:
     config = _load_config_json(args.config, "config file") if args.config else {}
     ds = load_dataset(args.data)
     out_csv = Path(args.out) / "compare.csv"
+    out_csv.parent.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any run
 
     flushed: list[dict] = []
     try:

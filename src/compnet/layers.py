@@ -19,6 +19,7 @@ dims, widths and labels; any other bad shape fails in NumPy itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,14 +151,17 @@ def maxpool2d(x: Tensor) -> Tensor:
 
 
 def dense(x: Tensor, params: DenseParams) -> Tensor:
-    """Affine map ``x @ weights + bias`` over a batch ``[B, p]``."""
+    """Affine map ``rows @ weights + bias``, ``rows`` being the batch ``x`` read
+    row-major as ``[B, p]``: the trunk's ``[B, C, H, W]`` output enters as it
+    is.  The input gradient has ``x``'s shape."""
     p, q = params.weights.shape
-    if x.shape[1] != p:
-        raise ShapeError(f"dense input width {x.shape[1]} != weight rows {p}")
-    out = x.data @ params.weights.data + params.bias.data
+    rows = x.data.reshape(x.shape[0], math.prod(x.shape[1:]))
+    if rows.shape[1] != p:
+        raise ShapeError(f"dense input width {rows.shape[1]} != weight rows {p}")
+    out = rows @ params.weights.data + params.bias.data
 
     def backward(g):
-        return g @ params.weights.data.T, x.data.T @ g, g.sum(axis=0)
+        return (g @ params.weights.data.T).reshape(x.shape), rows.T @ g, g.sum(axis=0)
 
     return wrap_result(out, (x, params.weights, params.bias), backward)
 

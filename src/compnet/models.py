@@ -1,7 +1,7 @@
 """Model assembly: the composite fusion network and its two baselines.
 
 All three variants share one convolutional trunk (conv -> pool ->
-LeakyReLU per stage, then flatten and a dense stack):
+LeakyReLU per stage, its output read row-major by a dense stack):
 
 * ``compnet`` ends in a dense layer of width ``n_classes * n_features``;
   that vector is read row-major as one weight row per class and
@@ -46,7 +46,6 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .config import DictConfig, require_min
 from .data import first_non_finite_row
@@ -192,7 +191,7 @@ class Model:
 
 class _Layer(NamedTuple):
     """One forward step: conv and dense steps own the weight and bias named in ``params``,
-    the weight of shape ``shape``; flatten's ``shape`` is the flat width."""
+    the weight of shape ``shape``; the other steps have neither."""
     op: str
     params: tuple[str, ...] = ()
     shape: tuple[int, ...] = ()
@@ -226,7 +225,6 @@ def _layer_plan(cfg: ModelConfig) -> list[_Layer]:
                  _Layer("pool"), relu]
         c, h, w = f, h2 // 2, w2 // 2
     width = c * h * w
-    plan.append(_Layer("flatten", shape=(width,)))
     for i, units in enumerate(cfg.dense_hidden):
         plan += [_dense(f"dense{i}", width, units), relu]
         width = units
@@ -314,8 +312,6 @@ def _run_plan(model: Model, p: Mapping[str, Tensor], x: Tensor,
             x = leaky_relu(x, cfg.leaky_slope)
         elif layer.op == "pool":
             x = maxpool2d(x)
-        elif layer.op == "flatten":
-            x = ad.reshape(x, (x.shape[0], *layer.shape))
         elif layer.op == "concat":
             x = concat_columns(x, features)
         elif layer.op == "fusion":

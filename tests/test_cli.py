@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -742,6 +743,31 @@ def test_compare_rejects_repeated_model_kinds_with_one_error_line(
                  "--data", str(small_dataset_dir), "--models", "compnet,compnet",
                  "--seeds", "1", "--out", str(tmp_path / "cmp")]) == 2
     assert capsys.readouterr().err == "error: model kinds must be distinct\n"
+
+
+def test_an_unusable_out_fails_before_any_training_with_one_error_line(
+        small_dataset_dir, tiny_config, tmp_path, monkeypatch, capsys):
+    # Both commands make --out before they train; here it lies under a regular file.
+    trained = []
+    monkeypatch.setattr(cli, "fit", lambda *args: trained.append("fit"))
+    monkeypatch.setattr(cli, "run_training", lambda *args: trained.append("run_training"))
+    monkeypatch.setattr(models, "default_jobs", lambda: 1)  # runs would be in this process
+    blocker = tmp_path / "notadir"
+    blocker.write_bytes(b"")
+    data = ["--config", tiny_config, "--data", str(small_dataset_dir)]
+    compare = ["compare", *data, "--seeds", "1,2", "--out", str(blocker / "sub")]
+    capsys.readouterr()
+    for argv, out in (
+            (["train", *data, "--model", "compnet", "--out", str(blocker / "t")],
+             blocker / "t"),
+            (compare + ["--models", "compnet,image_only,concat"], blocker / "sub"),
+            # A config fault that run_comparison raises before any run (exit 2
+            # with a usable --out) now comes after the unusable --out.
+            (compare + ["--models", "compnet,compnet"], blocker / "sub")):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"]
+    assert trained == []
 
 
 def test_compare_config_errors_are_usage_errors(small_dataset_dir, tmp_path):

@@ -228,6 +228,33 @@ def test_dense_matches_naive_loops():
     assert np.max(np.abs(out - dense_ref(x, w, b))) <= 1e-12
 
 
+@pytest.mark.parametrize("layout", ["row-major", "transposed"])
+def test_dense_reads_any_trailing_shape_as_its_row_major_rows(layout):
+    # The trunk's [B, C, H, W] output enters dense as it is, in conv2d's
+    # transposed layout too; the bytes are those of its row-major [B, C*H*W] copy.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 2, 3, 3))
+    w, b = rng.normal(size=(18, 4)), rng.normal(size=(4,))
+    g = from_array(rng.normal(size=(2, 4)))  # the output gradient
+    if layout == "transposed":
+        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    runs = []
+    for value in (Tensor(x), from_array(x.reshape(2, 18))):
+        tape = Tape()
+        tx, tw, tb = tape.watch(value), tape.watch(from_array(w)), tape.watch(from_array(b))
+        out = cn.dense(tx, DenseParams(tw, tb))
+        grads = backward(reduce_sum(mul(out, g)))
+        runs.append([out.data, *(grads[t.node_id] for t in (tx, tw, tb))])
+    (out, g_x, g_w, g_b), flat = runs
+    assert g_x.shape == (2, 2, 3, 3)
+    assert [a.tobytes() for a in (out, g_x.reshape(2, 18), g_w, g_b)] == \
+        [a.tobytes() for a in flat]
+    report = grad_check(
+        lambda t: reduce_sum(mul(cn.dense(t, DenseParams(from_array(w), from_array(b))), g)),
+        Tensor(x), step=1e-5, tol=1e-6)
+    assert report.passed, f"max rel err {report.max_rel_err}"
+
+
 def test_dense_width_mismatch():
     params = DenseParams(from_array(np.ones((5, 4))), from_array(np.zeros(4)))
     with pytest.raises(ShapeError):

@@ -225,7 +225,7 @@ def test_trunk_pools_before_each_leaky_relu(monkeypatch):
     trunk = [("conv2d", (2, 1, 14, 14)), ("maxpool2d", (2, 2, 12, 12)),
              ("leaky_relu", (2, 2, 6, 6)), ("conv2d", (2, 2, 6, 6)),
              ("maxpool2d", (2, 3, 4, 4)), ("leaky_relu", (2, 3, 2, 2)),
-             ("dense", (2, 12)), ("leaky_relu", (2, 3))]
+             ("dense", (2, 3, 2, 2)), ("leaky_relu", (2, 3))]
     expected = {
         "compnet": trunk + [("dense", (2, 3)), ("fusion_weight_matrix", (2, 8))],
         "concat": trunk + [("concat_columns", (2, 3)), ("dense", (2, 7))],
@@ -250,7 +250,6 @@ def _relu_then_pool_forward(model, p, images, features):
         x = cn.conv2d(x, ConvParams(p[f"conv{i}.kernels"], p[f"conv{i}.bias"]))
         conv_outs.append(x.data)
         x = cn.maxpool2d(cn.leaky_relu(x, slope))
-    x = cn.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
     for i in range(len(cfg.dense_hidden)):
         x = cn.dense(x, DenseParams(p[f"dense{i}.weights"], p[f"dense{i}.bias"]))
         x = cn.leaky_relu(x, slope)

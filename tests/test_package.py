@@ -2,7 +2,8 @@
 private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
 every input file opened by the one reader, one tensor type, one table
-parser, and one scoring route for eval and importance."""
+parser, one scoring route for eval and importance, and every tape
+operation a layer."""
 
 import ast
 from pathlib import Path
@@ -278,3 +279,27 @@ def test_only_the_training_commands_load_a_dataset():
         "def _side(a):\n    return data.load_dataset(a)\n"
         "def cmd_importance(a):\n    return map_images(a)\n") == [
         "cmd_eval (line 6)", "_side (line 8)"]
+
+
+def _wrap_result_callers(sources: dict[str, str]) -> list[str]:
+    """Calls of ``wrap_result`` (or ``<module>.wrap_result``) outside ``layers.py``."""
+    return [f"{name}: line {node.lineno}" for name, source in sources.items()
+            if name != "layers.py" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "wrap_result" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+
+
+def test_every_tape_operation_is_a_layer():
+    # autodiff holds the tensor, the tape and backward; an operation recorded
+    # anywhere but layers.py is a second home for backward rules.
+    package = Path(compnet.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert _wrap_result_callers(sources) == []
+    assert _wrap_result_callers({
+        "layers.py": "def dense(x):\n    return wrap_result(x, (x,), None)\n",
+        "autodiff.py": "def wrap_result(d, i, b): pass\n"
+                       "def reshape(t):\n    return wrap_result(t, (t,), None)\n",
+        "models.py": "from . import autodiff as ad\nad.wrap_result(1, (), None)\n",
+    }) == ["autodiff.py: line 3", "models.py: line 2"]
