@@ -4,8 +4,8 @@ This module holds the tensor, the tape and ``backward``, and no operation:
 the package's operations are the layers in :mod:`compnet.layers`, each
 recorded through :func:`wrap_result`.  A ``Tape`` records each operation
 together with a backward rule; ``backward`` walks the record once in
-reverse and returns a gradient for every tracked node.  Tensors are
-immutable once built, so they can be shared freely.
+reverse and returns the gradient of every watched leaf the loss reaches.
+Tensors are immutable once built, so they can be shared freely.
 
 Determinism contract: every operation uses a fixed evaluation order, so
 re-running the same graph on the same inputs is bit-identical.
@@ -13,6 +13,7 @@ re-running the same graph on the same inputs is bit-identical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,20 +75,15 @@ class Tape:
 
     def __init__(self) -> None:
         self._entries: list[_TapeEntry] = []
-        self._leaves: dict[int, Shape] = {}  # leaf node id -> shape
-
-    def _next_node(self) -> int:
-        return len(self._leaves) + len(self._entries)  # every node is one or the other
+        self._node_ids = itertools.count()
 
     def watch(self, t: Tensor) -> Tensor:
-        """Return a tracked view of ``t`` registered as a leaf."""
-        node = self._next_node()
-        self._leaves[node] = t.shape
-        return Tensor(t.data, _tape=self, _node_id=node)
+        """Return a tracked view of ``t`` as a new leaf."""
+        return Tensor(t.data, _tape=self, _node_id=next(self._node_ids))
 
     def _record(self, out_data: np.ndarray, inputs: Sequence[Tensor | None],
                 backward) -> Tensor:
-        out_id = self._next_node()
+        out_id = next(self._node_ids)
         in_ids = tuple(
             t.node_id if (t is not None and t.grad_tracked) else None
             for t in inputs
@@ -123,8 +119,9 @@ def wrap_result(data: np.ndarray, inputs: Sequence[Tensor | None], backward) -> 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse-mode gradients of a tracked scalar loss.
 
-    Returns a map from node id to gradient array, shaped like the node.
-    Every watched leaf is present; leaves the loss never touched get zeros.
+    Returns a map from node id to gradient array, shaped like the node, for
+    exactly the watched leaves the loss reaches: each operation's output
+    gradient is dropped as its rule runs, so no intermediate one is kept.
     """
     if not loss.grad_tracked:
         raise TapeError("loss tensor is not tracked on any tape")
@@ -134,7 +131,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     assert tape is not None
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.shape)}
     for entry in reversed(tape._entries):
-        g_out = grads.get(entry.out_id)
+        g_out = grads.pop(entry.out_id, None)
         if g_out is None:
             continue
         in_grads = entry.backward(g_out)
@@ -143,7 +140,4 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
                 continue
             have = grads.get(in_id)
             grads[in_id] = g if have is None else have + g
-    for leaf, shape in tape._leaves.items():
-        if leaf not in grads:
-            grads[leaf] = np.zeros(shape)
     return grads

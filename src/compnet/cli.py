@@ -129,17 +129,20 @@ def _start_run(ds: Dataset, model_cfg: ModelConfig, split_settings: SplitSetting
 
 def run_training(ds: Dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                  split_settings: SplitSettings) -> RunResult:
-    """One of ``compare``'s runs: train, then score the training split once, by
-    :func:`evaluate_train`.
+    """One of ``compare``'s runs: train, then score the test split once and the
+    training split once, by :func:`evaluate_train`.
 
-    The test split is evaluated on the ``eval_every`` cadence, which only
-    ``patience`` reads, and at the last epoch.  ``history`` is the final
-    epoch's record alone; it equals the last record ``train`` writes for
-    the same configs, and the parameters and velocities are the same bytes.
+    Only with ``patience`` set, the one reader of them, is the test split also
+    scored on the ``eval_every`` cadence.  ``history`` is the final epoch's record
+    alone; it equals the last record ``train`` writes for the same configs, and
+    the parameters and velocities are the same bytes.
     """
     run, train_n, test_n = _start_run(ds, model_cfg, split_settings)
-    *_, (epoch, running, test_eval) = epochs(run.model, train_n, test_n, train_cfg,
+    cadence_test = None if train_cfg.patience is None else test_n
+    *_, (epoch, running, test_eval) = epochs(run.model, train_n, cadence_test, train_cfg,
                                              run.opt_state)
+    if test_eval is None:
+        test_eval = evaluate(run.model, test_n)
     train = evaluate_train(run.model, train_n, epoch)
     run.history.append(EpochRecord(epoch=epoch, train=train, running=running, test=test_eval))
     return run
@@ -262,6 +265,7 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = SynthSpec.from_dict(spec_dict)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the draw
     ds = generate_synthetic(spec)
     manifest = save_dataset(ds, args.out)
     labels = ds.labels
@@ -420,6 +424,7 @@ def cmd_compare(args) -> int:
 def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
     models_mod.require_weight_matrix(model)  # before the dataset is touched
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # and --out before the scoring
     report = _score_mapped(model, args.data, lambda tables, learned:
                            models_mod._importance_report(model, len(tables.ids), learned))
     lines = ["class,feature_index,mean_abs_weight,rank"]

@@ -59,7 +59,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import DictConfig, require_min
 from .exceptions import CompnetError, ConfigError, DataError, FormatError, ShapeError
 
@@ -111,15 +110,15 @@ class Dataset:
                        {**self.provenance, **(provenance_note or {})})
 
     def batches(self, size: int, order: np.ndarray | None = None
-                ) -> Iterator[tuple[Tensor, Tensor, np.ndarray]]:
-        """``(images, features, labels)`` for consecutive runs of ``size`` rows.
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(images, features, labels)`` arrays for consecutive runs of ``size`` rows.
 
         Rows come in ``order`` when given, else in dataset order; the short
-        last batch is kept.
+        last batch is kept.  A training step makes the tensors it records.
         """
         for start in range(0, len(self), size):
             rows = slice(start, start + size) if order is None else order[start:start + size]
-            yield Tensor(self.images[rows]), Tensor(self.features[rows]), self.labels[rows]
+            yield self.images[rows], self.features[rows], self.labels[rows]
 
 
 def first_non_finite_row(*columns: np.ndarray) -> int | None:

@@ -129,7 +129,7 @@ def train_epoch(model: Model, train: Dataset, cfg: TrainConfig,
     correct = 0
     for b, (images, features, labels) in enumerate(train.batches(cfg.batch_size, order)):
         tape = Tape()
-        logits, watched = models_mod.tracked_forward(model, tape, images, features)
+        logits, watched = models_mod.tracked_forward(model, tape, Tensor(images), Tensor(features))
         loss = cross_entropy(logits, labels)
         loss_value = loss.item()
         if not np.isfinite(loss_value):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet import cli, forkpool, models
+from compnet import cli, forkpool, models, train
 from compnet.cli import SplitSettings, main
 from compnet.data import write_atomic
 from conftest import CSV_CELLS, MALFORMED_NORMALIZERS, TINY_CLI_CONFIG
@@ -746,11 +746,12 @@ def test_compare_rejects_repeated_model_kinds_with_one_error_line(
 
 
 def test_an_unusable_out_fails_before_any_training_with_one_error_line(
-        small_dataset_dir, tiny_config, tmp_path, monkeypatch, capsys):
-    # Both commands make --out before they train; here it lies under a regular file.
-    trained = []
-    monkeypatch.setattr(cli, "fit", lambda *args: trained.append("fit"))
-    monkeypatch.setattr(cli, "run_training", lambda *args: trained.append("run_training"))
+        small_dataset_dir, tiny_config, trained_run, tmp_path, monkeypatch, capsys):
+    # Every command that writes under --out makes it before it trains, scores or
+    # draws; here it lies under a regular file.
+    ran = []
+    for name in ("fit", "run_training", "_score_mapped", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
     monkeypatch.setattr(models, "default_jobs", lambda: 1)  # runs would be in this process
     blocker = tmp_path / "notadir"
     blocker.write_bytes(b"")
@@ -763,11 +764,16 @@ def test_an_unusable_out_fails_before_any_training_with_one_error_line(
             (compare + ["--models", "compnet,image_only,concat"], blocker / "sub"),
             # A config fault that run_comparison raises before any run (exit 2
             # with a usable --out) now comes after the unusable --out.
-            (compare + ["--models", "compnet,compnet"], blocker / "sub")):
+            (compare + ["--models", "compnet,compnet"], blocker / "sub"),
+            (["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+              "--data", str(small_dataset_dir), "--out", str(blocker / "sub" / "imp.csv")],
+             blocker / "sub"),
+            (["generate", "--n-samples", "40", "--out", str(blocker / "ds")],
+             blocker / "ds")):
         assert main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"]
-    assert trained == []
+    assert ran == []
 
 
 def test_compare_config_errors_are_usage_errors(small_dataset_dir, tmp_path):
@@ -940,6 +946,29 @@ def test_a_compare_run_ends_with_the_last_record_and_bytes_of_train(
             assert run.opt_state.velocities[name].tobytes() == \
                    state.velocities[name].tobytes()
         assert run.opt_state.epoch == state.epoch
+
+
+@pytest.mark.parametrize("patience, test_evaluations", [(None, 1), (1, 2)])
+def test_a_compare_run_evaluates_the_test_split_on_the_cadence_only_for_patience(
+        small_dataset_dir, tmp_path, monkeypatch, patience, test_evaluations):
+    # Without patience a run keeps only its last test evaluation, so it makes
+    # that one alone; with patience 1 and eval_every 1, each kind stops at
+    # epoch 2 after one test evaluation per epoch.
+    real = train._evaluate_pathway
+    scored = []
+
+    def record(model, features, labels, learned):
+        scored.append(len(labels))
+        return real(model, features, labels, learned)
+
+    monkeypatch.setattr(train, "_evaluate_pathway", record)
+    monkeypatch.setattr(models, "default_jobs", lambda: 1)  # runs in this process
+    config = copy.deepcopy(TINY_CLI_CONFIG)
+    config["train"]["patience"] = patience
+    assert main(["compare", "--config", write_json(tmp_path / "cmp.json", config),
+                 "--data", str(small_dataset_dir), "--models", "compnet,image_only,concat",
+                 "--seeds", "2", "--out", str(tmp_path / "cmp")]) == 0
+    assert scored == ([60] * test_evaluations + [180]) * 3
 
 
 def test_compare_first_failing_run_in_serial_order_decides(

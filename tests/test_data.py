@@ -90,12 +90,12 @@ def test_batches_follow_order_and_keep_the_short_last_batch():
     got = list(ds.batches(2, order))
     assert [len(labels) for _, _, labels in got] == [2, 2, 1]
     for (images, features, labels), rows in zip(got, ([3, 0], [4, 1], [2])):
-        assert np.array_equal(images.data, ds.images[rows])
-        assert np.array_equal(features.data, ds.features[rows])
+        assert np.array_equal(images, ds.images[rows])
+        assert np.array_equal(features, ds.features[rows])
         assert np.array_equal(labels, ds.labels[rows])
     in_order = list(ds.batches(3))
     assert [labels.tolist() for _, _, labels in in_order] == [[0, 1, 0], [1, 0]]
-    assert np.array_equal(in_order[1][0].data, ds.images[3:])
+    assert np.array_equal(in_order[1][0], ds.images[3:])
 
 
 def test_subset_preserves_order_and_metadata():

@@ -2,8 +2,8 @@
 private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
 every input file opened by the one reader, one tensor type, one table
-parser, one scoring route for eval and importance, and every tape
-operation a layer."""
+parser, one scoring route for eval and importance, every tape operation a
+layer, and a data layer that imports nothing of the model or above it."""
 
 import ast
 from pathlib import Path
@@ -303,3 +303,43 @@ def test_every_tape_operation_is_a_layer():
                        "def reshape(t):\n    return wrap_result(t, (t,), None)\n",
         "models.py": "from . import autodiff as ad\nad.wrap_result(1, (), None)\n",
     }) == ["autodiff.py: line 3", "models.py: line 2"]
+
+
+_ABOVE_DATA = ("autodiff", "layers", "models", "train", "cli", "forkpool")
+
+
+def _package_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The compnet modules that an import names, each by its name in the package."""
+    if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+        names = [node.module] if node.module else [alias.name for alias in node.names]
+        return [name.split(".")[0] for name in names]
+    if isinstance(node, ast.ImportFrom):
+        names = ([f"compnet.{alias.name}" for alias in node.names]
+                 if node.module == "compnet" else [node.module])
+    else:
+        names = [alias.name for alias in node.names]
+    return [name.split(".")[1] for name in names if name.startswith("compnet.")]
+
+
+def _imports_from_above_data(source: str) -> list[str]:
+    """Imports in ``source``, in line order, of a module in ``_ABOVE_DATA``."""
+    return [f"{module} (line {node.lineno})"
+            for node in sorted((n for n in ast.walk(ast.parse(source))
+                                if isinstance(n, (ast.Import, ast.ImportFrom))),
+                               key=lambda n: n.lineno)
+            for module in _package_modules(node) if module in _ABOVE_DATA]
+
+
+def test_the_data_layer_imports_nothing_of_the_model():
+    # A dataset is arrays; the trainer makes the tensors a training step
+    # records.  An import of the model's modules in data.py is how a layer
+    # below them starts to depend on them.
+    source = (Path(compnet.__file__).parent / "data.py").read_text(encoding="utf-8")
+    assert _imports_from_above_data(source) == []
+    assert _imports_from_above_data(
+        "from .autodiff import Tensor\nfrom .config import DictConfig\n"
+        "import numpy as np\ndef f():\n    from . import models, exceptions\n"
+        "import compnet.train\nfrom compnet import cli, data\n"
+        "from compnet.forkpool import run\nfrom .layers.sub import y\n") == [
+        "autodiff (line 1)", "models (line 5)", "train (line 6)", "cli (line 7)",
+        "forkpool (line 8)", "layers (line 9)"]

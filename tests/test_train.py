@@ -290,6 +290,7 @@ def test_checkpoint_round_trip_is_bit_exact_for_every_variant(tmp_path, kind):
                state.velocities[name].tobytes(), name
     assert loaded_state.epoch == state.epoch == 1
     images, features, _ = next(ds.batches(12))
+    images, features = cn.Tensor(images), cn.Tensor(features)
     assert cn.forward(loaded, images, features).data.tobytes() == \
            cn.forward(model, images, features).data.tobytes()
 
