@@ -14,7 +14,9 @@ and for running out of memory, as for a ``compare`` child killed for memory.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import models as models_mod, train as train_mod
+from . import models as models_mod
 from .config import DictConfig, require_min
 from .data import (Dataset, Normalizer, SynthSpec, Tables, _joined, generate_synthetic,
                    load_dataset, map_images, read_input, read_json_object, read_tables,
@@ -31,13 +33,12 @@ from .data import (Dataset, Normalizer, SynthSpec, Tables, _joined, generate_syn
 from .exceptions import CompnetError, ConfigError, DataError, FormatError, NonFiniteRow
 from .models import FUSION_KINDS, Model, ModelConfig, build_model
 from .train import (EpochRecord, Metrics, OptimState, TrainConfig, _evaluate_pathway,
-                    checkpoint_load, checkpoint_save, epochs, evaluate_train, fit,
+                    checkpoint_load, checkpoint_save, epochs, evaluate, evaluate_train, fit,
                     init_optim_state)
 
-# The commands score through _importance_report and _evaluate_pathway, on the
-# pass of _score_mapped; perfbench's tracer wraps these names, so they stay.
+# No command calls this name: importance scores through _importance_report on the
+# pass of _score_mapped.  It stays only because perfbench's tracer wraps it.
 feature_importance = models_mod.feature_importance
-evaluate = train_mod.evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,15 @@ evaluate = train_mod.evaluate
 
 def _fmt(v: float) -> str:
     return repr(float(v))
+
+
+def _make_parents(*paths: Path) -> None:
+    """Make each output file's parent directory, so that an unusable output fails
+    before the work; ``IsADirectoryError`` naming the first path that is a directory."""
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _load_config_json(path, what: str) -> dict:
@@ -282,7 +292,8 @@ def cmd_train(args) -> int:
         config, ds, args.model, seed=args.seed, epochs=args.epochs)
     result, train_n, test_n = _start_run(ds, model_cfg, split_settings)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the training
+    # An unusable --out, or a directory at an artifact's path, fails before the training.
+    _make_parents(out / "history.csv", out / "normalizer.json", out / "checkpoint.cmpn")
     result.history += fit(result.model, train_n, test_n, train_cfg, result.opt_state)
 
     # A checkpoint is written last, so one left from an earlier run must go
@@ -377,8 +388,9 @@ def cmd_eval(args) -> int:
         features = zscore_features(norm, tables.ids, tables.features)
         return _evaluate_pathway(model, features, tables.labels, learned)
 
-    metrics = _score_mapped(model, args.data, score, select)
     out_path = Path(args.checkpoint).parent / "metrics.json"
+    _make_parents(out_path)  # before the pass
+    metrics = _score_mapped(model, args.data, score, select)
     payload = {"split": args.split, "loss": metrics.loss,
                "accuracy": metrics.accuracy, "n": metrics.n}
     write_atomic(out_path, (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
@@ -401,7 +413,7 @@ def cmd_compare(args) -> int:
     config = _load_config_json(args.config, "config file") if args.config else {}
     ds = load_dataset(args.data)
     out_csv = Path(args.out) / "compare.csv"
-    out_csv.parent.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any run
+    _make_parents(out_csv)  # an unusable --out fails before any run
 
     flushed: list[dict] = []
     try:
@@ -424,7 +436,7 @@ def cmd_compare(args) -> int:
 def cmd_importance(args) -> int:
     model, _, _ = checkpoint_load(args.checkpoint)
     models_mod.require_weight_matrix(model)  # before the dataset is touched
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # and --out before the scoring
+    _make_parents(Path(args.out))  # and --out before the scoring
     report = _score_mapped(model, args.data, lambda tables, learned:
                            models_mod._importance_report(model, len(tables.ids), learned))
     lines = ["class,feature_index,mean_abs_weight,rank"]

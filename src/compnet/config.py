@@ -14,15 +14,13 @@ import typing
 from dataclasses import MISSING, fields
 from typing import Mapping
 
-import numpy as np
-
 from .exceptions import ConfigError
 
 
 _SCALARS = {  # annotation -> (accepted types, what the error says is needed)
-    int: ((int, np.integer), "an integer"),
-    float: ((int, float, np.integer, np.floating), "a finite number"),
-    bool: ((bool, np.bool_), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    bool: ((bool,), "true or false"),
     str: ((str,), "text"),
     dict: ((dict,), "an object"),
 }
@@ -31,11 +29,11 @@ _SCALARS = {  # annotation -> (accepted types, what the error says is needed)
 def check_type(name: str, value, hint):
     """``value`` checked against the annotation ``hint`` and normalised.
 
-    An ``int`` is an integer, never a bool, stored as plain ``int``; a
-    ``float`` is a finite real, never a bool, kept as given so that
-    written bytes do not move; a ``bool`` is stored as plain ``bool``; a
-    tuple is read from a list or a tuple, element by element.  Anything
-    else is a ``ConfigError``.
+    Fields take Python values.  An ``int`` is an ``int``, never a bool, stored
+    as plain ``int``; a ``float`` is a finite ``int`` or ``float``, never a
+    bool, kept as given so that written bytes do not move; a ``bool`` is a
+    ``bool``; a tuple is read from a list or a tuple, element by element.
+    Anything else, a NumPy integer or bool scalar too, is a ``ConfigError``.
     """
     if isinstance(hint, types.UnionType):  # X | None
         if value is None:

@@ -47,6 +47,7 @@ a time, by NumPy's parser (``_plain_csv_lines``): a table is what
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import mmap
@@ -68,6 +69,7 @@ _GENERATE_CHUNK = 512  # samples whose templates generate_synthetic adds to the 
 _CSV_BLOCK = 1 << 13  # bytes of whole lines a fast CSV read decodes and checks at once
 _SAVE_ROWS = 1 << 10  # rows of a table save_dataset formats and writes at once
 _NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'  # characters no plain CSV line holds
+_TMP_COUNT = itertools.count()  # numbers this process's write_atomic temporaries
 
 
 class Dataset:
@@ -161,11 +163,8 @@ def _check_rows(ids: Sequence[str], labels: np.ndarray, n_classes: int,
 
 @dataclass
 class Normalizer(DictConfig):
-    """Per-feature centering and scaling fitted on a training split.
-
-    Features whose population standard deviation is below 1e-12 are
-    flagged constant and always map to 0.
-    """
+    """Per-feature centering and scaling fitted on a training split, for zscore_features;
+    a feature whose population standard deviation is below 1e-12 is constant and maps to 0."""
     mean: tuple[float, ...]
     std: tuple[float, ...]
     constant_mask: tuple[bool, ...]
@@ -176,16 +175,6 @@ class Normalizer(DictConfig):
             raise ConfigError("normalizer fields must be matching vectors")
         if min(self.std, default=0.0) < 0:
             raise ConfigError("normalizer std must be non-negative")
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if features.ndim != 2 or features.shape[1] != len(self.mean):
-            raise ShapeError(
-                f"normalizer fitted on {len(self.mean)} features, "
-                f"got matrix {list(features.shape)}")
-        constant = np.array(self.constant_mask, dtype=bool)
-        safe_std = np.where(constant, 1.0, np.array(self.std, dtype=np.float64))
-        out = (features - np.array(self.mean, dtype=np.float64)) / safe_std
-        return np.where(constant, 0.0, out)
 
 
 def zscore_fit(train: Dataset) -> Normalizer:
@@ -203,10 +192,16 @@ def zscore_fit(train: Dataset) -> Normalizer:
 
 def zscore_features(norm: Normalizer, ids: Sequence[str], features: np.ndarray
                     ) -> np.ndarray:
-    """``(x - mean) / std`` under ``norm`` for each row of ``features``;
-    ``DataError`` naming the first of ``ids`` whose row the transform overflowed."""
+    """``(x - mean) / std`` under ``norm``, 0 in its constant columns, for each row of
+    ``features``; ``DataError`` naming the first of ``ids`` whose row overflowed."""
+    if features.ndim != 2 or features.shape[1] != len(norm.mean):
+        raise ShapeError(f"normalizer fitted on {len(norm.mean)} features, "
+                         f"got matrix {list(features.shape)}")
+    constant = np.array(norm.constant_mask, dtype=bool)
+    safe_std = np.where(constant, 1.0, np.array(norm.std, dtype=np.float64))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = norm.transform(features)
+        out = (features - np.array(norm.mean, dtype=np.float64)) / safe_std
+    out = np.where(constant, 0.0, out)
     _check_finite(ids, out)
     return out
 
@@ -336,10 +331,14 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 def write_atomic(path: Path, payload: bytes | np.ndarray | Iterator[bytes]) -> None:
     """Write ``payload`` (any bytes-like object, or an iterator of them, written
     in turn) to ``path`` through a temporary file, creating parent dirs; if the
-    write or the rename fails, the temporary file is removed."""
+    write or the rename fails, the temporary file is removed.
+
+    Each call's temporary has a name of its own (pid and a per-process count),
+    made with ``O_EXCL`` and the mode ``open(..., "wb")`` gives, so that two
+    writers of one path never share it: the last rename wins, whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "wb")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_COUNT)}.tmp")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
         with fh:
             fh.writelines(payload if isinstance(payload, Iterator) else [payload])

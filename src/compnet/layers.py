@@ -239,6 +239,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     y = np.asarray(labels)
     if y.shape != (batch,) or not np.issubdtype(y.dtype, np.integer):
         raise DataError(f"labels must be {batch} integers, got {y.dtype} {list(y.shape)}")
+    if batch == 0:
+        raise DataError("cannot take the cross-entropy of an empty batch")
     if y.min() < 0 or y.max() >= k:
         raise DataError(f"labels must lie in [0, {k}), got range "
                         f"[{int(y.min())}, {int(y.max())}]")

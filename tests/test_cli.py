@@ -748,31 +748,46 @@ def test_compare_rejects_repeated_model_kinds_with_one_error_line(
 def test_an_unusable_out_fails_before_any_training_with_one_error_line(
         small_dataset_dir, tiny_config, trained_run, tmp_path, monkeypatch, capsys):
     # Every command that writes under --out makes it before it trains, scores or
-    # draws; here it lies under a regular file.
+    # draws; here it lies under a regular file, or a directory stands at the path
+    # of a file the command writes.
     ran = []
     for name in ("fit", "run_training", "_score_mapped", "generate_synthetic"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
     monkeypatch.setattr(models, "default_jobs", lambda: 1)  # runs would be in this process
     blocker = tmp_path / "notadir"
     blocker.write_bytes(b"")
+    run = tmp_path / "run"  # eval writes metrics.json beside the checkpoint
+    shutil.copytree(trained_run, run)
+    (run / "metrics.json").unlink(missing_ok=True)
+    dirs = [tmp_path / "t" / "history.csv", tmp_path / "c" / "compare.csv",
+            tmp_path / "imp.csv", run / "metrics.json"]
+    for path in dirs:
+        path.mkdir(parents=True)
     data = ["--config", tiny_config, "--data", str(small_dataset_dir)]
     compare = ["compare", *data, "--seeds", "1,2", "--out", str(blocker / "sub")]
+    importance = ["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
+                  "--data", str(small_dataset_dir), "--out"]
     capsys.readouterr()
-    for argv, out in (
+    for argv, code, out in (
             (["train", *data, "--model", "compnet", "--out", str(blocker / "t")],
-             blocker / "t"),
-            (compare + ["--models", "compnet,image_only,concat"], blocker / "sub"),
+             errno.ENOTDIR, blocker / "t"),
+            (compare + ["--models", "compnet,image_only,concat"], errno.ENOTDIR, blocker / "sub"),
             # A config fault that run_comparison raises before any run (exit 2
             # with a usable --out) now comes after the unusable --out.
-            (compare + ["--models", "compnet,compnet"], blocker / "sub"),
-            (["importance", "--checkpoint", str(trained_run / "checkpoint.cmpn"),
-              "--data", str(small_dataset_dir), "--out", str(blocker / "sub" / "imp.csv")],
-             blocker / "sub"),
+            (compare + ["--models", "compnet,compnet"], errno.ENOTDIR, blocker / "sub"),
+            (importance + [str(blocker / "sub" / "imp.csv")], errno.ENOTDIR, blocker / "sub"),
             (["generate", "--n-samples", "40", "--out", str(blocker / "ds")],
-             blocker / "ds")):
+             errno.ENOTDIR, blocker / "ds"),
+            (["train", *data, "--model", "compnet", "--out", str(tmp_path / "t")],
+             errno.EISDIR, dirs[0]),
+            (["compare", *data, "--seeds", "1", "--models", "compnet,concat",
+              "--out", str(tmp_path / "c")], errno.EISDIR, dirs[1]),
+            (importance + [str(dirs[2])], errno.EISDIR, dirs[2]),
+            (["eval", "--checkpoint", str(run / "checkpoint.cmpn"),
+              "--data", str(small_dataset_dir)], errno.EISDIR, dirs[3])):
         assert main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [
-            f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out}'"]
+            f"error: [Errno {code}] {os.strerror(code)}: '{out}'"]
     assert ran == []
 
 

@@ -4,6 +4,7 @@ and stratified splitting."""
 import ast
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -377,6 +378,32 @@ def test_write_atomic_removes_its_temporary_when_the_write_fails(tmp_path):
         write_atomic(target, object())  # not bytes-like
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
     assert target.read_bytes() == b"old"
+
+
+def test_concurrent_writers_of_one_path_each_leave_it_whole(tmp_path):
+    # Two commands can write one artifact at once, as eval --split test and
+    # eval --split train write the metrics.json beside one checkpoint.
+    target = tmp_path / "metrics.json"
+    payloads = [bytes([c]) * (1 << 16) for c in b"ab"]
+    with open(tmp_path / "reference", "wb"):  # the mode an ordinary write gives
+        pass
+    for _ in range(100):
+        pids = []
+        for payload in payloads:
+            pid = os.fork()
+            if pid == 0:  # the child writes in chunks, so the two writes overlap
+                code = 1
+                try:
+                    write_atomic(target, iter([payload[i:i + 1024]
+                                               for i in range(0, len(payload), 1024)]))
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        assert [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids] == [0, 0]
+        assert target.read_bytes() in payloads
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "reference"]
+    assert target.stat().st_mode == (tmp_path / "reference").stat().st_mode
 
 
 def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path):

@@ -406,6 +406,13 @@ def test_cross_entropy_label_validation():
         cn.cross_entropy(logits, np.array([-1, 0]))
 
 
+def test_cross_entropy_refuses_an_empty_batch():
+    # As train_epoch and evaluate refuse an empty dataset; the label-range
+    # check would otherwise reduce an empty array.
+    with pytest.raises(DataError, match="empty batch"):
+        cn.cross_entropy(cn.Tensor(np.zeros((0, 2))), np.zeros(0, np.int64))
+
+
 def test_cross_entropy_rejects_non_finite_logits():
     bad = from_array(np.array([[np.inf, 0.0]]))
     with pytest.raises(NumericError):

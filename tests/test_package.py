@@ -3,9 +3,11 @@ private helper that nothing in the package reads, no public definition
 that the program never reads, field types stated only in annotations, and
 every input file opened by the one reader, one tensor type, one table
 parser, one scoring route for eval and importance, every tape operation a
-layer, and a data layer that imports nothing of the model or above it."""
+layer, a data layer that imports nothing of the model or above it, and a
+config module that imports only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import compnet
@@ -343,3 +345,33 @@ def test_the_data_layer_imports_nothing_of_the_model():
         "from compnet.forkpool import run\nfrom .layers.sub import y\n") == [
         "autodiff (line 1)", "models (line 5)", "train (line 6)", "cli (line 7)",
         "forkpool (line 8)", "layers (line 9)"]
+
+
+def _non_standard_imports(source: str) -> list[str]:
+    """Imports in ``source``, in line order, of anything but the standard library
+    and the package's ``.exceptions``; a package module is named with its dot."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [(node.lineno, f".{name}") for name in names if name != "exceptions"]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            found += [(node.lineno, name) for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_config_imports_only_the_standard_library():
+    # A record's fields take Python values, as JSON, argparse and .tolist() give
+    # them; an import of NumPy in config.py is how NumPy scalars come back in.
+    source = (Path(compnet.__file__).parent / "config.py").read_text(encoding="utf-8")
+    assert _non_standard_imports(source) == []
+    assert _non_standard_imports(
+        "from __future__ import annotations\nimport numpy as np\nimport sys, typing\n"
+        "from .exceptions import ConfigError\nfrom dataclasses import fields\n"
+        "from . import data, exceptions\ndef f():\n    import numpy.linalg\n"
+        "from numpy import integer\nfrom .data import Dataset\n") == [
+        "numpy (line 2)", ".data (line 6)", "numpy.linalg (line 8)", "numpy (line 9)",
+        ".data (line 10)"]
